@@ -12,6 +12,7 @@ agree, which makes an unlucky prime detectable.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from .curves import (
@@ -34,6 +35,7 @@ from .curves import (
 )
 from .fields import Field, prime_field, prime_pair, rational_field, validate_prime_for_degree
 from .jacobian import (
+    AnalysisError,
     CoincidenceThreshold,
     CurveJacobian,
     InternalConsistencyError,
@@ -41,7 +43,7 @@ from .jacobian import (
     ModuleVector,
     smooth_reference,
 )
-from .poly import TernaryForm, parse_form
+from .poly import PolynomialError, basis_dimension, parse_form
 from .resolution import PencilOfLinesError, ResolutionProfile, resolve
 
 PASS = "pass"
@@ -49,10 +51,6 @@ FAIL = "fail"
 NA = "n/a"
 
 SCHEMA = "jacmod-report/1"
-
-
-class AnalysisError(ValueError):
-    """The requested analysis cannot be carried out as specified."""
 
 
 @dataclass(frozen=True)
@@ -74,26 +72,30 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class CurveReport:
+    """One analysis.  What a branch does not know keeps its default: a
+    line or a pencil of lines has no resolution and no vector, and a
+    formula-only report has no field, Milnor series or threshold."""
+
     curve: str
-    field_labels: tuple[str, ...]
     degree: int
-    top: int | None  # T = 3(d-2); None when the vector is undefined (d = 1)
-    tjurina: int | None
-    milnor: tuple[int, ...] | None
-    mdr: int | None
-    exponents: tuple[int, ...]
-    second_degrees: tuple[int, ...]
-    epsilons: tuple[int, ...]
-    sigma: int | None
-    nu: int | None
-    vector: tuple[int, ...] | None
-    vector_source: str  # oracle | formula | none
-    classification: CurveClass
-    bundle: BundleInvariants | None
-    hartshorne: int | None
-    coincidence: CoincidenceThreshold | None
-    checks: tuple[CheckResult, ...]
-    timings: tuple[tuple[str, float], ...]
+    field_labels: tuple[str, ...] = ()
+    top: int | None = None  # T = 3(d-2); None when the vector is undefined (d = 1)
+    tjurina: int | None = None
+    milnor: tuple[int, ...] | None = None
+    mdr: int | None = None
+    exponents: tuple[int, ...] = ()
+    second_degrees: tuple[int, ...] = ()
+    epsilons: tuple[int, ...] = ()
+    sigma: int | None = None
+    nu: int | None = None
+    vector: tuple[int, ...] | None = None
+    vector_source: str = "none"  # oracle | formula | none
+    classification: CurveClass = PENCIL
+    bundle: BundleInvariants | None = None
+    hartshorne: int | None = None
+    coincidence: CoincidenceThreshold | None = None
+    checks: tuple[CheckResult, ...] = ()
+    timings: tuple[tuple[str, float], ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -167,6 +169,23 @@ def _vector_mismatch(oracle: tuple[int, ...], predicted: list[int]) -> str:
     return f"first mismatch at degree {k}: oracle {oracle[k]}, formula {predicted[k]}"
 
 
+def _identity_checks(n: Sequence[int]) -> list[CheckResult]:
+    """Duality n_k = n_(T-k) and unimodality up to T/2, for an oracle
+    or a formula vector alike."""
+    T = len(n) - 1
+    bad = [k for k in range(T + 1) if n[k] != n[T - k]]
+    rising = n[: T // 2 + 1]
+    unimodal = all(a <= b for a, b in zip(rising, rising[1:]))
+    return [
+        CheckResult(
+            "symmetry",
+            PASS if not bad else FAIL,
+            "" if not bad else f"n_{bad[0]} != n_{T - bad[0]}",
+        ),
+        CheckResult("unimodality", PASS if unimodal else FAIL),
+    ]
+
+
 def cross_check(
     jac: CurveJacobian,
     milnor: MilnorProfile,
@@ -179,26 +198,13 @@ def cross_check(
     """Every applicable closed-form statement versus the oracle."""
     d = jac.degree
     T = vec.top
-    half = T // 2
     tau = milnor.tjurina
     r = prof.mdr
     n = vec.values
-    checks: list[CheckResult] = []
+    checks = _identity_checks(n)
 
     def add(name: str, status: str, detail: str = "") -> None:
         checks.append(CheckResult(name, status, detail))
-
-    # duality of N(f)
-    bad = [k for k in range(T + 1) if n[k] != n[T - k]]
-    add(
-        "symmetry",
-        PASS if not bad else FAIL,
-        "" if not bad else f"n_{bad[0]} != n_{T - bad[0]}",
-    )
-
-    rising = n[: half + 1]
-    ok = all(a <= b for a, b in zip(rising, rising[1:]))
-    add("unimodality", PASS if ok else FAIL)
 
     # support is exactly [sigma, T - sigma]
     if vec.sigma is None:
@@ -221,14 +227,11 @@ def cross_check(
         add("sigma-resolution", FAIL, f"vector says {vec.sigma}, resolution says {prof.sigma}")
 
     # resolution balance: ranks and twists reproduce the Milnor series
-    def dim_s(k: int) -> int:
-        return (k + 2) * (k + 1) // 2 if k >= 0 else 0
-
     balanced = True
     for k in range(len(milnor.values)):
-        total = dim_s(k) - 3 * dim_s(k - d + 1)
-        total += sum(dim_s(k - d + 1 - di) for di in prof.exponents)
-        total -= sum(dim_s(k - ej) for ej in prof.second_degrees)
+        total = basis_dimension(k) - 3 * basis_dimension(k - d + 1)
+        total += sum(basis_dimension(k - d + 1 - di) for di in prof.exponents)
+        total -= sum(basis_dimension(k - ej) for ej in prof.second_degrees)
         if total != milnor.values[k]:
             balanced = False
             break
@@ -336,7 +339,7 @@ def cross_check(
     # saturation defect stabilizes to tau from degree 2d-4-r on
     start = max(defect_stable_degree(d, r), 0)
     ok = all(
-        dim_s(k) - jac.saturation_dimension(k) == tau for k in range(start, T + 1)
+        basis_dimension(k) - jac.saturation_dimension(k) == tau for k in range(start, T + 1)
     )
     add("saturation-defect", PASS if ok else FAIL)
 
@@ -384,28 +387,15 @@ def _analyze_over_field(
     f = parse_form(text, field)
     jac = CurveJacobian(f)
     d = jac.degree
+    labels = (_field_label(field),)
 
     if d == 1:
         return CurveReport(
             curve=text,
-            field_labels=(_field_label(field),),
             degree=1,
-            top=None,
+            field_labels=labels,
             tjurina=0,
-            milnor=None,
             mdr=0,
-            exponents=(),
-            second_degrees=(),
-            epsilons=(),
-            sigma=None,
-            nu=None,
-            vector=None,
-            vector_source="none",
-            classification=PENCIL,
-            bundle=None,
-            hartshorne=None,
-            coincidence=None,
-            checks=(),
             timings=(("total", time.perf_counter() - t0),),
         )
 
@@ -417,27 +407,16 @@ def _analyze_over_field(
     try:
         prof = resolve(jac, milnor)
     except PencilOfLinesError:
+        timings.append(("total", time.perf_counter() - t0))
         return CurveReport(
             curve=text,
-            field_labels=(_field_label(field),),
             degree=d,
+            field_labels=labels,
             top=milnor.top,
             tjurina=milnor.tjurina,
             milnor=milnor.values,
             mdr=0,
-            exponents=(),
-            second_degrees=(),
-            epsilons=(),
-            sigma=None,
-            nu=None,
-            vector=None,
-            vector_source="none",
-            classification=PENCIL,
-            bundle=None,
-            hartshorne=None,
-            coincidence=None,
-            checks=(),
-            timings=tuple(timings) + (("total", time.perf_counter() - t0),),
+            timings=tuple(timings),
         )
     timings.append(("resolution", time.perf_counter() - t))
 
@@ -463,8 +442,8 @@ def _analyze_over_field(
 
     return CurveReport(
         curve=text,
-        field_labels=(_field_label(field),),
         degree=d,
+        field_labels=labels,
         top=vec.top,
         tjurina=milnor.tjurina,
         milnor=milnor.values,
@@ -485,23 +464,9 @@ def _analyze_over_field(
     )
 
 
-def _comparable(report: CurveReport) -> tuple:
-    """Every integer output that must be identical across primes."""
-    return (
-        report.degree,
-        report.tjurina,
-        report.milnor,
-        report.mdr,
-        report.exponents,
-        report.second_degrees,
-        report.epsilons,
-        report.sigma,
-        report.nu,
-        report.vector,
-        report.classification,
-        None if report.coincidence is None else (report.coincidence.value, report.coincidence.censored),
-        tuple((c.name, c.status) for c in report.checks),
-    )
+def _comparable(report: CurveReport) -> CurveReport:
+    """The report without what legitimately differs between primes."""
+    return replace(report, field_labels=(), timings=())
 
 
 # ---------------------------------------------------------------------------
@@ -572,31 +537,13 @@ def _formula_report(
         sigma=sigma if m > 2 else None,
         extended_window=False,
     )
-    if tau is not None:
-        try:
-            cls = classify(d, prof, tau)
-        except InternalConsistencyError as exc:
-            # here the inputs are user-declared, not computed
-            raise MetadataError(f"tau and exponents are inconsistent: {exc}") from exc
-    else:
-        # without tau only the exponent pattern is known
-        d1, d2, d3 = exps
-        if d1 + d2 == d and d2 == d3:
-            tag = "nearly-free"
-            level = None
-        elif d1 + d2 == d:
-            tag, level = "plus-one-generated", d3
-        else:
-            tag, level = "three-syzygy", None
-        cls = CurveClass(tag, m, exps, level, False, 2 * r >= d, 2 * r >= d - 1)
+    try:
+        cls = classify(d, prof, tau)
+    except InternalConsistencyError as exc:
+        # here the inputs are user-declared, not computed
+        raise MetadataError(f"tau and exponents are inconsistent: {exc}") from exc
 
-    half = T // 2
-    checks: list[CheckResult] = []
-    ok = all(vector[k] == vector[T - k] for k in range(T + 1))
-    checks.append(CheckResult("symmetry", PASS if ok else FAIL))
-    rising = vector[: half + 1]
-    ok = all(a <= b for a, b in zip(rising, rising[1:]))
-    checks.append(CheckResult("unimodality", PASS if ok else FAIL))
+    checks = _identity_checks(vector)
     vec_sigma = next((k for k, v in enumerate(vector) if v), None)
     checks.append(
         CheckResult(
@@ -612,23 +559,20 @@ def _formula_report(
     )
     return CurveReport(
         curve=text,
-        field_labels=(),
         degree=d,
         top=T,
         tjurina=tau,
-        milnor=None,
         mdr=r,
         exponents=exps,
         second_degrees=second,
         epsilons=epsilons,
         sigma=vec_sigma,
-        nu=vector[half],
+        nu=vector[T // 2],
         vector=tuple(vector),
         vector_source="formula",
         classification=cls,
         bundle=bundle,
         hartshorne=bound,
-        coincidence=None,
         checks=tuple(checks),
         timings=(("total", time.perf_counter() - t0),),
     )
@@ -677,7 +621,10 @@ def analyze_text(text: str, options: AnalysisOptions = AnalysisOptions()) -> Cur
     if options.field == "rational":
         return _analyze_over_field(text, rational_field(), options.nodal)
     if options.field.startswith("gfp:"):
-        p = int(options.field.split(":", 1)[1])
+        try:
+            p = int(options.field.split(":", 1)[1])
+        except ValueError:
+            raise AnalysisError(f"{options.field!r}: the prime must be an integer") from None
         validate_prime_for_degree(p, d)
         return _analyze_over_field(text, prime_field(p), options.nodal)
     if options.field != "gfp":
@@ -687,13 +634,18 @@ def analyze_text(text: str, options: AnalysisOptions = AnalysisOptions()) -> Cur
     for attempt in range(3):
         p1, p2 = prime_pair(options.seed + attempt * 7919, max_degree=d)
         last_pair = (p1, p2)
-        first = _analyze_over_field(text, prime_field(p1), options.nodal)
-        second = _analyze_over_field(text, prime_field(p2), options.nodal)
+        try:
+            first = _analyze_over_field(text, prime_field(p1), options.nodal)
+            second = _analyze_over_field(text, prime_field(p2), options.nodal)
+        except PolynomialError:
+            # the text parsed over the rationals, so a divisor or every
+            # coefficient vanished mod the drawn prime: draw again
+            continue
         if _comparable(first) == _comparable(second):
             return replace(
                 first, field_labels=(f"gfp:{p1}", f"gfp:{p2}")
             )
     raise AnalysisError(
-        f"outputs differ between primes {last_pair} after 3 prime pairs; "
+        f"no agreeing runs under 3 prime pairs (last {last_pair}); "
         "the input may be numerically degenerate"
     )

@@ -8,7 +8,8 @@ Two subcommands:
 
 Exit codes: 0 all checks pass, 1 at least one formula check failed,
 2 invalid input (parse error, bad flags, inconsistent metadata,
-non-reduced curve).  Data goes to stdout, diagnostics to stderr.
+non-reduced curve) or an internal consistency failure.  Data goes to
+stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .analysis import (
 )
 from .curves import MetadataError
 from .fields import FieldError
-from .jacobian import AnalysisError as EngineError
+from .jacobian import InternalConsistencyError
 from .poly import PolynomialError
 from .resolution import IncompleteResolutionError
 
@@ -248,8 +249,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (
         PolynomialError,
         FieldError,
-        EngineError,
         IncompleteResolutionError,
+        InternalConsistencyError,
         AnalysisError,
         MetadataError,
     ) as exc:

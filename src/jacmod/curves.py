@@ -281,9 +281,11 @@ class CurveClass:
 PENCIL = CurveClass("pencil-of-lines", None, (), None, False, False, False)
 
 
-def classify(d: int, profile: ResolutionProfile, tjurina: int) -> CurveClass:
+def classify(d: int, profile: ResolutionProfile, tjurina: int | None) -> CurveClass:
     """Primary tag from the exponent pattern, maximal-Tjurina flag from
-    the Tjurina count cross-checked against the degree pattern."""
+    the Tjurina count cross-checked against the degree pattern.  With
+    tjurina None only the exponent pattern is used: the smooth tag and
+    the maximal-Tjurina flag are never set."""
     exps = profile.exponents
     m = len(exps)
     r = profile.mdr
@@ -310,7 +312,7 @@ def classify(d: int, profile: ResolutionProfile, tjurina: int) -> CurveClass:
         tag, level = "m-syzygy", None
 
     maximal = False
-    if semistable:
+    if semistable and tjurina is not None:
         by_count = tjurina == max_tjurina_tau(d, r)
         by_pattern = (
             m == 2 * r - d + 3

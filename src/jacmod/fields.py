@@ -24,11 +24,7 @@ class FieldError(ValueError):
 
 
 class BadPrimeError(FieldError):
-    """The chosen prime collides with the input (divides a denominator).
-
-    Callers are expected to reselect a prime and retry; with 30-bit
-    random primes this is effectively a theoretical code path.
-    """
+    """An explicitly requested modulus is not prime."""
 
 
 @dataclass(frozen=True)
@@ -103,9 +99,6 @@ class Field:
             return pow(a, self.p - 2, self.p)
         return 1 / a
 
-    def div(self, a: Element, b: Element) -> Element:
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a: Element) -> bool:
         return a == 0
 
@@ -115,15 +108,6 @@ class Field:
         if self.kind == "gfp":
             return n % self.p
         return Fraction(n)
-
-    def embed_fraction(self, q: Fraction) -> Element:
-        if self.kind == "gfp":
-            if q.denominator % self.p == 0:
-                raise BadPrimeError(
-                    f"prime {self.p} divides denominator {q.denominator}"
-                )
-            return (q.numerator * pow(q.denominator, self.p - 2, self.p)) % self.p
-        return q
 
     def __repr__(self) -> str:
         if self.kind == "gfp":
@@ -140,11 +124,28 @@ def prime_field(p: int) -> Field:
 
 
 def _is_prime(n: int) -> bool:
-    # sympy's isprime is deterministic in this range; imported lazily
-    # because sympy start-up cost is noticeable for CLI use.
-    from sympy import isprime
-
-    return bool(isprime(n))
+    """Miller-Rabin with bases 2, 3, 5, 7, which is exact for every
+    n < 3,215,031,751 (Pomerance, Selfridge and Wagstaff, Math. Comp.
+    35, 1980) and so for every modulus below PRIME_HIGH."""
+    if n < 2:
+        return False
+    for b in (2, 3, 5, 7):
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in (2, 3, 5, 7):
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def random_prime(rng: random.Random, low: int = PRIME_LOW, high: int = PRIME_HIGH) -> int:
@@ -176,8 +177,10 @@ def prime_pair(seed: int, max_degree: int = 256) -> tuple[int, int]:
 
 
 def validate_prime_for_degree(p: int, degree: int) -> None:
-    """Reject composite moduli and primes small enough to corrupt
-    degree-d bookkeeping."""
+    """Reject moduli the int64 engine cannot hold, composite moduli and
+    primes small enough to corrupt degree-d bookkeeping."""
+    if p >= PRIME_HIGH:
+        raise FieldError(f"modulus {p} is too large: the int64 engine needs p < 2^31")
     if not _is_prime(p):
         raise BadPrimeError(f"{p} is not prime")
     if p <= 3 * degree:

@@ -47,13 +47,6 @@ def matrix_zeros(field: Field, rows: int, cols: int) -> Matrix:
     return M
 
 
-def matrix_from_rows(field: Field, rows: list, cols: int) -> Matrix:
-    M = matrix_zeros(field, len(rows), cols)
-    for i, row in enumerate(rows):
-        M[i, :] = row
-    return M
-
-
 def _forward_eliminate(M: Matrix, field: Field):
     """In-place forward elimination; returns pivot column list.
 
@@ -162,23 +155,3 @@ def kernel_basis(M: Matrix, field: Field) -> Matrix:
             K[:, list(R.pivots)] = -block.T
     return K
 
-
-def in_row_space(R: RrefResult, v: Matrix, field: Field) -> bool:
-    """Membership of vector v in the row space described by R."""
-    w = canonicalize(v.reshape(1, -1), field)[0]
-    gfp = field.kind == "gfp"
-    p = field.p
-    for i, c in enumerate(R.pivots):
-        coeff = w[c]
-        if coeff == 0:
-            continue
-        if gfp:
-            w = (w - coeff * R.matrix[i]) % p
-        else:
-            w = w - coeff * R.matrix[i]
-    return not np.any(w != 0)
-
-
-def rows_in_row_space(R: RrefResult, V: Matrix, field: Field) -> bool:
-    """All rows of V lie in the row space described by R."""
-    return all(in_row_space(R, V[i], field) for i in range(V.shape[0]))

@@ -16,6 +16,7 @@ from typing import Iterator
 from .fields import Element, Field
 
 Monomial = tuple[int, int, int]
+Terms = dict[Monomial, Element]
 
 VARS = ("x", "y", "z")
 
@@ -70,6 +71,38 @@ def basis_dimension(k: int) -> int:
     return (k + 2) * (k + 1) // 2
 
 
+# Term-dict arithmetic shared by TernaryForm and the parser: exact field
+# operations, zero coefficients dropped, no degree bookkeeping.
+
+
+def _add_terms(f: Field, a: Terms, b: Terms) -> Terms:
+    terms = dict(a)
+    for m, c in b.items():
+        s = f.add(terms.get(m, f.zero()), c)
+        if f.is_zero(s):
+            terms.pop(m, None)
+        else:
+            terms[m] = s
+    return terms
+
+
+def _neg_terms(f: Field, a: Terms) -> Terms:
+    return {m: f.neg(c) for m, c in a.items()}
+
+
+def _mul_terms(f: Field, a: Terms, b: Terms) -> Terms:
+    out: Terms = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
+            s = f.add(out.get(m, f.zero()), f.mul(c1, c2))
+            if f.is_zero(s):
+                out.pop(m, None)
+            else:
+                out[m] = s
+    return out
+
+
 class TernaryForm:
     """A homogeneous form in x, y, z over a fixed field.
 
@@ -79,7 +112,7 @@ class TernaryForm:
 
     __slots__ = ("field", "degree", "terms")
 
-    def __init__(self, field: Field, degree: int, terms: dict[Monomial, Element]):
+    def __init__(self, field: Field, degree: int, terms: Terms):
         if degree < 0:
             raise PolynomialError("degree must be nonnegative")
         for m, c in terms.items():
@@ -140,42 +173,18 @@ class TernaryForm:
     def __add__(self, other: "TernaryForm") -> "TernaryForm":
         if other.degree != self.degree:
             raise NonHomogeneousError(self.degree, other.degree)
-        f = self.field
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = f.add(terms.get(m, f.zero()), c)
-            if f.is_zero(s):
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-        return TernaryForm(f, self.degree, terms)
+        terms = _add_terms(self.field, self.terms, other.terms)
+        return TernaryForm(self.field, self.degree, terms)
 
     def __neg__(self) -> "TernaryForm":
-        f = self.field
-        return TernaryForm(f, self.degree, {m: f.neg(c) for m, c in self.terms.items()})
+        return TernaryForm(self.field, self.degree, _neg_terms(self.field, self.terms))
 
     def __sub__(self, other: "TernaryForm") -> "TernaryForm":
         return self + (-other)
 
     def __mul__(self, other: "TernaryForm") -> "TernaryForm":
-        f = self.field
-        out: dict[Monomial, Element] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                prod = f.mul(c1, c2)
-                s = f.add(out.get(m, f.zero()), prod)
-                if f.is_zero(s):
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return TernaryForm(f, self.degree + other.degree, out)
-
-    def scale(self, c: Element) -> "TernaryForm":
-        f = self.field
-        if f.is_zero(c):
-            return TernaryForm.zero(f, self.degree)
-        return TernaryForm(f, self.degree, {m: f.mul(c, v) for m, v in self.terms.items()})
+        terms = _mul_terms(self.field, self.terms, other.terms)
+        return TernaryForm(self.field, self.degree + other.degree, terms)
 
     def monomial_shift(self, shift: Monomial) -> "TernaryForm":
         """Multiply by a single monomial (no coefficient work)."""
@@ -211,15 +220,6 @@ class TernaryForm:
 
     def gradient(self) -> tuple["TernaryForm", "TernaryForm", "TernaryForm"]:
         return (self.partial(0), self.partial(1), self.partial(2))
-
-    def euler_combination(self) -> "TernaryForm":
-        """x*f_x + y*f_y + z*f_z; equals degree * f for homogeneous f."""
-        fx, fy, fz = self.gradient()
-        return (
-            fx.monomial_shift((1, 0, 0))
-            + fy.monomial_shift((0, 1, 0))
-            + fz.monomial_shift((0, 0, 1))
-        )
 
     # -- printing ----------------------------------------------------------
 
@@ -314,15 +314,6 @@ def _tokenize(text: str) -> Iterator[_Token]:
     yield _Token("end", None, n)
 
 
-class _MixedPoly:
-    """Parser accumulator: possibly inhomogeneous, degree-graded terms."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Monomial, Element]):
-        self.terms = terms
-
-
 class _Parser:
     def __init__(self, text: str, field: Field):
         self.field = field
@@ -344,34 +335,34 @@ class _Parser:
         return tok
 
     # expression := ['-'] term (('+'|'-') term)*
-    def expression(self) -> _MixedPoly:
+    def expression(self) -> Terms:
         if self.peek().kind == "-":
             self.take()
-            value = self._negate(self.term())
+            value = _neg_terms(self.field, self.term())
         else:
             value = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.take().kind
             rhs = self.term()
             if op == "-":
-                rhs = self._negate(rhs)
-            value = self._add(value, rhs)
+                rhs = _neg_terms(self.field, rhs)
+            value = _add_terms(self.field, value, rhs)
         return value
 
     # term := power (('*'|'/') power)*
-    def term(self) -> _MixedPoly:
+    def term(self) -> Terms:
         value = self.power()
         while self.peek().kind in ("*", "/"):
             op = self.take()
             rhs = self.power()
             if op.kind == "*":
-                value = self._multiply(value, rhs)
+                value = _mul_terms(self.field, value, rhs)
             else:
                 value = self._divide(value, rhs, op.pos)
         return value
 
     # power := atom ['^' int]
-    def power(self) -> _MixedPoly:
+    def power(self) -> Terms:
         value = self.atom()
         if self.peek().kind == "^":
             self.take()
@@ -382,15 +373,15 @@ class _Parser:
         return value
 
     # atom := int | var | '(' expression ')'
-    def atom(self) -> _MixedPoly:
+    def atom(self) -> Terms:
         tok = self.take()
         f = self.field
         if tok.kind == "int":
             c = f.embed_integer(tok.value)
-            return _MixedPoly({} if f.is_zero(c) else {(0, 0, 0): c})
+            return {} if f.is_zero(c) else {(0, 0, 0): c}
         if tok.kind == "var":
             mono = tuple(1 if v == tok.value else 0 for v in VARS)
-            return _MixedPoly({mono: f.one()})
+            return {mono: f.one()}
         if tok.kind == "(":
             inner = self.expression()
             self.expect(")")
@@ -399,50 +390,20 @@ class _Parser:
 
     # -- accumulator arithmetic (field-exact, inhomogeneous) -----------
 
-    def _add(self, a: _MixedPoly, b: _MixedPoly) -> _MixedPoly:
-        f = self.field
-        terms = dict(a.terms)
-        for m, c in b.terms.items():
-            s = f.add(terms.get(m, f.zero()), c)
-            if f.is_zero(s):
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-        return _MixedPoly(terms)
-
-    def _negate(self, a: _MixedPoly) -> _MixedPoly:
-        f = self.field
-        return _MixedPoly({m: f.neg(c) for m, c in a.terms.items()})
-
-    def _multiply(self, a: _MixedPoly, b: _MixedPoly) -> _MixedPoly:
-        f = self.field
-        out: dict[Monomial, Element] = {}
-        for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                s = f.add(out.get(m, f.zero()), f.mul(c1, c2))
-                if f.is_zero(s):
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return _MixedPoly(out)
-
-    def _divide(self, a: _MixedPoly, b: _MixedPoly, pos: int) -> _MixedPoly:
-        f = self.field
-        if list(b.terms.keys()) not in ([], [(0, 0, 0)]):
+    def _divide(self, a: Terms, b: Terms, pos: int) -> Terms:
+        if list(b) not in ([], [(0, 0, 0)]):
             raise ParseError("division is only allowed by a nonzero constant", pos)
-        if not b.terms:
+        if not b:
             raise ParseError("division by zero", pos)
-        inv = f.inv(b.terms[(0, 0, 0)])
-        return _MixedPoly({m: f.mul(c, inv) for m, c in a.terms.items()})
+        return _mul_terms(self.field, a, {(0, 0, 0): self.field.inv(b[(0, 0, 0)])})
 
-    def _power(self, a: _MixedPoly, e: int) -> _MixedPoly:
-        result = _MixedPoly({(0, 0, 0): self.field.one()})
+    def _power(self, a: Terms, e: int) -> Terms:
+        result = {(0, 0, 0): self.field.one()}
         base = a
         while e:
             if e & 1:
-                result = self._multiply(result, base)
-            base = self._multiply(base, base)
+                result = _mul_terms(self.field, result, base)
+            base = _mul_terms(self.field, base, base)
             e >>= 1
         return result
 
@@ -450,11 +411,11 @@ class _Parser:
 def parse_form(text: str, field: Field) -> TernaryForm:
     """Parse a homogeneous form; raise on syntax or mixed degrees."""
     parser = _Parser(text, field)
-    mixed = parser.expression()
+    terms = parser.expression()
     parser.expect("end")
-    if not mixed.terms:
+    if not terms:
         raise PolynomialError("polynomial expanded to zero")
-    degrees = sorted({monomial_degree(m) for m in mixed.terms})
+    degrees = sorted({monomial_degree(m) for m in terms})
     if len(degrees) > 1:
         raise NonHomogeneousError(degrees[0], degrees[1])
-    return TernaryForm(field, degrees[0], mixed.terms)
+    return TernaryForm(field, degrees[0], terms)

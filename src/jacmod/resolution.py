@@ -30,7 +30,7 @@ from .jacobian import (
     _shift_index,
 )
 from .linalg import kernel_basis, matrix_zeros, row_rank
-from .poly import TernaryForm, basis_dimension, monomial_basis
+from .poly import basis_dimension
 
 
 class IncompleteResolutionError(RuntimeError):
@@ -84,26 +84,6 @@ def syzygy_basis(jac: CurveJacobian, k: int) -> np.ndarray:
     if k < 0:
         return matrix_zeros(jac.field, 0, 0)
     return kernel_basis(jac.mult_matrix(k).T, jac.field)
-
-
-def syzygy_triples(jac: CurveJacobian, k: int) -> list[tuple[TernaryForm, ...]]:
-    """The degree-k syzygy basis as polynomial triples (for display
-    and for independent re-verification that a f_x + b f_y + c f_z = 0)."""
-    basis_k = monomial_basis(k)
-    n = len(basis_k)
-    field = jac.field
-    out = []
-    for row in syzygy_basis(jac, k):
-        triple = []
-        for block in range(3):
-            terms = {}
-            for t, mono in enumerate(basis_k):
-                c = row[block * n + t]
-                if not field.is_zero(c):
-                    terms[mono] = c
-            triple.append(TernaryForm(field, k, terms))
-        out.append(tuple(triple))
-    return out
 
 
 def mdr(jac: CurveJacobian) -> int:

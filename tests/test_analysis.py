@@ -17,7 +17,7 @@ from jacmod.analysis import (
     analyze_text,
 )
 from jacmod.curves import MetadataError
-from jacmod.jacobian import NotReducedError
+from jacmod.jacobian import CurveJacobian, NotReducedError
 
 CONIC_PAIR = "(x*z - y^2) * (y*z - x^2)"
 PLUS_ONE_QUINTIC = "3*x^2*y^3 + 4*y^5 + 5*y^3*z^2 + 4*y*z^4"
@@ -93,6 +93,21 @@ class TestOracleReports:
         report = analyze_text("x + y")
         assert report.degree == 1
         assert report.classification.tag == "pencil-of-lines"
+
+    def test_broken_identity_is_a_failed_check(self, monkeypatch):
+        # the engine does not enforce the module identities; a vector that
+        # breaks one is reported with that check failed
+        exact = CurveJacobian.saturation_dimension
+
+        def skewed(self, k):
+            return exact(self, k) + (k == 0)
+
+        monkeypatch.setattr(CurveJacobian, "saturation_dimension", skewed)
+        report = analyze_text("x^3 + y^3 + z^3", AnalysisOptions(field="gfp:2147483647"))
+        assert report.vector == (2, 3, 3, 1)
+        assert status(report, "symmetry") == FAIL
+        assert status(report, "unimodality") == PASS
+        assert not report.passed
 
     def test_non_reduced_rejected(self):
         with pytest.raises(NotReducedError):

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from jacmod import cli
 from jacmod.cli import main
+from jacmod.jacobian import InternalConsistencyError
 
 D63 = "(x^9+y^4*z^5)^7+x*z^62"
 
@@ -99,6 +101,36 @@ class TestAnalyze:
     def test_small_prime_rejected(self, capsys):
         code, out, err = run(capsys, "analyze", "--field", "gfp:7", "x^3+y^3+z^3")
         assert code == 2
+
+    def test_unusable_modulus_rejected(self, capsys):
+        # not an integer; a prime beyond the int64 engine's 2^31 limit
+        for field in ("gfp:abc", "gfp:2305843009213693951"):
+            code, out, err = run(capsys, "analyze", "--field", field, "x*y*z*(x+y+z)")
+            assert code == 2, field
+            assert err.startswith("error: "), field
+
+    def test_internal_consistency_error_exit_two(self, capsys, monkeypatch):
+        def fail(text, options):
+            raise InternalConsistencyError("structural identity failed")
+
+        monkeypatch.setattr(cli, "analyze_text", fail)
+        code, out, err = run(capsys, "analyze", "x*y*z")
+        assert code == 2
+        assert err == "error: structural identity failed\n"
+        assert out == ""
+
+    def test_unlucky_prime_redrawn_at_parse_time(self, capsys):
+        # 1277389331 is the first prime drawn at seed 0: dividing by it is
+        # division by zero mod that prime, so the default field re-draws
+        curve = "x^3/1277389331 + y^3 + z^3"
+        code, out, err = run(capsys, "analyze", curve)
+        assert code == 0
+        assert "gfp:1277389331" not in out
+        assert "smooth" in out
+        # an explicit prime is never replaced
+        code, out, err = run(capsys, "analyze", "--field", "gfp:1277389331", curve)
+        assert code == 2
+        assert "division by zero" in err
 
     def test_rational_field(self, capsys):
         code, out, err = run(capsys, "analyze", "--field", "rational", "x*y*z")

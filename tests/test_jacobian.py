@@ -14,8 +14,9 @@ from jacmod.jacobian import (
     NotReducedError,
     smooth_reference,
 )
-from jacmod.linalg import in_row_space
+from jacmod.linalg import kernel_basis, rref
 from jacmod.poly import monomial_basis, parse_form
+from row_space import in_row_space
 
 GFP = prime_field(2**31 - 1)
 
@@ -137,7 +138,11 @@ class TestSaturation:
         j = jac("(x*z - y^2) * (y*z - x^2)")
         for k in range(3, 7):
             piece = j.jacobian_piece(k)
-            sat = j.saturation_piece(k)
+            # canonical basis of the saturation piece: the left kernel of
+            # the membership test matrix (k <= T + 1 here)
+            test_matrix = j._saturation_test_matrix(k)
+            sat = rref(kernel_basis(test_matrix.T, GFP), GFP)
+            assert sat.rank == j.saturation_dimension(k)
             for row in piece.matrix:
                 assert in_row_space(sat, row, GFP)
 

@@ -6,15 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacmod.fields import prime_field, rational_field
-from jacmod.linalg import (
-    in_row_space,
-    kernel_basis,
-    matrix_from_rows,
-    matrix_zeros,
-    row_rank,
-    rows_in_row_space,
-    rref,
-)
+from jacmod.linalg import kernel_basis, matrix_zeros, row_rank, rref
+from row_space import in_row_space, rows_in_row_space
 
 GF7 = prime_field(7)
 GF = prime_field(2**31 - 1)
@@ -166,9 +159,3 @@ def test_two_primes_agree_on_fixed_matrix():
     r1 = row_rank(_build(prime_field(p1), 4, 4, sum(rows, [])), prime_field(p1))
     r2 = row_rank(_build(prime_field(p2), 4, 4, sum(rows, [])), prime_field(p2))
     assert r1 == r2 == row_rank(_build(QQ, 4, 4, sum(rows, [])), QQ)
-
-
-def test_matrix_from_rows():
-    M = matrix_from_rows(GF7, [np.array([1, 2, 3]), np.array([4, 5, 6])], 3)
-    assert M.shape == (2, 3)
-    assert M[1, 2] == 6

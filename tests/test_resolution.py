@@ -7,7 +7,7 @@ import pytest
 
 from jacmod.fields import Field, prime_field, rational_field
 from jacmod.jacobian import CurveJacobian
-from jacmod.poly import TernaryForm, parse_form
+from jacmod.poly import TernaryForm, monomial_basis, parse_form
 from jacmod.resolution import (
     PencilOfLinesError,
     hilbert_numerator,
@@ -15,7 +15,6 @@ from jacmod.resolution import (
     resolve,
     syzygy_basis,
     syzygy_dimension,
-    syzygy_triples,
 )
 
 GFP = prime_field(2**31 - 1)
@@ -23,6 +22,24 @@ GFP = prime_field(2**31 - 1)
 
 def jac(text: str, field: Field = GFP) -> CurveJacobian:
     return CurveJacobian(parse_form(text, field))
+
+
+def syzygy_triples(j: CurveJacobian, k: int) -> list[tuple[TernaryForm, ...]]:
+    """The degree-k syzygy basis read back as polynomial triples (a, b, c)."""
+    basis_k = monomial_basis(k)
+    n = len(basis_k)
+    out = []
+    for row in syzygy_basis(j, k):
+        triple = []
+        for block in range(3):
+            terms = {
+                mono: row[block * n + t]
+                for t, mono in enumerate(basis_k)
+                if not j.field.is_zero(row[block * n + t])
+            }
+            triple.append(TernaryForm(j.field, k, terms))
+        out.append(tuple(triple))
+    return out
 
 
 class TestSyzygyDimensions:
@@ -46,15 +63,19 @@ class TestSyzygyDimensions:
     def test_syzygy_triples_annihilate_gradient(self):
         j = jac("(x*z - y^2) * (y*z - x^2)")
         fx, fy, fz = j.f.gradient()
-        for a, b, c in syzygy_triples(j, 2):
+        triples = syzygy_triples(j, 2)
+        assert len(triples) == syzygy_dimension(j, 2)
+        for a, b, c in triples:
             combo = a * fx + b * fy + c * fz
-            assert combo.is_zero
+            assert combo.is_zero()
 
     def test_syzygy_triples_rational(self):
         j = jac("x*y*z", rational_field())
         fx, fy, fz = j.f.gradient()
-        for a, b, c in syzygy_triples(j, 1):
-            assert (a * fx + b * fy + c * fz).is_zero
+        triples = syzygy_triples(j, 1)
+        assert len(triples) == syzygy_dimension(j, 1)
+        for a, b, c in triples:
+            assert (a * fx + b * fy + c * fz).is_zero()
 
 
 class TestMdr:
