@@ -6,12 +6,17 @@ resolution, Hilbert vector of N(f)), classifies the curve, evaluates
 every closed-form prediction that applies, and records each comparison
 as pass / fail / n-a.  Over a random prime field the whole pipeline is
 executed under two independent primes and the integer outputs must
-agree, which makes an unlucky prime detectable.
+agree, which makes an unlucky prime detectable.  The two runs go at
+the same time: the second prime's in a forked child process (POSIX).
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 import time
+import traceback
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -44,7 +49,7 @@ from .jacobian import (
     smooth_reference,
 )
 from .poly import PolynomialError, basis_dimension, parse_form
-from .resolution import PencilOfLinesError, ResolutionProfile, resolve
+from .resolution import IncompleteResolutionError, PencilOfLinesError, ResolutionProfile, resolve
 
 PASS = "pass"
 FAIL = "fail"
@@ -592,10 +597,13 @@ def _parse_degree(text: str) -> int:
 def analyze_text(text: str, options: AnalysisOptions = AnalysisOptions()) -> CurveReport:
     """Full analysis honoring the field/seed/oracle options.
 
-    Over `gfp` (no explicit prime) the run happens twice under
-    independently chosen primes and all integer outputs must agree;
-    disagreement triggers a deterministic re-draw, so a structurally
-    unlucky prime cannot silently corrupt a report.
+    Over `gfp` (no explicit prime) the run happens twice, at the same
+    time, under independently chosen primes and all integer outputs
+    must agree.  Disagreeing outputs, an error only a prime can cause,
+    or an error under one prime only trigger a deterministic re-draw,
+    so a structurally unlucky prime cannot silently corrupt a report.
+    When both runs raise the same error class, the first prime's error
+    is raised.
     """
     d = _parse_degree(text)
 
@@ -634,13 +642,18 @@ def analyze_text(text: str, options: AnalysisOptions = AnalysisOptions()) -> Cur
     for attempt in range(3):
         p1, p2 = prime_pair(options.seed + attempt * 7919, max_degree=d)
         last_pair = (p1, p2)
-        try:
-            first = _analyze_over_field(text, prime_field(p1), options.nodal)
-            second = _analyze_over_field(text, prime_field(p2), options.nodal)
-        except PolynomialError:
-            # the text parsed over the rationals, so a divisor or every
-            # coefficient vanished mod the drawn prime: draw again
+        first, second = _run_pair(text, p1, p2, options.nodal)
+        if (
+            isinstance(first, _PRIME_ERRORS)
+            or isinstance(second, _PRIME_ERRORS)
+            or type(first) is not type(second)
+        ):
+            # the text parsed over the rationals, so this pair is unlucky
+            # (a divisor vanished, an identity broke, or only one prime
+            # saw the failure): draw again
             continue
+        if isinstance(first, Exception):
+            raise first  # both primes agree that the input is at fault
         if _comparable(first) == _comparable(second):
             return replace(
                 first, field_labels=(f"gfp:{p1}", f"gfp:{p2}")
@@ -649,3 +662,59 @@ def analyze_text(text: str, options: AnalysisOptions = AnalysisOptions()) -> Cur
         f"no agreeing runs under 3 prime pairs (last {last_pair}); "
         "the input may be numerically degenerate"
     )
+
+
+# errors that only an unlucky prime can cause once the text parses over Q
+_PRIME_ERRORS = (PolynomialError, InternalConsistencyError, IncompleteResolutionError)
+
+
+def _outcome(text: str, p: int, nodal: NodalData | None) -> CurveReport | Exception:
+    try:
+        return _analyze_over_field(text, prime_field(p), nodal)
+    except Exception as exc:
+        # the caller keeps exc; without their locals, the frames it
+        # references do not keep this run's matrices alive
+        traceback.clear_frames(exc.__traceback__)
+        return exc
+
+
+def _run_pair(
+    text: str, p1: int, p2: int, nodal: NodalData | None
+) -> tuple[CurveReport | Exception, CurveReport | Exception]:
+    """The runs under p1 (here) and p2 (in a forked child) at the same
+    time.  The child pickles its report or exception into a pipe and
+    leaves by os._exit, so it never flushes the inherited stdio buffers."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_end)
+            outcome = _outcome(text, p2, nodal)
+            try:
+                data = pickle.dumps(outcome)
+                pickle.loads(data)
+            except Exception as exc:
+                data = pickle.dumps(
+                    f"the gfp:{p2} run ended in {outcome!r}, which cannot be sent back: {exc}"
+                )
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            os._exit(0)
+    try:
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as pipe:
+            first = _outcome(text, p1, nodal)
+            data = pipe.read()
+    finally:
+        os.kill(pid, signal.SIGKILL)  # a no-op once the child has exited
+        _, status = os.waitpid(pid, 0)
+    if not data:
+        raise InternalConsistencyError(
+            f"the gfp:{p2} run ended without sending a result "
+            f"(exit status {os.waitstatus_to_exitcode(status)})"
+        )
+    second = pickle.loads(data)
+    if isinstance(second, str):
+        raise InternalConsistencyError(second)
+    return first, second

@@ -207,16 +207,19 @@ class CurveJacobian:
         """Hilbert function of S/J_f on 0..T+2; rejects non-reduced f.
 
         For k < d-1 the value is dim S_k with no computation (the
-        ideal has no elements below the partials' degree)."""
+        ideal has no elements below the partials' degree).  Degree T+1
+        is reduced in full once, since the saturation layer needs its
+        RREF, and after T+2, so that RREF is not held in memory while
+        the larger T+2 matrix is eliminated."""
         if self._milnor is not None:
             return self._milnor
         d = self.degree
         if d < 2:
             raise AnalysisError("Milnor data needs degree >= 2")
         T = self.top
-        values = []
-        for k in range(T + 3):
-            values.append(basis_dimension(k) - self.jacobian_rank(k))
+        rank = {k: self.jacobian_rank(k) for k in (*range(T + 1), T + 2)}
+        rank[T + 1] = self.jacobian_piece(T + 1).rank
+        values = [basis_dimension(k) - rank[k] for k in range(T + 3)]
         if values[T + 1] != values[T + 2]:
             raise NotReducedError(
                 f"S/J_f keeps growing at degree {T + 2} "

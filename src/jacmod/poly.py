@@ -30,7 +30,11 @@ class ParseError(PolynomialError):
 
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
+        self.message = message
         self.pos = pos
+
+    def __reduce__(self):  # pickle by the constructor's arguments
+        return type(self), (self.message, self.pos)
 
 
 class NonHomogeneousError(PolynomialError):
@@ -41,6 +45,9 @@ class NonHomogeneousError(PolynomialError):
             f"polynomial is not homogeneous: degrees {deg_a} and {deg_b} present"
         )
         self.degrees = (deg_a, deg_b)
+
+    def __reduce__(self):  # pickle by the constructor's arguments
+        return type(self), self.degrees
 
 
 def monomial_degree(m: Monomial) -> int:

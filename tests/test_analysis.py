@@ -4,6 +4,9 @@ formula-only mode, and report serialization."""
 from __future__ import annotations
 
 import json
+import os
+import time
+from dataclasses import replace
 
 import pytest
 
@@ -14,10 +17,13 @@ from jacmod.analysis import (
     AnalysisError,
     AnalysisOptions,
     NodalData,
+    _analyze_over_field,
+    _comparable,
     analyze_text,
 )
 from jacmod.curves import MetadataError
-from jacmod.jacobian import CurveJacobian, NotReducedError
+from jacmod.fields import prime_field, prime_pair
+from jacmod.jacobian import CurveJacobian, InternalConsistencyError, NotReducedError
 
 CONIC_PAIR = "(x*z - y^2) * (y*z - x^2)"
 PLUS_ONE_QUINTIC = "3*x^2*y^3 + 4*y^5 + 5*y^3*z^2 + 4*y*z^4"
@@ -268,3 +274,171 @@ class TestReportSerialization:
         assert names.count("symmetry") == 1
         assert set(c.status for c in report.checks) <= {PASS, FAIL, NA}
         assert report.passed
+
+
+# ---------------------------------------------------------------------------
+# the default prime pair: one run here, one in a forked child
+# ---------------------------------------------------------------------------
+
+FERMAT_CUBIC = "x^3 + y^3 + z^3"
+
+
+class _ArgsMismatchError(Exception):
+    """Pickles, but cannot be rebuilt from its args."""
+
+    def __init__(self, a: str, b: str):
+        super().__init__(f"{a} and {b}")
+
+
+def _fail_under(monkeypatch, modulus: int, fail) -> None:
+    """milnor_hilbert calls fail() instead under the given modulus."""
+    exact = CurveJacobian.milnor_hilbert
+
+    def patched(self):
+        if self.field.p == modulus:
+            fail()
+        return exact(self)
+
+    monkeypatch.setattr(CurveJacobian, "milnor_hilbert", patched)
+
+
+def _raise(exc: BaseException):
+    def fail():
+        raise exc
+
+    return fail
+
+
+def _count_forks(monkeypatch) -> list[int]:
+    forks: list[int] = []
+    real = os.fork
+
+    def counted():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestPrimePair:
+    def test_report_is_the_first_prime_run(self, monkeypatch):
+        forks = _count_forks(monkeypatch)
+        p1, p2 = prime_pair(0, max_degree=4)
+        report = analyze_text(CONIC_PAIR)
+        single = _analyze_over_field(CONIC_PAIR, prime_field(p1), None)
+        assert _comparable(report) == _comparable(single)
+        assert report == replace(
+            single, field_labels=(f"gfp:{p1}", f"gfp:{p2}"), timings=report.timings
+        )
+        assert forks == [1]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("field", ["rational", "gfp:2147483647"])
+    def test_one_field_forks_nothing(self, monkeypatch, field):
+        def no_fork():
+            raise AssertionError("a single-field analysis forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        report = analyze_text("x*y*z", AnalysisOptions(field=field))
+        assert report.field_labels == (field,)
+
+    def test_non_reduced_under_first_prime_only_redraws(self, monkeypatch):
+        p1, _ = prime_pair(0, max_degree=3)
+        _fail_under(monkeypatch, p1, _raise(NotReducedError("simulated")))
+        forks = _count_forks(monkeypatch)
+        report = analyze_text(FERMAT_CUBIC)
+        q1, q2 = prime_pair(7919, max_degree=3)
+        assert report.field_labels == (f"gfp:{q1}", f"gfp:{q2}")
+        assert report.passed
+        assert forks == [1, 1]
+        assert_no_child_left()
+
+    def test_internal_error_in_child_redraws(self, monkeypatch):
+        # the second prime runs in the child, which inherits the patch
+        _, p2 = prime_pair(0, max_degree=3)
+        _fail_under(monkeypatch, p2, _raise(InternalConsistencyError("simulated")))
+        report = analyze_text(FERMAT_CUBIC)
+        q1, q2 = prime_pair(7919, max_degree=3)
+        assert report.field_labels == (f"gfp:{q1}", f"gfp:{q2}")
+        assert report.passed
+        assert_no_child_left()
+
+    def test_internal_error_under_both_primes_redraws(self, monkeypatch):
+        pair = prime_pair(0, max_degree=3)
+        exact = CurveJacobian.milnor_hilbert
+
+        def patched(self):
+            if self.field.p in pair:
+                raise InternalConsistencyError("simulated")
+            return exact(self)
+
+        monkeypatch.setattr(CurveJacobian, "milnor_hilbert", patched)
+        report = analyze_text(FERMAT_CUBIC)
+        q1, q2 = prime_pair(7919, max_degree=3)
+        assert report.field_labels == (f"gfp:{q1}", f"gfp:{q2}")
+
+    def test_parse_error_in_child_redraws(self):
+        # the second prime divides the denominator; the child's ParseError
+        # crosses the pipe as a PolynomialError and the pair is re-drawn
+        _, p2 = prime_pair(0, max_degree=3)
+        report = analyze_text(f"x^3/{p2} + y^3 + z^3")
+        assert f"gfp:{p2}" not in report.field_labels
+        assert report.classification.tag == "smooth"
+
+    def test_same_error_under_both_primes_is_the_first(self, monkeypatch):
+        parent = os.getpid()
+
+        def fail(self):
+            raise MetadataError("under p1" if os.getpid() == parent else "under p2")
+
+        monkeypatch.setattr(CurveJacobian, "milnor_hilbert", fail)
+        forks = _count_forks(monkeypatch)
+        with pytest.raises(MetadataError, match="under p1"):
+            analyze_text(FERMAT_CUBIC)
+        assert forks == [1]
+        assert_no_child_left()
+
+    def test_unpicklable_child_error_is_internal(self, monkeypatch):
+        _, p2 = prime_pair(0, max_degree=3)
+        _fail_under(monkeypatch, p2, _raise(_ArgsMismatchError("child", "text")))
+        with pytest.raises(InternalConsistencyError, match="child and text"):
+            analyze_text(FERMAT_CUBIC)
+        assert_no_child_left()
+
+    def test_child_without_result_is_internal(self, monkeypatch):
+        _, p2 = prime_pair(0, max_degree=3)
+        _fail_under(monkeypatch, p2, lambda: os._exit(3))
+        with pytest.raises(InternalConsistencyError, match=r"without sending .*exit status 3"):
+            analyze_text(FERMAT_CUBIC)
+        assert_no_child_left()
+
+    def test_child_does_not_flush_inherited_buffers(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with open(path, "w") as out:
+            out.write("written once")  # still buffered when the child forks
+            analyze_text(FERMAT_CUBIC)
+        assert path.read_text() == "written once"
+
+    def test_interrupt_kills_and_reaps_the_child(self, monkeypatch):
+        p1, p2 = prime_pair(0, max_degree=3)
+        exact = CurveJacobian.milnor_hilbert
+
+        def patched(self):
+            if self.field.p == p2:
+                time.sleep(60)
+            if self.field.p == p1:
+                raise KeyboardInterrupt
+            return exact(self)
+
+        monkeypatch.setattr(CurveJacobian, "milnor_hilbert", patched)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            analyze_text(FERMAT_CUBIC)
+        assert time.perf_counter() - start < 30
+        assert_no_child_left()

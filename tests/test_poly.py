@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,15 @@ def test_parse_syntax_errors_carry_position():
         parse_form("x^-2", GF)
     with pytest.raises(ParseError):
         parse_form("w^2", GF)
+
+
+def test_parse_errors_survive_pickling():
+    # a forked second-prime run sends its error back pickled
+    for exc in (ParseError("division by zero", 3), NonHomogeneousError(1, 2)):
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert str(back) == str(exc)
+    assert pickle.loads(pickle.dumps(ParseError("x", 7))).pos == 7
 
 
 def test_parse_fraction_coefficients():
