@@ -17,7 +17,6 @@ import random
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,24 +28,18 @@ from jacmod.jacobian import NotReducedError
 from jacmod.poly import TernaryForm, format_form, monomial_basis
 
 
-@dataclass(frozen=True)
-class SurveyConfig:
-    count: int = 100
-    min_degree: int = 4
-    max_degree: int = 8
-    min_terms: int = 4
-    max_terms: int = 8
-    seed: int = 2024
-    field: str = "gfp"
+# number of monomials drawn for each curve
+MIN_TERMS = 4
+MAX_TERMS = 8
 
 
-def draw_curves(config: SurveyConfig):
-    rng = random.Random(config.seed)
+def draw_curves(seed: int, min_degree: int, max_degree: int):
+    rng = random.Random(seed)
     rationals = rational_field()
     while True:
-        d = rng.randint(config.min_degree, config.max_degree)
+        d = rng.randint(min_degree, max_degree)
         basis = monomial_basis(d)
-        size = rng.randint(config.min_terms, min(config.max_terms, len(basis)))
+        size = rng.randint(MIN_TERMS, min(MAX_TERMS, len(basis)))
         monos = rng.sample(basis, size)
         terms = {m: c for m in monos if (c := rng.randint(-9, 9))}
         if not terms:
@@ -63,23 +56,15 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=2024)
     parser.add_argument("--field", default="gfp")
     args = parser.parse_args()
-
-    config = SurveyConfig(
-        count=args.count,
-        min_degree=args.min_degree,
-        max_degree=args.max_degree,
-        seed=args.seed,
-        field=args.field,
-    )
-    options = AnalysisOptions(field=config.field, seed=config.seed)
+    options = AnalysisOptions(field=args.field, seed=args.seed)
 
     classes: Counter[str] = Counter()
     statuses: Counter[tuple[str, str]] = Counter()
     rejected = 0
     analyzed = 0
     t0 = time.perf_counter()
-    for text in draw_curves(config):
-        if analyzed >= config.count:
+    for text in draw_curves(args.seed, args.min_degree, args.max_degree):
+        if analyzed >= args.count:
             break
         try:
             report = analyze_text(text, options)

@@ -489,6 +489,12 @@ def _formula_report(
     m = len(exps)
     r = exps[0]
     T = 3 * (d - 2)
+    tau_max = max_tjurina_tau(d, r)  # du Plessis-Wall bound
+    if tau is not None and not 0 <= tau <= tau_max:
+        raise MetadataError(
+            f"tau = {tau} is outside [0, {tau_max}], the range of a "
+            f"degree-{d} curve with mdr {r}"
+        )
 
     if m == 2:
         d1, d2 = exps
@@ -516,7 +522,7 @@ def _formula_report(
         else:
             raise AnalysisError("exponents with d1 + d2 < d are not realizable")
     elif tau is not None and all(di == r for di in exps) and m == 2 * r - d + 3:
-        if tau != max_tjurina_tau(d, r):
+        if tau != tau_max:
             raise AnalysisError(
                 "many-syzygy formula evaluation is only available at maximal tau"
             )

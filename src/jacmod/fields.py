@@ -3,7 +3,9 @@
 Elements are kept as plain Python values (canonical int in [0, p) for
 GF(p), fractions.Fraction for the rationals); a Field object supplies
 the arithmetic.  This keeps hot loops cheap and lets matrix code store
-coefficients directly in numpy arrays.
+coefficients directly in numpy arrays: int64 residues for GF(p),
+Fraction objects for the rationals.  The Field is the only place that
+knows which; matrix code works through array() and reduce().
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+
+import numpy as np
 
 Element = Union[int, Fraction]
 
@@ -59,6 +63,7 @@ class Field:
         self.config = config
         self.kind = config.kind
         self.p = config.modulus
+        self.dtype = np.int64 if self.kind == "gfp" else object
 
     # -- constants ---------------------------------------------------
 
@@ -96,11 +101,33 @@ class Field:
             raise FieldError("inverse of zero")
         if self.kind == "gfp":
             # Fermat: a^(p-2) mod p.
-            return pow(a, self.p - 2, self.p)
+            return pow(int(a), self.p - 2, self.p)
         return 1 / a
 
     def is_zero(self, a: Element) -> bool:
         return a == 0
+
+    # -- arrays -------------------------------------------------------
+
+    def array(self, M) -> np.ndarray:
+        """Copy of the matrix M with canonical entries in self.dtype."""
+        if self.kind == "gfp":
+            return np.asarray(M, dtype=np.int64) % self.p
+        # Macaulay matrices are mostly zero: convert only the nonzeros
+        M = np.asarray(M)
+        out = np.full(M.shape, Fraction(0), dtype=object)
+        nonzero = np.nonzero(M)
+        out[nonzero] = _to_fraction(M[nonzero])
+        return out
+
+    def reduce(self, A: np.ndarray) -> np.ndarray:
+        """A, computed by ring operations on canonical entries, brought
+        back to canonical form.  Over GF(p) the int64 entries stay
+        exact when every operand is below p < 2^31: one product plus
+        one difference is below 2^63."""
+        if self.kind == "gfp":
+            return A % self.p
+        return A  # Fractions are always in lowest terms
 
     # -- embeddings ---------------------------------------------------
 
@@ -113,6 +140,9 @@ class Field:
         if self.kind == "gfp":
             return f"Field(GF({self.p}))"
         return "Field(QQ)"
+
+
+_to_fraction = np.frompyfunc(Fraction, 1, 1)
 
 
 def rational_field() -> Field:

@@ -21,8 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import Field
-from .linalg import RrefResult, matrix_zeros, row_rank, rref
-from .poly import TernaryForm, basis_dimension, basis_index, monomial_basis
+from .linalg import RrefResult, matrix_zeros, null_space, row_rank, rref
+from .poly import Monomial, TernaryForm, basis_dimension, basis_position, monomial_basis
 
 
 class AnalysisError(ValueError):
@@ -96,15 +96,25 @@ def smooth_reference(d: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _shift_index(k: int, var: int) -> np.ndarray:
-    """Positions in basis(k+1) of m * x_var for m running over basis(k)."""
-    idx = basis_index(k + 1)
-    out = np.empty(len(monomial_basis(k)), dtype=np.intp)
-    for t, m in enumerate(monomial_basis(k)):
-        shifted = list(m)
-        shifted[var] += 1
-        out[t] = idx[tuple(shifted)]
-    return out
+def _yz_exponents(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents of y and of z over basis(k)."""
+    basis = monomial_basis(k)
+    return (
+        np.array([m[1] for m in basis], dtype=np.intp),
+        np.array([m[2] for m in basis], dtype=np.intp),
+    )
+
+
+def _shift_index(k: int, shift: Monomial) -> np.ndarray:
+    """Positions in basis(k + |shift|) of m * x^shift for m running over
+    basis(k)."""
+    b, c = _yz_exponents(k)
+    return basis_position(b + shift[1], c + shift[2])
+
+
+def _unit_shift(var: int, n: int = 1) -> Monomial:
+    """The exponent vector of x_var^n."""
+    return tuple(n if v == var else 0 for v in range(3))
 
 
 class CurveJacobian:
@@ -145,26 +155,12 @@ class CurveJacobian:
         Row space is (J_f)_{j+d-1}; the left kernel is the degree-j
         piece of the syzygy module of the gradient.
         """
-        d = self.degree
         nj = basis_dimension(j)
-        nk = basis_dimension(j + d - 1)
-        M = matrix_zeros(self.field, 3 * nj, nk)
-        if nj == 0:
-            return M
-        basis_j = monomial_basis(j)
-        idx = basis_index(j + d - 1)
+        M = matrix_zeros(self.field, 3 * nj, basis_dimension(j + self.degree - 1))
         rows = np.arange(nj)
         for block, partial in enumerate(self.partials):
             for mono, coeff in partial.terms.items():
-                cols = np.fromiter(
-                    (
-                        idx[(m[0] + mono[0], m[1] + mono[1], m[2] + mono[2])]
-                        for m in basis_j
-                    ),
-                    dtype=np.intp,
-                    count=nj,
-                )
-                M[block * nj + rows, cols] = coeff
+                M[block * nj + rows, _shift_index(j, mono)] = coeff
         return M
 
     # -- Jacobian ideal pieces --------------------------------------------
@@ -251,46 +247,24 @@ class CurveJacobian:
         a basis unit vector index, to its canonical coordinates in
         S_{T+1} / (J_f)_{T+1}.
 
-        Row j of Q is the image of the j-th basis monomial: unit
-        vectors on non-pivot columns, minus the reduced tail for pivot
-        columns.  Built once from the full RREF at degree T+1."""
-        if self._projector is not None:
-            return self._projector
-        piece = self.jacobian_piece(self.top + 1)
-        n = piece.ncols
-        free = [j for j in range(n) if j not in set(piece.pivots)]
-        Q = matrix_zeros(self.field, n, len(free))
-        one = self.field.one()
-        for t, j in enumerate(free):
-            Q[j, t] = one
-        if piece.pivots and free:
-            block = piece.matrix[:, free]
-            if self.field.kind == "gfp":
-                Q[list(piece.pivots), :] = (-block) % self.field.p
-            else:
-                Q[list(piece.pivots), :] = -block
-        self._projector = Q
-        return Q
+        Q is the transpose of the null-space basis of the full RREF at
+        degree T+1: row j is a unit vector for a non-pivot column j and
+        minus the reduced tail for a pivot column.  Built once."""
+        if self._projector is None:
+            piece = self.jacobian_piece(self.top + 1)
+            self._projector = null_space(piece, self.field).T
+        return self._projector
 
     def _saturation_test_matrix(self, k: int) -> np.ndarray:
         """Rows indexed by the S_k basis; row of m is the concatenated
         quotient coordinates of x^N m, y^N m, z^N m at degree T+1,
         N = T+1-k.  A form lies in the saturation of J_f exactly when
         its coefficient vector is a left null vector of this matrix."""
-        T = self.top
-        N = T + 1 - k
+        N = self.top + 1 - k
         Q = self._quotient_projector()
-        idx = basis_index(T + 1)
-        basis_k = monomial_basis(k)
-        blocks = []
-        for var in range(3):
-            rows = np.empty(len(basis_k), dtype=np.intp)
-            for t, m in enumerate(basis_k):
-                shifted = list(m)
-                shifted[var] += N
-                rows[t] = idx[tuple(shifted)]
-            blocks.append(Q[rows])
-        return np.concatenate(blocks, axis=1)
+        return np.concatenate(
+            [Q[_shift_index(k, _unit_shift(var, N))] for var in range(3)], axis=1
+        )
 
     def saturation_dimension(self, k: int) -> int:
         """dim of the degree-k piece of the saturated Jacobian ideal."""

@@ -66,9 +66,12 @@ def monomial_basis(k: int) -> tuple[Monomial, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def basis_index(k: int) -> dict[Monomial, int]:
-    return {m: i for i, m in enumerate(monomial_basis(k))}
+def basis_position(b, c):
+    """Position of x^a y^b z^c in monomial_basis(a + b + c), which does
+    not depend on a: s(s+1)/2 + c with s = b + c.  Elementwise on
+    numpy arrays."""
+    s = b + c
+    return s * (s + 1) // 2 + c
 
 
 def basis_dimension(k: int) -> int:

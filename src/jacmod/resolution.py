@@ -28,6 +28,7 @@ from .jacobian import (
     InternalConsistencyError,
     MilnorProfile,
     _shift_index,
+    _unit_shift,
 )
 from .linalg import kernel_basis, matrix_zeros, row_rank
 from .poly import basis_dimension
@@ -106,7 +107,7 @@ def _shift_up(V: np.ndarray, k: int, field) -> np.ndarray:
     nk1 = basis_dimension(k + 1)
     out = matrix_zeros(field, 3 * nv, 3 * nk1)
     for var in range(3):
-        idx = _shift_index(k, var)
+        idx = _shift_index(k, _unit_shift(var))
         rows = slice(var * nv, (var + 1) * nv)
         for block in range(3):
             out[rows, block * nk1 + idx] = V[:, block * nk : (block + 1) * nk]

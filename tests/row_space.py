@@ -6,22 +6,15 @@ from __future__ import annotations
 import numpy as np
 
 from jacmod.fields import Field
-from jacmod.linalg import Matrix, RrefResult, canonicalize
+from jacmod.linalg import Matrix, RrefResult
 
 
 def in_row_space(R: RrefResult, v: Matrix, field: Field) -> bool:
     """Membership of vector v in the row space described by R."""
-    w = canonicalize(v.reshape(1, -1), field)[0]
-    gfp = field.kind == "gfp"
-    p = field.p
+    w = field.array(v)
     for i, c in enumerate(R.pivots):
-        coeff = w[c]
-        if coeff == 0:
-            continue
-        if gfp:
-            w = (w - coeff * R.matrix[i]) % p
-        else:
-            w = w - coeff * R.matrix[i]
+        if w[c] != 0:
+            w = field.reduce(w - w[c] * R.matrix[i])
     return not np.any(w != 0)
 
 

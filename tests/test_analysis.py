@@ -188,6 +188,15 @@ class TestFormulaMode:
                 "x*y*z", AnalysisOptions(skip_oracle=True, exponents=(1, 1), tau=5)
             )
 
+    @pytest.mark.parametrize("tau", [-3, 3368])
+    def test_tau_outside_du_plessis_wall_range_rejected(self, tau):
+        # (d, r) = (63, 9) allows 0 <= tau <= 62*53 + 81 = 3367
+        with pytest.raises(MetadataError):
+            analyze_text(
+                "(x^9+y^4*z^5)^7+x*z^62",
+                AnalysisOptions(skip_oracle=True, exponents=(9, 56, 62), tau=tau),
+            )
+
     def test_plus_one_exponents(self):
         report = analyze_text(
             PLUS_ONE_QUINTIC,

@@ -145,6 +145,16 @@ class TestAnalyze:
         assert "three-syzygy" in out
         assert "source formula" in out
 
+    @pytest.mark.parametrize("tau", ["-3", "100000"])
+    def test_formula_mode_tau_out_of_range_exit_two(self, capsys, tau):
+        code, out, err = run(
+            capsys, "analyze", "--skip-oracle", "--exponents", "9,56,62",
+            "--tau", tau, D63,
+        )
+        assert code == 2
+        assert "outside [0, 3367]" in err
+        assert out == ""
+
     def test_skip_oracle_without_exponents(self, capsys):
         code, out, err = run(capsys, "analyze", "--skip-oracle", "x*y*z")
         assert code == 2

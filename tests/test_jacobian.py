@@ -146,6 +146,19 @@ class TestSaturation:
             for row in piece.matrix:
                 assert in_row_space(sat, row, GFP)
 
+    @pytest.mark.parametrize("field", [GFP, rational_field()], ids=["gfp", "rational"])
+    def test_quotient_projector_of_conic_pair(self, field):
+        j = jac("(x*z - y^2) * (y*z - x^2)", field)
+        piece = j.jacobian_piece(j.top + 1)
+        Q = j._quotient_projector()
+        free = [c for c in range(piece.ncols) if c not in piece.pivots]
+        assert Q.shape == (piece.ncols, len(free))
+        # the rows of (J_f)_{T+1} project to zero ...
+        product = field.reduce(piece.matrix.astype(object) @ Q.astype(object))
+        assert not np.any(product != 0)
+        # ... and the free monomials are the coordinates of the quotient
+        assert np.array_equal(Q[free], np.eye(len(free), dtype=np.int64))
+
     def test_smooth_curve_saturates_to_everything(self):
         # tau = 0 forces the saturation to be the whole ring in low degrees
         j = jac("x^3 + y^3 + z^3")

@@ -113,6 +113,15 @@ def _build(field, rows, cols, entries):
     return M
 
 
+def _mod_p(M):
+    """Image in GF(2^31 - 1) of a matrix of Fractions."""
+    p = GF.p
+    out = np.array(
+        [x.numerator * pow(x.denominator, -1, p) % p for x in M.flat], dtype=np.int64
+    )
+    return out.reshape(M.shape)
+
+
 @given(random_matrices())
 @settings(max_examples=200, deadline=None)
 def test_rank_nullity_and_kernel_exact_gfp(spec):
@@ -137,11 +146,17 @@ def test_rank_nullity_and_kernel_exact_gfp(spec):
 @given(random_matrices(max_dim=5))
 @settings(max_examples=100, deadline=None)
 def test_rank_matches_rationals_vs_big_prime(spec):
-    # integer matrices small enough that a 31-bit prime cannot lose rank
+    # integer matrices small enough that a 31-bit prime cannot lose rank:
+    # every minor is below p, so no denominator of the Q results vanishes
+    # mod p and both fields must give the same reduced form and kernel
     rows, cols, entries = spec
     Mq = _build(QQ, rows, cols, entries)
     Mp = _build(GF, rows, cols, entries)
     assert row_rank(Mq, QQ) == row_rank(Mp, GF)
+    Rq, Rp = rref(Mq, QQ), rref(Mp, GF)
+    assert Rq.pivots == Rp.pivots
+    assert np.array_equal(_mod_p(Rq.matrix), Rp.matrix)
+    assert np.array_equal(_mod_p(kernel_basis(Mq, QQ)), kernel_basis(Mp, GF))
 
 
 @given(random_matrices(max_dim=5))

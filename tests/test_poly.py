@@ -12,7 +12,7 @@ from jacmod.poly import (
     PolynomialError,
     TernaryForm,
     basis_dimension,
-    basis_index,
+    basis_position,
     format_form,
     monomial_basis,
     parse_form,
@@ -37,10 +37,13 @@ def test_basis_sizes():
 def test_basis_order_graded_lex():
     b = monomial_basis(2)
     assert b == ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
-    idx = basis_index(2)
-    assert idx[(0, 2, 0)] == 3
+    assert basis_position(2, 0) == 3  # y^2
     # descending in lex order with x > y > z
     assert all(b[i] > b[i + 1] for i in range(len(b) - 1))
+    # the position formula holds in every degree
+    for k in range(6):
+        for t, m in enumerate(monomial_basis(k)):
+            assert basis_position(m[1], m[2]) == t
 
 
 def test_basis_deterministic():
