@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Check that a change leaves every `jacmod analyze --json` output as it was.
+
+For a fixed list of inputs, runs `python -m jacmod analyze ... --json`
+in a fresh process and records the report without its `timings`, the
+exit code and stderr.  `--write` stores that record; `--check` runs the
+list again and exits 1 on any difference.  The package that runs is
+whatever `python -m jacmod` imports, so point PYTHONPATH at the
+checkout to record (it defaults to this checkout's `src`):
+
+    PYTHONPATH=/path/to/parent/src python3 scripts/compare_reports.py --write ref.json
+    python3 scripts/compare_reports.py --check ref.json
+
+The list: the acceptance inputs under the default two-prime `gfp`, the
+`rational` benchmark workload's curves under `--field rational`, and
+the first 60 curves of the benchmark's survey pool (read from
+perfbench/reference.json).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import fixed_curves, ladder_curve, load_reference  # noqa: E402
+
+SURVEY_CURVES = 60
+
+CONIC_PAIR = "(x*z - y^2) * (y*z - x^2)"
+UNINODAL_QUARTIC = (
+    "3*x^3*y + x^3*z + 3*x^2*y^2 + 3*x^2*y*z + x*y^2*z + 3*x*y*z^2 "
+    "+ y^4 - 2*y^3*z - 2*y^2*z^2"
+)
+UNINODAL_QUINTIC = (
+    "-x^5 - x^4*y + 2*x^4*z + 2*x^3*y^2 + 3*x^3*y*z + 3*x^3*z^2 "
+    "- 2*x^2*y^3 + 2*x^2*y^2*z - 2*x^2*y*z^2 + 2*x^2*z^3 - 2*x*y^4 "
+    "+ 3*x*y^3*z - 2*x*y^2*z^2 + 2*x*y*z^3 + 2*y^5 - 2*y^4*z "
+    "- 2*y^3*z^2 - 3*y^2*z^3"
+)
+
+# the inputs of acceptance criteria 1-6 and one curve of criterion 7's
+# structured set; the default gfp run also covers criterion 8's second prime
+ACCEPTANCE = (
+    [ladder_curve(20)],
+    ["(x^9+y^4*z^5)^7+x*z^62", "--skip-oracle", "--exponents", "9,56,62"],
+    ["x^5 + y^5 + z^5"],
+    ["x*y*z"],
+    [CONIC_PAIR, "--nodal", "--nodes", "4", "--components", "2", "--rational"],
+    [UNINODAL_QUARTIC],
+    [UNINODAL_QUINTIC],
+    ["y^4 + x*z^3"],
+)
+
+
+def inputs() -> list[list[str]]:
+    """The argument lists after `analyze`, in a fixed order."""
+    out = [list(args) for args in ACCEPTANCE]
+    out += [[curve, "--field", "rational"] for curve in fixed_curves("rational", smoke=False)]
+    pool = load_reference()["survey_pool"][:SURVEY_CURVES]
+    out += [[curve] for _, curve, _ in pool]
+    return out
+
+
+def run(args: list[str], env: dict) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-m", "jacmod", "analyze", *args, "--json"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    try:
+        report = json.loads(proc.stdout)
+        report.pop("timings", None)
+    except json.JSONDecodeError:
+        report = proc.stdout
+    return {"args": args, "exit": proc.returncode, "stderr": proc.stderr, "report": report}
+
+
+def record() -> list[dict]:
+    env = dict(os.environ)
+    env.setdefault("PYTHONPATH", str(ROOT / "src"))
+    return [run(args, env) for args in inputs()]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--write", metavar="FILE", help="record the outputs into FILE")
+    mode.add_argument("--check", metavar="FILE", help="compare the outputs with FILE")
+    args = parser.parse_args(argv)
+
+    results = record()
+    if args.write:
+        Path(args.write).write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(results)} outputs to {args.write}")
+        return 0
+    expected = json.loads(Path(args.check).read_text())
+    if [e["args"] for e in expected] != [r["args"] for r in results]:
+        print("the input list differs from the recorded one", file=sys.stderr)
+        return 1
+    differ = [r["args"][0] for e, r in zip(expected, results) if e != r]
+    for curve in differ:
+        print(f"differs: {curve}", file=sys.stderr)
+    print(f"{len(results) - len(differ)} of {len(results)} outputs identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,6 +7,14 @@ multiplication matrices, degree by degree; no closed-form results
 enter, so these values can serve as the independent reference for the
 formula layer.
 
+The pieces (J_f)_k come from one sweep over k instead of one
+elimination per degree.  basis_position does not depend on the x
+exponent, so x * basis(k) is exactly the first dim S_k positions of
+basis(k + 1), and (J_f)_{k+1} is x * (J_f)_k, the same vectors
+zero-padded, plus the multiples y^b z^c * f_i with b + c = k + 2 - d.
+The sweep keeps the reduced form of (J_f)_k (linalg.GrowingRref) and
+adds only those new rows at each degree.
+
 Degrees are capped at T + 2 with T = 3(d - 2): the Hilbert function
 of S/J_f is constant equal to the global Tjurina number from T + 1 on
 when f is reduced, and failure of m(T+1) = m(T+2) is exactly the
@@ -21,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import Field
-from .linalg import RrefResult, matrix_zeros, null_space, row_rank, rref
+from .linalg import GrowingRref, RrefResult, matrix_zeros, null_space, row_rank
 from .poly import Monomial, TernaryForm, basis_dimension, basis_position, monomial_basis
 
 
@@ -136,6 +144,8 @@ class CurveJacobian:
         self.partials = f.gradient()
         self._rank_cache: dict[int, int] = {}
         self._piece_cache: dict[int, RrefResult] = {}
+        self._sweep: GrowingRref | None = None
+        self._sweep_degree = self.degree - 2
         self._sat_dim_cache: dict[int, int] = {}
         self._projector: np.ndarray | None = None
         self._milnor: MilnorProfile | None = None
@@ -155,46 +165,55 @@ class CurveJacobian:
         Row space is (J_f)_{j+d-1}; the left kernel is the degree-j
         piece of the syzygy module of the gradient.
         """
-        nj = basis_dimension(j)
-        M = matrix_zeros(self.field, 3 * nj, basis_dimension(j + self.degree - 1))
-        rows = np.arange(nj)
+        return self._multiples(j, 0)
+
+    def _multiples(self, j: int, first: int) -> np.ndarray:
+        """The rows of mult_matrix(j) for the monomials basis(j)[first:],
+        in the same block layout."""
+        n = basis_dimension(j) - first
+        M = matrix_zeros(self.field, 3 * n, basis_dimension(j + self.degree - 1))
+        rows = np.arange(n)
         for block, partial in enumerate(self.partials):
             for mono, coeff in partial.terms.items():
-                M[block * nj + rows, _shift_index(j, mono)] = coeff
+                M[block * n + rows, _shift_index(j, mono)[first:]] = coeff
         return M
 
     # -- Jacobian ideal pieces --------------------------------------------
 
+    def _sweep_to(self, k: int) -> GrowingRref:
+        """The sweep's reduced form of (J_f)_k, k >= d-1.  Each step up
+        one degree appends the k+1 monomials free of x as columns and
+        adds the 3(j+1) new rows y^b z^c * f_i, b + c = j = k-d+1; a
+        degree below the sweep's current one restarts it."""
+        d = self.degree
+        if self._sweep is None or k < self._sweep_degree:
+            self._sweep = GrowingRref(self.field, basis_dimension(d - 2))
+            self._sweep_degree = d - 2
+        while self._sweep_degree < k:
+            self._sweep_degree += 1
+            j = self._sweep_degree - d + 1
+            self._sweep.add_columns(self._sweep_degree + 1)
+            self._sweep.add_rows(self._multiples(j, basis_dimension(j - 1)))
+            self._rank_cache[self._sweep_degree] = self._sweep.rank
+        return self._sweep
+
     def jacobian_rank(self, k: int) -> int:
-        """dim (J_f)_k via one elimination (cached)."""
-        if k in self._rank_cache:
-            return self._rank_cache[k]
-        if k in self._piece_cache:
-            r = self._piece_cache[k].rank
-        else:
-            j = k - (self.degree - 1)
-            if j < 0:
-                r = 0
-            else:
-                r = row_rank(self.mult_matrix(j), self.field)
-        self._rank_cache[k] = r
-        return r
+        """dim (J_f)_k, from the degree sweep (cached); replaces one
+        elimination of mult_matrix(k-d+1) per degree."""
+        if k not in self._rank_cache:
+            self._rank_cache[k] = 0 if k < self.degree - 1 else self._sweep_to(k).rank
+        return self._rank_cache[k]
 
     def jacobian_piece(self, k: int) -> RrefResult:
-        """Canonical reduced basis of (J_f)_k inside S_k."""
+        """Canonical reduced basis of (J_f)_k inside S_k: the rref of
+        mult_matrix(k-d+1), read off the degree sweep (cached)."""
         if k not in self._piece_cache:
-            j = k - (self.degree - 1)
-            if j < 0:
-                result = RrefResult(
-                    matrix_zeros(self.field, 0, basis_dimension(k)),
-                    (),
-                    0,
-                    basis_dimension(k),
-                )
+            if k < self.degree - 1:
+                n = basis_dimension(k)
+                result = RrefResult(matrix_zeros(self.field, 0, n), (), 0, n)
             else:
-                result = rref(self.mult_matrix(j), self.field)
+                result = self._sweep_to(k).result()
             self._piece_cache[k] = result
-            self._rank_cache[k] = result.rank
         return self._piece_cache[k]
 
     # -- Milnor algebra Hilbert function -----------------------------------
@@ -203,19 +222,18 @@ class CurveJacobian:
         """Hilbert function of S/J_f on 0..T+2; rejects non-reduced f.
 
         For k < d-1 the value is dim S_k with no computation (the
-        ideal has no elements below the partials' degree).  Degree T+1
-        is reduced in full once, since the saturation layer needs its
-        RREF, and after T+2, so that RREF is not held in memory while
-        the larger T+2 matrix is eliminated."""
+        ideal has no elements below the partials' degree).  From d-1
+        on, one sweep gives every rank, adding only each degree's new
+        rows; the canonical reduced form at T+1, which the saturation
+        layer needs, is read off on the way to T+2."""
         if self._milnor is not None:
             return self._milnor
         d = self.degree
         if d < 2:
             raise AnalysisError("Milnor data needs degree >= 2")
         T = self.top
-        rank = {k: self.jacobian_rank(k) for k in (*range(T + 1), T + 2)}
-        rank[T + 1] = self.jacobian_piece(T + 1).rank
-        values = [basis_dimension(k) - rank[k] for k in range(T + 3)]
+        self.jacobian_piece(T + 1)  # kept for the saturation layer
+        values = [basis_dimension(k) - self.jacobian_rank(k) for k in range(T + 3)]
         if values[T + 1] != values[T + 2]:
             raise NotReducedError(
                 f"S/J_f keeps growing at degree {T + 2} "

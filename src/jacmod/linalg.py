@@ -11,6 +11,15 @@ below 2^63.
 Elimination is dense row-major with partial pivoting by column order,
 ties broken by lowest row index, so every result (and in particular
 every kernel basis) is reproducible bit for bit.
+
+GrowingRref keeps the reduced row echelon form of a row space that
+grows by rows and by columns (the graded pieces of an ideal, degree
+after degree) without eliminating the whole matrix again: each batch
+of new rows is reduced against the kept form, the remainder goes
+through rref, and the new pivots are cleared from the kept rows.  Both
+reductions are sparse combinations of kept rows, one reduced product
+per nonzero coefficient, summed per row; over GF(p) every summand is
+below p < 2^31, so a sum of fewer than 2^32 of them is exact in int64.
 """
 
 from __future__ import annotations
@@ -122,3 +131,76 @@ def null_space(R: RrefResult, field: Field) -> Matrix:
 def kernel_basis(M: Matrix, field: Field) -> Matrix:
     """Canonical basis of the right kernel {v : M v = 0}, rows = vectors."""
     return null_space(rref(M, field), field)
+
+
+def _subtract_combination(A: Matrix, C: Matrix, R: Matrix, field: Field) -> None:
+    """A -= C @ R in place, for a sparse C: each nonzero C[i, t] adds
+    one reduced product C[i, t] * R[t] to row i, and only the rows of A
+    where C has a nonzero are rewritten."""
+    rows, terms = np.nonzero(C)
+    if rows.size == 0:
+        return
+    products = field.reduce(C[rows, terms][:, None] * R[terms])
+    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    touched = rows[starts]
+    A[touched] = field.reduce(A[touched] - np.add.reduceat(products, starts, axis=0))
+
+
+class GrowingRref:
+    """Reduced row echelon form of a row space that grows by rows and by
+    columns.
+
+    Kept as pivot columns plus tails: kept row i has a 1 in column
+    pivots[i], zeros on the other pivot columns and tails[i] on the
+    free columns (increasing).  Rows are kept in the order they were
+    found; result() sorts them into the canonical RrefResult, which is
+    the one rref gives for any matrix with the same row space.
+    """
+
+    def __init__(self, field: Field, ncols: int):
+        self.field = field
+        self.pivots: list[int] = []
+        self.free = np.arange(ncols)
+        self.tails = matrix_zeros(field, 0, ncols)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    @property
+    def ncols(self) -> int:
+        return len(self.pivots) + len(self.free)
+
+    def add_columns(self, n: int) -> None:
+        """Append n columns on the right, zero on every kept row."""
+        start = self.ncols
+        self.free = np.concatenate([self.free, np.arange(start, start + n)])
+        self.tails = np.concatenate(
+            [self.tails, matrix_zeros(self.field, self.rank, n)], axis=1
+        )
+
+    def add_rows(self, N: Matrix) -> None:
+        """Extend the row space by the rows of N: ncols wide, canonical
+        entries in the field's dtype."""
+        field = self.field
+        block = N[:, self.free]
+        _subtract_combination(block, N[:, self.pivots], self.tails, field)
+        new = rref(block, field)
+        if new.rank == 0:
+            return
+        cols = list(new.pivots)  # positions in self.free
+        _subtract_combination(self.tails, self.tails[:, cols], new.matrix, field)
+        keep = np.ones(len(self.free), dtype=bool)
+        keep[cols] = False
+        self.pivots.extend(self.free[cols].tolist())
+        self.free = self.free[keep]
+        self.tails = np.concatenate([self.tails[:, keep], new.matrix[:, keep]])
+
+    def result(self) -> RrefResult:
+        """The canonical reduced form: rows sorted by pivot column."""
+        order = np.argsort(self.pivots)
+        pivots = np.array(self.pivots, dtype=np.intp)[order]
+        M = matrix_zeros(self.field, self.rank, self.ncols)
+        M[np.arange(self.rank), pivots] = self.field.one()
+        M[:, self.free] = self.tails[order]
+        return RrefResult(M, tuple(pivots.tolist()), self.rank, self.ncols)

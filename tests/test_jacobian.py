@@ -15,7 +15,7 @@ from jacmod.jacobian import (
     smooth_reference,
 )
 from jacmod.linalg import kernel_basis, rref
-from jacmod.poly import monomial_basis, parse_form
+from jacmod.poly import TernaryForm, basis_dimension, monomial_basis, parse_form
 from row_space import in_row_space
 
 GFP = prime_field(2**31 - 1)
@@ -94,6 +94,96 @@ class TestJacobianPieces:
             ex, ey, ez = mono
             fx[monomial_basis(3).index((ex + 1, ey, ez))] = c
         assert in_row_space(piece, fx, GFP)
+
+
+LADDER_OCTIC = "(x+1*y)^2*(x-1*y)^2*(x+2*y)^2*(x-2*y)^2 + z^8"
+SWEEP_CURVES = (
+    "(x*z - y^2) * (y*z - x^2)",
+    "y^4 + x*z^3",
+    "x^5 + y^5 + z^5",
+    "x*y*z",
+    LADDER_OCTIC,
+)
+
+
+def assert_sweep_matches_elimination(j: CurveJacobian, degrees) -> None:
+    """Each rank and piece the sweep reports equals an independent
+    elimination of mult_matrix(k - d + 1).  The rank is compared with
+    the reference rref's, which test_linalg pins to row_rank: over Q a
+    second elimination per degree would double the test's time."""
+    for k in degrees:
+        expected = rref(j.mult_matrix(k - j.degree + 1), j.field)
+        piece = j.jacobian_piece(k)
+        assert j.jacobian_rank(k) == expected.rank, k
+        assert piece.pivots == expected.pivots, k
+        assert (piece.rank, piece.ncols) == (expected.rank, expected.ncols), k
+        assert piece.matrix.dtype == expected.matrix.dtype
+        assert piece.matrix.shape == expected.matrix.shape, k
+        assert np.array_equal(piece.matrix, expected.matrix), k
+
+
+class TestDegreeSweep:
+    @pytest.mark.parametrize("field", [GFP, rational_field()], ids=["gfp", "rational"])
+    @pytest.mark.parametrize("text", SWEEP_CURVES)
+    def test_sweep_equals_independent_elimination(self, text, field):
+        j = jac(text, field)
+        T = j.top
+        # ranks first: the sweep runs to T+4, past the Milnor window
+        ranks = [j.jacobian_rank(k) for k in range(T + 5)]
+        # T+1 is below the sweep's degree and restarts it; so does d-1
+        order = [T + 1, *range(T + 5)]
+        assert_sweep_matches_elimination(j, order)
+        assert ranks == [j.jacobian_rank(k) for k in range(T + 5)]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(2, 6),
+        st.lists(
+            st.tuples(st.integers(0, 27), st.integers(1, 2**31 - 2)), min_size=1, max_size=10
+        ),
+    )
+    def test_sweep_equals_elimination_on_random_curves(self, d, picks):
+        basis = monomial_basis(d)
+        terms = {basis[i % len(basis)]: c for i, c in picks}
+        j = CurveJacobian(TernaryForm(GFP, d, terms))
+        assert_sweep_matches_elimination(j, range(j.top + 4))
+
+    @pytest.mark.parametrize("text", ["(x*z - y^2) * (y*z - x^2)", "x^2*y*z"])
+    def test_milnor_builds_no_macaulay_matrix(self, text, monkeypatch):
+        def refuse(self, j):
+            raise AssertionError("the Milnor layer built mult_matrix")
+
+        monkeypatch.setattr(CurveJacobian, "mult_matrix", refuse)
+        j = jac(text)
+        if text == "x^2*y*z":
+            with pytest.raises(NotReducedError):
+                j.milnor_hilbert()
+        else:
+            assert j.milnor_hilbert().values == (1, 3, 6, 7, 6, 4, 4, 4, 4)
+
+    @pytest.mark.parametrize("text", ["(x*z - y^2) * (y*z - x^2)", "y^4 + x*z^3"])
+    def test_mult_matrix_grows_by_x_shift(self, text):
+        # mult_matrix(j+1) is mult_matrix(j) zero-padded (the multiples
+        # by x * basis(j)) plus, at the end of each block, y^b z^c * f_i
+        j = jac(text)
+        d = j.degree
+        for deg in range(5):
+            small, big = j.mult_matrix(deg), j.mult_matrix(deg + 1)
+            n0, n1 = basis_dimension(deg), basis_dimension(deg + 1)
+            for i, partial in enumerate(j.partials):
+                old = big[i * n1 : i * n1 + n0]
+                assert np.array_equal(old[:, : small.shape[1]], small[i * n0 : (i + 1) * n0])
+                assert not np.any(old[:, small.shape[1] :] != 0)
+                target = monomial_basis(deg + d)
+                for row, (a, b, c) in zip(
+                    big[i * n1 + n0 : (i + 1) * n1], monomial_basis(deg + 1)[n0:]
+                ):
+                    assert a == 0 and b + c == deg + 1
+                    multiple = partial * TernaryForm(GFP, deg + 1, {(0, b, c): 1})
+                    expected = np.zeros(len(target), dtype=np.int64)
+                    for mono, coeff in multiple.terms.items():
+                        expected[target.index(mono)] = coeff
+                    assert np.array_equal(row, expected)
 
 
 class TestModuleVector:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacmod.fields import prime_field, rational_field
-from jacmod.linalg import kernel_basis, matrix_zeros, row_rank, rref
+from jacmod.linalg import GrowingRref, kernel_basis, matrix_zeros, row_rank, rref
 from row_space import in_row_space, rows_in_row_space
 
 GF7 = prime_field(7)
@@ -174,3 +174,43 @@ def test_two_primes_agree_on_fixed_matrix():
     r1 = row_rank(_build(prime_field(p1), 4, 4, sum(rows, [])), prime_field(p1))
     r2 = row_rank(_build(prime_field(p2), 4, 4, sum(rows, [])), prime_field(p2))
     assert r1 == r2 == row_rank(_build(QQ, 4, 4, sum(rows, [])), QQ)
+
+
+@st.composite
+def growth_steps(draw):
+    """A list of (width, integer rows of that width) steps with
+    nondecreasing widths."""
+    width = draw(st.integers(0, 3))
+    steps = []
+    for _ in range(draw(st.integers(1, 5))):
+        width += draw(st.integers(0, 2))
+        nrows = draw(st.integers(0, 3))
+        rows = draw(
+            st.lists(
+                st.lists(st.integers(-3, 3), min_size=width, max_size=width),
+                min_size=nrows,
+                max_size=nrows,
+            )
+        )
+        steps.append((width, rows))
+    return steps
+
+
+@pytest.mark.parametrize("field", [GF7, QQ], ids=["gf7", "rational"])
+@given(steps=growth_steps())
+@settings(max_examples=60, deadline=None)
+def test_growing_rref_equals_rref_of_padded_stack(field, steps):
+    # after every step the kept form is the rref of all rows so far,
+    # each zero-padded on the right to the current width
+    grown = GrowingRref(field, 0)
+    stacked: list[list[int]] = []
+    for width, rows in steps:
+        grown.add_columns(width - grown.ncols)
+        stacked = [row + [0] * (width - len(row)) for row in stacked] + rows
+        grown.add_rows(_build(field, len(rows), width, sum(rows, [])))
+        expected = rref(_build(field, len(stacked), width, sum(stacked, [])), field)
+        got = grown.result()
+        assert grown.rank == expected.rank
+        assert (got.pivots, got.rank, got.ncols) == (expected.pivots, expected.rank, width)
+        assert got.matrix.shape == expected.matrix.shape
+        assert np.array_equal(got.matrix, expected.matrix)
