@@ -12,9 +12,12 @@ checkout to record (it defaults to this checkout's `src`):
     python3 scripts/compare_reports.py --check ref.json
 
 The list: the acceptance inputs under the default two-prime `gfp`, the
-`rational` benchmark workload's curves under `--field rational`, and
-the first 60 curves of the benchmark's survey pool (read from
-perfbench/reference.json).
+`rational` benchmark workload's curves under `--field rational`, the
+first 60 curves of the benchmark's survey pool (read from
+perfbench/reference.json), and three small curves under the small
+primes 13 and 17.  On two of those the line x passes through a
+singular point, so the saturation pass falls back to another line
+while the field has few values to draw it from.
 """
 
 from __future__ import annotations
@@ -58,6 +61,9 @@ ACCEPTANCE = (
     ["y^4 + x*z^3"],
 )
 
+SMALL_PRIME_CURVES = (CONIC_PAIR, "x*y*z*(x+y+z)", "y^4 + x*z^3")
+SMALL_PRIMES = (13, 17)
+
 
 def inputs() -> list[list[str]]:
     """The argument lists after `analyze`, in a fixed order."""
@@ -65,6 +71,7 @@ def inputs() -> list[list[str]]:
     out += [[curve, "--field", "rational"] for curve in fixed_curves("rational", smoke=False)]
     pool = load_reference()["survey_pool"][:SURVEY_CURVES]
     out += [[curve] for _, curve, _ in pool]
+    out += [[curve, "--field", f"gfp:{p}"] for curve in SMALL_PRIME_CURVES for p in SMALL_PRIMES]
     return out
 
 

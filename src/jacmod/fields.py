@@ -80,11 +80,6 @@ class Field:
             return (a + b) % self.p
         return a + b
 
-    def sub(self, a: Element, b: Element) -> Element:
-        if self.kind == "gfp":
-            return (a - b) % self.p
-        return a - b
-
     def mul(self, a: Element, b: Element) -> Element:
         if self.kind == "gfp":
             return (a * b) % self.p

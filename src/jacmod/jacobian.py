@@ -1,11 +1,11 @@
 """Graded linear-algebra oracle for the Jacobian ideal of a plane curve.
 
 For f homogeneous of degree d in S = C[x, y, z], the object of study
-is the quotient N(f) = (J_f saturated)/J_f where J_f = (f_x, f_y, f_z).
-Everything here is computed by exact rank/kernel calculations on
-multiplication matrices, degree by degree; no closed-form results
-enter, so these values can serve as the independent reference for the
-formula layer.
+is the quotient N(f) = (J_f saturated)/J_f where J_f = (f_x, f_y, f_z)
+(N(f) = H^0_m(S/J_f); Sernesi, Doc. Math. 19, 2014).  Everything here
+is computed by exact rank/kernel calculations on multiplication
+matrices; no closed-form results enter, so these values can serve as
+the independent reference for the formula layer.
 
 The pieces (J_f)_k come from one sweep over k instead of one
 elimination per degree.  basis_position does not depend on the x
@@ -16,9 +16,25 @@ The sweep keeps the reduced form of (J_f)_k (linalg.GrowingRref) and
 adds only those new rows at each degree.
 
 Degrees are capped at T + 2 with T = 3(d - 2): the Hilbert function
-of S/J_f is constant equal to the global Tjurina number from T + 1 on
-when f is reduced, and failure of m(T+1) = m(T+2) is exactly the
+of S/J_f is constant equal to the global Tjurina number tau from T + 1
+on when f is reduced, and failure of m(T+1) = m(T+2) is exactly the
 non-reduced signal.
+
+Saturation is one pass over nested images.  If a line l misses every
+point of the Jacobian scheme Sigma, l is a nonzerodivisor on S/Sat and
+Sat_{T+1} = (J_f)_{T+1}, so Sat_k = (J_f : l^(T+1-k))_k (Bayer and
+Stillman, Invent. Math. 87, 1987): dim Sat_k = dim S_k - rank Phi_k,
+Phi_k(g) = [l^(T+1-k) g] in S_{T+1} / (J_f)_{T+1}, of dimension tau.
+For l = x + a y + b z, S_{k+1} = l S_k + <x-free monomials>, so the
+images nest, and one GrowingRref fed the k+1 x-free rows of each Phi_k,
+k = 0..T, gives every rank.  A line is accepted only if rank Phi_T =
+tau: if l meets Sigma, (J_f : l)_T contains the degree-T ideal of the
+residual scheme, of length below tau.  The lines tried are
+x + a y + a^2 z for a = 0, 1/2, 1/3, ... (not small integers, which
+hand-made curves favour as coordinates of singular points).  A point
+of Sigma lies on at most two of them (a nonzero quadratic in a) and
+Sigma has at most tau points, so 2 tau + 1 distinct slopes always
+yield one; mod p at most p - 1 of these slopes are distinct.
 """
 
 from __future__ import annotations
@@ -28,8 +44,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import Field
-from .linalg import GrowingRref, RrefResult, matrix_zeros, null_space, row_rank
+from .fields import Element, Field
+from .linalg import GrowingRref, RrefResult, matrix_zeros, null_space
 from .poly import Monomial, TernaryForm, basis_dimension, basis_position, monomial_basis
 
 
@@ -273,37 +289,56 @@ class CurveJacobian:
             self._projector = null_space(piece, self.field).T
         return self._projector
 
-    def _saturation_test_matrix(self, k: int) -> np.ndarray:
-        """Rows indexed by the S_k basis; row of m is the concatenated
-        quotient coordinates of x^N m, y^N m, z^N m at degree T+1,
-        N = T+1-k.  A form lies in the saturation of J_f exactly when
-        its coefficient vector is a left null vector of this matrix."""
-        N = self.top + 1 - k
-        Q = self._quotient_projector()
-        return np.concatenate(
-            [Q[_shift_index(k, _unit_shift(var, N))] for var in range(3)], axis=1
-        )
+    def _image_ranks(self, a: Element) -> list[int]:
+        """rank Phi_k, k = 0..T, for l = x + a y + a^2 z (module
+        docstring).  Phi_{T+1} is the quotient projector and Phi_k =
+        Phi_{k+1}(l *), one variable shift each, a prefix for a = 0."""
+        field = self.field
+        phi = self._quotient_projector()
+        square = field.mul(a, a)
+        free_rows = []  # x-free rows of Phi_T, Phi_{T-1}, ..., Phi_0
+        for k in range(self.top, -1, -1):
+            phi, above = phi[: basis_dimension(k)], phi
+            if a:
+                phi = field.reduce(phi + a * above[_shift_index(k, _unit_shift(1))])
+                phi = field.reduce(phi + square * above[_shift_index(k, _unit_shift(2))])
+            free_rows.append(phi[basis_dimension(k - 1) :].copy())
+        image = GrowingRref(field, phi.shape[1])
+        ranks = []
+        for rows in reversed(free_rows):
+            image.add_rows(rows)
+            ranks.append(image.rank)
+        return ranks
+
+    def _saturate(self) -> None:
+        """Fill dim Sat_k, k = 0..T, from the first certified line."""
+        field, tau = self.field, self.tjurina()  # also certifies reducedness
+        slopes = 2 * tau + 1 if field.p is None else min(2 * tau + 1, field.p - 1)
+        for m in range(1, slopes + 1):
+            a = field.inv(field.embed_integer(m)) if m > 1 else field.zero()
+            ranks = self._image_ranks(a)
+            if ranks[self.top] == tau:
+                self._sat_dim_cache = {k: basis_dimension(k) - r for k, r in enumerate(ranks)}
+                return
+        raise InternalConsistencyError("every line tried meets the singular scheme")
 
     def saturation_dimension(self, k: int) -> int:
-        """dim of the degree-k piece of the saturated Jacobian ideal."""
-        if k in self._sat_dim_cache:
-            return self._sat_dim_cache[k]
-        if k > self.top + 1:
-            dim = self.jacobian_rank(k)
-        elif k < 0:
-            dim = 0
-        else:
-            A = self._saturation_test_matrix(k)
-            dim = basis_dimension(k) - row_rank(A, self.field)
-        self._sat_dim_cache[k] = dim
-        return dim
+        """dim Sat_k.  Sat_k = (J_f)_k from T+1 on; the first call for
+        0 <= k <= T runs the one pass over nested images for all k."""
+        if k < 0:
+            return 0
+        if k > self.top:
+            return self.jacobian_rank(k)
+        if k not in self._sat_dim_cache:
+            self._saturate()
+        return self._sat_dim_cache[k]
 
     # -- the Jacobian module N(f) -------------------------------------------
 
     def module_vector(self) -> ModuleVector:
-        """Graded dimensions of N(f) for k = 0..T.  Symmetry, unimodality
-        and the support window are not enforced here: the analysis layer
-        reports them as checks."""
+        """n_k = dim Sat_k - dim (J_f)_k for k = 0..T.  Symmetry,
+        unimodality and the support window are not enforced here: the
+        analysis layer reports them as checks."""
         mil = self.milnor_hilbert()  # also certifies reducedness
         T = self.top
         values = []

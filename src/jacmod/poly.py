@@ -140,24 +140,6 @@ class TernaryForm:
     def zero(cls, field: Field, degree: int) -> "TernaryForm":
         return cls(field, degree, {})
 
-    @classmethod
-    def from_integer_terms(
-        cls, field: Field, terms: dict[Monomial, int]
-    ) -> "TernaryForm":
-        """Build from integer coefficients, embedding into the field."""
-        if not terms:
-            raise PolynomialError("need at least one term")
-        degrees = {monomial_degree(m) for m in terms}
-        if len(degrees) > 1:
-            a, b = sorted(degrees)[:2]
-            raise NonHomogeneousError(a, b)
-        embedded = {}
-        for m, n in terms.items():
-            c = field.embed_integer(n)
-            if not field.is_zero(c):
-                embedded[m] = c
-        return cls(field, degrees.pop(), embedded)
-
     # -- structure ------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -195,17 +177,6 @@ class TernaryForm:
     def __mul__(self, other: "TernaryForm") -> "TernaryForm":
         terms = _mul_terms(self.field, self.terms, other.terms)
         return TernaryForm(self.field, self.degree + other.degree, terms)
-
-    def monomial_shift(self, shift: Monomial) -> "TernaryForm":
-        """Multiply by a single monomial (no coefficient work)."""
-        return TernaryForm(
-            self.field,
-            self.degree + monomial_degree(shift),
-            {
-                (m[0] + shift[0], m[1] + shift[1], m[2] + shift[2]): c
-                for m, c in self.terms.items()
-            },
-        )
 
     def partial(self, var: int) -> "TernaryForm":
         """Partial derivative with respect to variable index 0, 1 or 2.

@@ -67,10 +67,6 @@ class ResolutionProfile:
     sigma: int | None
     extended_window: bool
 
-    @property
-    def generator_count(self) -> int:
-        return len(self.exponents)
-
 
 def syzygy_dimension(jac: CurveJacobian, k: int) -> int:
     """dim Syz(f)_k = 3 dim S_k - dim (J_f)_{k+d-1}."""

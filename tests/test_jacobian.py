@@ -5,16 +5,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jacmod.fields import Field, prime_field, rational_field
 from jacmod.jacobian import (
     CurveJacobian,
     NotReducedError,
+    _shift_index,
+    _unit_shift,
     smooth_reference,
 )
-from jacmod.linalg import kernel_basis, rref
+from jacmod.linalg import kernel_basis, row_rank, rref
 from jacmod.poly import TernaryForm, basis_dimension, monomial_basis, parse_form
 from row_space import in_row_space
 
@@ -223,18 +225,93 @@ class TestModuleVector:
         assert n.values == (0, 0, 1, 1, 1, 0, 0)
 
 
+def membership_matrix(j: CurveJacobian, k: int) -> np.ndarray:
+    """Rows indexed by basis(k), 0 <= k <= T+1: the row of m holds the
+    coordinates of x^N m, y^N m and z^N m in S_{T+1} / (J_f)_{T+1},
+    N = T+1-k.  A form lies in Sat_k exactly when its coefficient vector
+    is a left null vector (the definition of the saturation, with
+    Sat_{T+1} = (J_f)_{T+1})."""
+    N = j.top + 1 - k
+    Q = j._quotient_projector()
+    return np.concatenate([Q[_shift_index(k, _unit_shift(var, N))] for var in range(3)], axis=1)
+
+
+def assert_saturation_matches_membership(j: CurveJacobian) -> None:
+    """saturation_dimension(k) = dim S_k - rank of the membership matrix
+    for k = 0..T+1, and dim (J_f)_{T+2} at T+2 (the ideal is saturated
+    from T+1 on)."""
+    T = j.top
+    for k in range(T + 2):
+        expected = basis_dimension(k) - row_rank(membership_matrix(j, k), j.field)
+        assert j.saturation_dimension(k) == expected, k
+    assert j.saturation_dimension(T + 2) == j.jacobian_rank(T + 2)
+
+
+# x meets the singular scheme at (0 : 0 : 1); so does x + y/2 + z/4,
+# at (1 : -2 : 0), where the lines z and 2x + y cross
+TWO_LINES_REJECTED = "x*y*z*(2*x + y)"
+
+
 class TestSaturation:
     def test_saturation_contains_ideal(self):
         j = jac("(x*z - y^2) * (y*z - x^2)")
         for k in range(3, 7):
             piece = j.jacobian_piece(k)
             # canonical basis of the saturation piece: the left kernel of
-            # the membership test matrix (k <= T + 1 here)
-            test_matrix = j._saturation_test_matrix(k)
-            sat = rref(kernel_basis(test_matrix.T, GFP), GFP)
+            # the membership matrix (k <= T + 1 here)
+            sat = rref(kernel_basis(membership_matrix(j, k).T, GFP), GFP)
             assert sat.rank == j.saturation_dimension(k)
             for row in piece.matrix:
                 assert in_row_space(sat, row, GFP)
+
+    @pytest.mark.parametrize("field", [GFP, rational_field()], ids=["gfp", "rational"])
+    @pytest.mark.parametrize("text", [*SWEEP_CURVES, TWO_LINES_REJECTED])
+    def test_nested_pass_equals_membership(self, text, field):
+        assert_saturation_matches_membership(jac(text, field))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(3, 6),
+        st.lists(
+            st.tuples(st.integers(0, 27), st.integers(1, 2**31 - 2)), min_size=1, max_size=10
+        ),
+    )
+    def test_nested_pass_equals_membership_on_random_curves(self, d, picks):
+        basis = monomial_basis(d)
+        terms = {basis[i % len(basis)]: c for i, c in picks}
+        j = CurveJacobian(TernaryForm(GFP, d, terms))
+        try:
+            j.milnor_hilbert()
+        except NotReducedError:
+            assume(False)
+        assert_saturation_matches_membership(j)
+
+    @pytest.mark.parametrize("field", [GFP, rational_field()], ids=["gfp", "rational"])
+    @pytest.mark.parametrize(
+        "text, rejected",
+        [("x*y*z", 1), ("(x*z - y^2) * (y*z - x^2)", 1), (TWO_LINES_REJECTED, 2)],
+    )
+    def test_certificate_rejects_lines_through_singular_points(
+        self, text, rejected, field, monkeypatch
+    ):
+        tried = []
+        image_ranks = CurveJacobian._image_ranks
+
+        def recorded(self, a):
+            tried.append(a)
+            return image_ranks(self, a)
+
+        monkeypatch.setattr(CurveJacobian, "_image_ranks", recorded)
+        j = jac(text, field)
+        T, tau = j.top, j.tjurina()
+        j.saturation_dimension(0)
+        # x + a y + a^2 z for a = 0, 1/2, 1/3, ...: the first `rejected`
+        # lines fail the certificate and the pass stops at the next one
+        slopes = [field.zero()] + [field.inv(field.embed_integer(m)) for m in range(2, 5)]
+        assert tried == slopes[: rejected + 1]
+        for a in slopes[:rejected]:
+            assert image_ranks(j, a)[T] < tau
+        assert image_ranks(j, slopes[rejected])[T] == tau
 
     @pytest.mark.parametrize("field", [GFP, rational_field()], ids=["gfp", "rational"])
     def test_quotient_projector_of_conic_pair(self, field):

@@ -167,7 +167,8 @@ def test_partial_of_mixed_term():
 
 def test_monomial_shift():
     f = parse_form("x+y", GF)
-    assert f.monomial_shift((0, 0, 2)) == parse_form("x*z^2+y*z^2", GF)
+    z_squared = TernaryForm(GF, 2, {(0, 0, 2): GF.one()})
+    assert f * z_squared == parse_form("x*z^2+y*z^2", GF)
 
 
 @st.composite
@@ -190,8 +191,8 @@ def random_forms(draw, field, max_degree=5, max_terms=6):
 def test_euler_identity(f):
     # x f_x + y f_y + z f_z = deg(f) * f
     fx, fy, fz = f.gradient()
-    euler = fx.monomial_shift((1, 0, 0)) + fy.monomial_shift((0, 1, 0))
-    euler = euler + fz.monomial_shift((0, 0, 1))
+    x, y, z = (TernaryForm(QQ, 1, {m: QQ.one()}) for m in monomial_basis(1))
+    euler = fx * x + fy * y + fz * z
     assert euler == TernaryForm(QQ, 0, {(0, 0, 0): Fraction(f.degree)}) * f
 
 
