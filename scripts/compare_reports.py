@@ -14,7 +14,9 @@ checkout to record (it defaults to this checkout's `src`):
 The list: the acceptance inputs under the default two-prime `gfp`, the
 `rational` benchmark workload's curves under `--field rational`, the
 first 60 curves of the benchmark's survey pool (read from
-perfbench/reference.json), and three small curves under the small
+perfbench/reference.json) and the pool's three curves with seven
+syzygy generators (all beyond the first 60), the degree-24 ladder curve
+under `--max-degree-cap 24`, and three small curves under the small
 primes 13 and 17.  On two of those the line x passes through a
 singular point, so the saturation pass falls back to another line
 while the field has few values to draw it from.
@@ -35,6 +37,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import fixed_curves, ladder_curve, load_reference  # noqa: E402
 
 SURVEY_CURVES = 60
+SEVEN_GENERATORS = (230, 293, 316)  # positions in the survey pool
 
 CONIC_PAIR = "(x*z - y^2) * (y*z - x^2)"
 UNINODAL_QUARTIC = (
@@ -69,8 +72,10 @@ def inputs() -> list[list[str]]:
     """The argument lists after `analyze`, in a fixed order."""
     out = [list(args) for args in ACCEPTANCE]
     out += [[curve, "--field", "rational"] for curve in fixed_curves("rational", smoke=False)]
-    pool = load_reference()["survey_pool"][:SURVEY_CURVES]
-    out += [[curve] for _, curve, _ in pool]
+    pool = load_reference()["survey_pool"]
+    out += [[curve] for _, curve, _ in pool[:SURVEY_CURVES]]
+    out += [[pool[i][1]] for i in SEVEN_GENERATORS]
+    out.append([ladder_curve(24), "--max-degree-cap", "24"])
     out += [[curve, "--field", f"gfp:{p}"] for curve in SMALL_PRIME_CURVES for p in SMALL_PRIMES]
     return out
 

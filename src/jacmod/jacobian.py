@@ -13,7 +13,14 @@ exponent, so x * basis(k) is exactly the first dim S_k positions of
 basis(k + 1), and (J_f)_{k+1} is x * (J_f)_k, the same vectors
 zero-padded, plus the multiples y^b z^c * f_i with b + c = k + 2 - d.
 The sweep keeps the reduced form of (J_f)_k (linalg.GrowingRref) and
-adds only those new rows at each degree.
+adds only those new rows at each degree; it only moves up.
+
+The sweep also keeps each degree's batch of new rows reduced modulo
+x * (J_f)_{k-1}.  With j = k - d + 1, a combination sum c_(i,m) m f_i of
+its rows (m x-free of degree j) lies in x * (J_f)_{k-1} exactly when c
+is the x-free part of a degree-j syzygy (if sum c_i f_i = x sum a_i f_i,
+c - x a is one).  So P_j, the x-free parts of Syz_j, is the left kernel
+of the batch, computed only for the degrees the syzygy layer asks for.
 
 Degrees are capped at T + 2 with T = 3(d - 2): the Hilbert function
 of S/J_f is constant equal to the global Tjurina number tau from T + 1
@@ -45,7 +52,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import Element, Field
-from .linalg import GrowingRref, RrefResult, matrix_zeros, null_space
+from .linalg import GrowingRref, RrefResult, kernel_basis, matrix_zeros, null_space
 from .poly import Monomial, TernaryForm, basis_dimension, basis_position, monomial_basis
 
 
@@ -160,8 +167,10 @@ class CurveJacobian:
         self.partials = f.gradient()
         self._rank_cache: dict[int, int] = {}
         self._piece_cache: dict[int, RrefResult] = {}
-        self._sweep: GrowingRref | None = None
+        self._sweep = GrowingRref(self.field, basis_dimension(self.degree - 2))
         self._sweep_degree = self.degree - 2
+        self._batches: dict[int, np.ndarray] = {}  # j -> reduced new rows
+        self._x_free_cache: dict[int, np.ndarray] = {}
         self._sat_dim_cache: dict[int, int] = {}
         self._projector: np.ndarray | None = None
         self._milnor: MilnorProfile | None = None
@@ -173,19 +182,11 @@ class CurveJacobian:
 
     # -- multiplication matrices ----------------------------------------
 
-    def mult_matrix(self, j: int) -> np.ndarray:
-        """Matrix of (a, b, c) in S_j^3 -> a f_x + b f_y + c f_z.
-
-        Rows are indexed by (which partial, monomial of S_j) with the
-        three blocks concatenated; columns by the degree j+d-1 basis.
-        Row space is (J_f)_{j+d-1}; the left kernel is the degree-j
-        piece of the syzygy module of the gradient.
-        """
-        return self._multiples(j, 0)
-
     def _multiples(self, j: int, first: int) -> np.ndarray:
-        """The rows of mult_matrix(j) for the monomials basis(j)[first:],
-        in the same block layout."""
+        """Rows m * f_i for the monomials m of basis(j)[first:], one
+        block per partial, over the degree j+d-1 basis.  With first = 0
+        this is the Macaulay matrix of (a, b, c) -> a f_x + b f_y + c f_z
+        on S_j^3, whose left kernel is Syz_j."""
         n = basis_dimension(j) - first
         M = matrix_zeros(self.field, 3 * n, basis_dimension(j + self.degree - 1))
         rows = np.arange(n)
@@ -199,30 +200,28 @@ class CurveJacobian:
     def _sweep_to(self, k: int) -> GrowingRref:
         """The sweep's reduced form of (J_f)_k, k >= d-1.  Each step up
         one degree appends the k+1 monomials free of x as columns and
-        adds the 3(j+1) new rows y^b z^c * f_i, b + c = j = k-d+1; a
-        degree below the sweep's current one restarts it."""
-        d = self.degree
-        if self._sweep is None or k < self._sweep_degree:
-            self._sweep = GrowingRref(self.field, basis_dimension(d - 2))
-            self._sweep_degree = d - 2
+        adds the 3(j+1) new rows y^b z^c * f_i, b + c = j = k-d+1,
+        keeping their reduced batch.  The sweep never goes back down."""
+        if k < self._sweep_degree:
+            raise RuntimeError(f"degree {k} is below the sweep's degree {self._sweep_degree}")
         while self._sweep_degree < k:
             self._sweep_degree += 1
-            j = self._sweep_degree - d + 1
+            j = self._sweep_degree - self.degree + 1
             self._sweep.add_columns(self._sweep_degree + 1)
-            self._sweep.add_rows(self._multiples(j, basis_dimension(j - 1)))
+            self._batches[j] = self._sweep.add_rows(self._multiples(j, basis_dimension(j - 1)))
             self._rank_cache[self._sweep_degree] = self._sweep.rank
         return self._sweep
 
     def jacobian_rank(self, k: int) -> int:
-        """dim (J_f)_k, from the degree sweep (cached); replaces one
-        elimination of mult_matrix(k-d+1) per degree."""
+        """dim (J_f)_k, from the degree sweep (cached)."""
         if k not in self._rank_cache:
             self._rank_cache[k] = 0 if k < self.degree - 1 else self._sweep_to(k).rank
         return self._rank_cache[k]
 
     def jacobian_piece(self, k: int) -> RrefResult:
         """Canonical reduced basis of (J_f)_k inside S_k: the rref of
-        mult_matrix(k-d+1), read off the degree sweep (cached)."""
+        _multiples(k-d+1, 0), read off the degree sweep (cached; a
+        degree the sweep has passed must have been asked for then)."""
         if k not in self._piece_cache:
             if k < self.degree - 1:
                 n = basis_dimension(k)
@@ -231,6 +230,17 @@ class CurveJacobian:
                 result = self._sweep_to(k).result()
             self._piece_cache[k] = result
         return self._piece_cache[k]
+
+    def x_free_syzygies(self, j: int) -> np.ndarray:
+        """P_j, the x-free parts of the degree-j syzygies (j >= 0): rows
+        in three blocks, one per partial, of j+1 coordinates ordered by
+        the z exponent.  The left kernel of the sweep's degree-(j+d-1)
+        batch (module docstring), computed once; the batch is dropped."""
+        if j not in self._x_free_cache:
+            self.jacobian_rank(j + self.degree - 1)  # sweeps up to the batch if needed
+            batch = self._batches.pop(j)
+            self._x_free_cache[j] = kernel_basis(batch.T, self.field)
+        return self._x_free_cache[j]
 
     # -- Milnor algebra Hilbert function -----------------------------------
 

@@ -179,15 +179,18 @@ class GrowingRref:
             [self.tails, matrix_zeros(self.field, self.rank, n)], axis=1
         )
 
-    def add_rows(self, N: Matrix) -> None:
+    def add_rows(self, N: Matrix) -> Matrix:
         """Extend the row space by the rows of N: ncols wide, canonical
-        entries in the field's dtype."""
+        entries in the field's dtype.  Returns N reduced modulo the kept
+        form, on the columns that were free before the call: its left
+        kernel is the combinations of N's rows that lie in the kept row
+        space."""
         field = self.field
         block = N[:, self.free]
         _subtract_combination(block, N[:, self.pivots], self.tails, field)
         new = rref(block, field)
         if new.rank == 0:
-            return
+            return block
         cols = list(new.pivots)  # positions in self.free
         _subtract_combination(self.tails, self.tails[:, cols], new.matrix, field)
         keep = np.ones(len(self.free), dtype=bool)
@@ -195,6 +198,7 @@ class GrowingRref:
         self.pivots.extend(self.free[cols].tolist())
         self.free = self.free[keep]
         self.tails = np.concatenate([self.tails[:, keep], new.matrix[:, keep]])
+        return block
 
     def result(self) -> RrefResult:
         """The canonical reduced form: rows sorted by pivot column."""

@@ -2,8 +2,18 @@
 
 Syz(f) = {(a, b, c) in S^3 : a f_x + b f_y + c f_z = 0}, graded by
 deg a.  The exponents d_1 <= ... <= d_m are the degrees of a minimal
-generating set; new generators in degree k are counted as
-dim Syz_k - dim(S_1 * Syz_{k-1}), both sides by exact elimination.
+generating set, with dim Syz_k - dim(S_1 * Syz_{k-1}) new ones in
+degree k, counted on x-free parts.  Let pi send a triple in S_k^3 to
+its x-free part in k[y, z]_k^3 (3(k+1) coordinates), and
+P_k = pi(Syz_k) (CurveJacobian.x_free_syzygies).  x is a nonzerodivisor
+on S^3, so the kernel of pi is x * Syz_{k-1} both on Syz_k and on
+S_1 * Syz_{k-1}; and pi(y v) = y pi(v), pi(z v) = z pi(v).  Hence
+
+    new_k = dim P_k - rank [y P_{k-1} ; z P_{k-1}],
+
+with dim P_k = dim Syz_k - dim Syz_{k-1} from the Milnor ranks.  The
+x-free monomials of each block are ordered by their z exponent, so
+y * appends a zero coordinate and z * prepends one.
 
 The second-level degrees e_1 <= ... <= e_{m-2} are recovered from the
 Hilbert-series balance: with P(t) = (1-t)^3 * HS(S/J_f),
@@ -23,14 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobian import (
-    CurveJacobian,
-    InternalConsistencyError,
-    MilnorProfile,
-    _shift_index,
-    _unit_shift,
-)
-from .linalg import kernel_basis, matrix_zeros, row_rank
+from .jacobian import CurveJacobian, InternalConsistencyError, MilnorProfile
+from .linalg import matrix_zeros, row_rank
 from .poly import basis_dimension
 
 
@@ -75,14 +79,6 @@ def syzygy_dimension(jac: CurveJacobian, k: int) -> int:
     return 3 * basis_dimension(k) - jac.jacobian_rank(k + jac.degree - 1)
 
 
-def syzygy_basis(jac: CurveJacobian, k: int) -> np.ndarray:
-    """Canonical kernel basis; rows are concatenated (a | b | c)
-    coefficient vectors over the degree-k monomial basis."""
-    if k < 0:
-        return matrix_zeros(jac.field, 0, 0)
-    return kernel_basis(jac.mult_matrix(k).T, jac.field)
-
-
 def mdr(jac: CurveJacobian) -> int:
     """Minimal degree of a gradient relation; 0 exactly for pencils of
     lines (linearly dependent partials).  Bounded by d-1 because the
@@ -95,19 +91,16 @@ def mdr(jac: CurveJacobian) -> int:
     )  # pragma: no cover
 
 
-def _shift_up(V: np.ndarray, k: int, field) -> np.ndarray:
-    """Images x*v, y*v, z*v in Syz_{k+1} coordinates for each row v of
-    the degree-k coefficient matrix V (three blocks per component)."""
-    nv = V.shape[0]
-    nk = basis_dimension(k)
-    nk1 = basis_dimension(k + 1)
-    out = matrix_zeros(field, 3 * nv, 3 * nk1)
-    for var in range(3):
-        idx = _shift_index(k, _unit_shift(var))
-        rows = slice(var * nv, (var + 1) * nv)
-        for block in range(3):
-            out[rows, block * nk1 + idx] = V[:, block * nk : (block + 1) * nk]
-    return out
+def _y_z_shifts(P: np.ndarray, k: int, field) -> np.ndarray:
+    """[y P ; z P] for the x-free parts P of degree k (module docstring):
+    three blocks of k+2 coordinates, y * keeping each z exponent and
+    z * raising it by one."""
+    n = P.shape[0]
+    blocks = P.reshape(n, 3, k + 1)
+    out = matrix_zeros(field, 2 * n, 3 * (k + 2)).reshape(2 * n, 3, k + 2)
+    out[:n, :, :-1] = blocks
+    out[n:, :, 1:] = blocks
+    return out.reshape(2 * n, 3 * (k + 2))
 
 
 def hilbert_numerator(milnor: MilnorProfile) -> tuple[int, ...]:
@@ -192,25 +185,16 @@ def resolve(jac: CurveJacobian, milnor: MilnorProfile | None = None) -> Resoluti
     window_end = max(d - 1, 2 * d - 4)
     hard_end = max(window_end, 3 * d - 6)
 
+    def x_free_dimension(k: int) -> int:  # dim P_k
+        return syzygy_dimension(jac, k) - syzygy_dimension(jac, k - 1)
+
     exponents: list[int] = []
-    prev_basis: np.ndarray | None = None
-    extended = False
-    k = r
-    while k <= hard_end:
-        if k > window_end:
-            extended = True
-        dim_k = syzygy_dimension(jac, k)
-        if k == r:
-            image_rank = 0
-        else:
-            if prev_basis is None:
-                prev_basis = syzygy_basis(jac, k - 1)
-            if prev_basis.shape[0] == 0:
-                image_rank = 0
-            else:
-                image = _shift_up(prev_basis, k - 1, jac.field)
-                image_rank = row_rank(image, jac.field)
-        new = dim_k - image_rank
+    for k in range(r, hard_end + 1):
+        image_rank = 0
+        if x_free_dimension(k - 1):
+            image = _y_z_shifts(jac.x_free_syzygies(k - 1), k - 1, jac.field)
+            image_rank = row_rank(image, jac.field)
+        new = x_free_dimension(k) - image_rank
         if new < 0:
             raise IncompleteResolutionError(
                 f"negative generator count at degree {k} (bad prime?)"
@@ -227,10 +211,8 @@ def resolve(jac: CurveJacobian, milnor: MilnorProfile | None = None) -> Resoluti
                 second_degrees=e_list,
                 epsilons=eps,
                 sigma=sigma,
-                extended_window=extended,
+                extended_window=k > window_end,
             )
-        prev_basis = syzygy_basis(jac, k)
-        k += 1
     raise IncompleteResolutionError(
         f"generator degrees {exponents} found on [{r}, {hard_end}] do not "
         "balance the Hilbert identity; refusing to report an unverified "

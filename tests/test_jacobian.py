@@ -18,6 +18,7 @@ from jacmod.jacobian import (
 )
 from jacmod.linalg import kernel_basis, row_rank, rref
 from jacmod.poly import TernaryForm, basis_dimension, monomial_basis, parse_form
+from macaulay import macaulay_matrix
 from row_space import in_row_space
 
 GFP = prime_field(2**31 - 1)
@@ -110,11 +111,12 @@ SWEEP_CURVES = (
 
 def assert_sweep_matches_elimination(j: CurveJacobian, degrees) -> None:
     """Each rank and piece the sweep reports equals an independent
-    elimination of mult_matrix(k - d + 1).  The rank is compared with
-    the reference rref's, which test_linalg pins to row_rank: over Q a
-    second elimination per degree would double the test's time."""
+    elimination of the Macaulay matrix in degree k - d + 1.  The rank is
+    compared with the reference rref's, which test_linalg pins to
+    row_rank: over Q a second elimination per degree would double the
+    test's time."""
     for k in degrees:
-        expected = rref(j.mult_matrix(k - j.degree + 1), j.field)
+        expected = rref(macaulay_matrix(j, k - j.degree + 1), j.field)
         piece = j.jacobian_piece(k)
         assert j.jacobian_rank(k) == expected.rank, k
         assert piece.pivots == expected.pivots, k
@@ -132,10 +134,21 @@ class TestDegreeSweep:
         T = j.top
         # ranks first: the sweep runs to T+4, past the Milnor window
         ranks = [j.jacobian_rank(k) for k in range(T + 5)]
-        # T+1 is below the sweep's degree and restarts it; so does d-1
-        order = [T + 1, *range(T + 5)]
-        assert_sweep_matches_elimination(j, order)
+        # the sweep only moves up, so the pieces below it come from fresh
+        # sweeps: one stopped at T+1, one run up degree by degree
+        assert_sweep_matches_elimination(jac(text, field), [T + 1])
+        assert_sweep_matches_elimination(jac(text, field), range(T + 5))
         assert ranks == [j.jacobian_rank(k) for k in range(T + 5)]
+
+    def test_piece_below_the_sweep_is_refused(self):
+        j = jac("(x*z - y^2) * (y*z - x^2)")
+        T = j.top
+        j.jacobian_piece(T + 1)
+        j.jacobian_rank(T + 2)
+        assert j.jacobian_piece(T + 1).rank == j.jacobian_rank(T + 1)  # cached
+        assert j.jacobian_rank(T) == basis_dimension(T) - 4
+        with pytest.raises(RuntimeError, match="below the sweep"):
+            j.jacobian_piece(T)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -152,10 +165,15 @@ class TestDegreeSweep:
 
     @pytest.mark.parametrize("text", ["(x*z - y^2) * (y*z - x^2)", "x^2*y*z"])
     def test_milnor_builds_no_macaulay_matrix(self, text, monkeypatch):
-        def refuse(self, j):
-            raise AssertionError("the Milnor layer built mult_matrix")
+        multiples = CurveJacobian._multiples
 
-        monkeypatch.setattr(CurveJacobian, "mult_matrix", refuse)
+        def refuse(self, j, first):
+            # only the new rows y^b z^c * f_i of degree j, never the x-multiples
+            if first < basis_dimension(j - 1):
+                raise AssertionError("the Milnor layer built the Macaulay matrix")
+            return multiples(self, j, first)
+
+        monkeypatch.setattr(CurveJacobian, "_multiples", refuse)
         j = jac(text)
         if text == "x^2*y*z":
             with pytest.raises(NotReducedError):
@@ -165,12 +183,13 @@ class TestDegreeSweep:
 
     @pytest.mark.parametrize("text", ["(x*z - y^2) * (y*z - x^2)", "y^4 + x*z^3"])
     def test_mult_matrix_grows_by_x_shift(self, text):
-        # mult_matrix(j+1) is mult_matrix(j) zero-padded (the multiples
-        # by x * basis(j)) plus, at the end of each block, y^b z^c * f_i
+        # the Macaulay matrix _multiples(j+1, 0) is _multiples(j, 0)
+        # zero-padded (the multiples by x * basis(j)) plus, at the end of
+        # each block, y^b z^c * f_i
         j = jac(text)
         d = j.degree
         for deg in range(5):
-            small, big = j.mult_matrix(deg), j.mult_matrix(deg + 1)
+            small, big = j._multiples(deg, 0), j._multiples(deg + 1, 0)
             n0, n1 = basis_dimension(deg), basis_dimension(deg + 1)
             for i, partial in enumerate(j.partials):
                 old = big[i * n1 : i * n1 + n0]
@@ -255,8 +274,9 @@ TWO_LINES_REJECTED = "x*y*z*(2*x + y)"
 class TestSaturation:
     def test_saturation_contains_ideal(self):
         j = jac("(x*z - y^2) * (y*z - x^2)")
-        for k in range(3, 7):
-            piece = j.jacobian_piece(k)
+        # the pieces first: the saturation runs the sweep up to T+2
+        pieces = {k: j.jacobian_piece(k) for k in range(3, 7)}
+        for k, piece in pieces.items():
             # canonical basis of the saturation piece: the left kernel of
             # the membership matrix (k <= T + 1 here)
             sat = rref(kernel_basis(membership_matrix(j, k).T, GFP), GFP)

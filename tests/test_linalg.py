@@ -214,3 +214,22 @@ def test_growing_rref_equals_rref_of_padded_stack(field, steps):
         assert (got.pivots, got.rank, got.ncols) == (expected.pivots, expected.rank, width)
         assert got.matrix.shape == expected.matrix.shape
         assert np.array_equal(got.matrix, expected.matrix)
+
+
+@pytest.mark.parametrize("field", [GF7, QQ], ids=["gf7", "rational"])
+@given(steps=growth_steps())
+@settings(max_examples=60, deadline=None)
+def test_growing_rref_returns_rows_reduced_modulo_kept_form(field, steps):
+    # the left kernel of the returned batch is exactly the combinations
+    # of the new rows that lie in the kept row space
+    grown = GrowingRref(field, 0)
+    for width, rows in steps:
+        grown.add_columns(width - grown.ncols)
+        kept = grown.result()
+        N = _build(field, len(rows), width, sum(rows, []))
+        block = grown.add_rows(N)
+        assert block.shape == (len(rows), width - kept.rank)
+        relations = kernel_basis(block.T, field)
+        assert relations.shape[0] == len(rows) - (grown.rank - kept.rank)
+        for c in relations:
+            assert in_row_space(kept, field.reduce(c @ N), field)

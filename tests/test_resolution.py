@@ -3,21 +3,43 @@ Hilbert-series balance identity on curves with known resolutions."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from macaulay import new_generator_count, syzygy_kernel
 
+from jacmod import linalg
 from jacmod.fields import Field, prime_field, rational_field
-from jacmod.jacobian import CurveJacobian
+from jacmod.jacobian import CurveJacobian, NotReducedError
+from jacmod.linalg import rref
 from jacmod.poly import TernaryForm, monomial_basis, parse_form
 from jacmod.resolution import (
     PencilOfLinesError,
+    ResolutionProfile,
     hilbert_numerator,
     mdr,
     resolve,
-    syzygy_basis,
     syzygy_dimension,
 )
 
 GFP = prime_field(2**31 - 1)
+GF13 = prime_field(13)
+FIELDS = [GFP, GF13, rational_field()]
+FIELD_IDS = ["gfp", "gf13", "rational"]
+LADDER_OCTIC = "(x+1*y)^2*(x-1*y)^2*(x+2*y)^2*(x-2*y)^2 + z^8"
+# a survey-pool curve with seven generators, in degrees 6 and 7
+SEVEN_GENERATORS = (
+    "-4*x^8 - 4*x^5*y^2*z + 3*x^3*y^4*z - 8*x^2*y^4*z^2 + 7*x*y^3*z^4 - 4*y^3*z^5"
+)
+DEFINITION_CURVES = (
+    "x*y*z",
+    "x^3 + y^3 + z^3",
+    "(x*z - y^2) * (y*z - x^2)",
+    "y^4 + x*z^3",
+    LADDER_OCTIC,
+    SEVEN_GENERATORS,
+)
 
 
 def jac(text: str, field: Field = GFP) -> CurveJacobian:
@@ -29,7 +51,7 @@ def syzygy_triples(j: CurveJacobian, k: int) -> list[tuple[TernaryForm, ...]]:
     basis_k = monomial_basis(k)
     n = len(basis_k)
     out = []
-    for row in syzygy_basis(j, k):
+    for row in syzygy_kernel(j, k):
         triple = []
         for block in range(3):
             terms = {
@@ -52,8 +74,8 @@ class TestSyzygyDimensions:
 
     def test_kernel_matches_dimension(self):
         j = jac("x^3 + y^3 + z^3")
-        assert syzygy_basis(j, 2).shape[0] == 3
-        assert syzygy_basis(j, 3).shape[0] == 9
+        assert syzygy_kernel(j, 2).shape[0] == 3
+        assert syzygy_kernel(j, 3).shape[0] == 9
 
     def test_triangle_koszul_syzygies(self):
         j = jac("x*y*z")
@@ -196,3 +218,75 @@ class TestBalanceIdentity:
             total += sum(dim_s(k - d + 1 - di) for di in prof.exponents)
             total -= sum(dim_s(k - ej) for ej in prof.second_degrees)
             assert total == m.values[k]
+
+
+def assert_counts_match_definition(j: CurveJacobian, prof: ResolutionProfile) -> None:
+    """For every degree resolve() scanned, from mdr to the last
+    generator, its count of new generators is dim Syz_k minus the rank
+    of the x-, y- and z-multiples of a basis of Syz_{k-1}."""
+    for k in range(prof.mdr, prof.exponents[-1] + 1):
+        assert prof.exponents.count(k) == new_generator_count(j, k), k
+
+
+class TestGeneratorsFromXFreeParts:
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    @pytest.mark.parametrize("text", DEFINITION_CURVES)
+    def test_new_generators_match_definition(self, text, field):
+        j = jac(text, field)
+        assert_counts_match_definition(j, resolve(j))
+
+    def test_seven_generators(self):
+        assert resolve(jac(SEVEN_GENERATORS)).exponents == (6, 6, 7, 7, 7, 7, 7)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(3, 7),
+        st.lists(
+            st.tuples(st.integers(0, 35), st.integers(1, 2**31 - 2)), min_size=1, max_size=10
+        ),
+    )
+    def test_new_generators_match_definition_on_random_curves(self, d, picks):
+        basis = monomial_basis(d)
+        terms = {basis[i % len(basis)]: c for i, c in picks}
+        j = CurveJacobian(TernaryForm(GFP, d, terms))
+        try:
+            prof = resolve(j)
+        except (NotReducedError, PencilOfLinesError):
+            assume(False)
+        assert_counts_match_definition(j, prof)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    @pytest.mark.parametrize("text", ["(x*z - y^2) * (y*z - x^2)", "y^4 + x*z^3", LADDER_OCTIC])
+    def test_x_free_parts_span_the_projected_kernel(self, text, field):
+        j = jac(text, field)
+        for k in range(2 * j.degree - 3):
+            basis = monomial_basis(k)
+            free = [t for t, m in enumerate(basis) if m[0] == 0]
+            # the x-free monomials come in the order of their z exponent
+            assert [basis[t][2] for t in free] == list(range(k + 1))
+            columns = [block * len(basis) + t for block in range(3) for t in free]
+            expected = rref(syzygy_kernel(j, k)[:, columns], field)
+            parts = j.x_free_syzygies(k)
+            assert parts.shape == (syzygy_dimension(j, k) - syzygy_dimension(j, k - 1), 3 * (k + 1))
+            got = rref(parts, field)
+            assert got.pivots == expected.pivots, k
+            assert np.array_equal(got.matrix, expected.matrix), k
+
+    @pytest.mark.parametrize(
+        "text", ["(x*z - y^2) * (y*z - x^2)", "y^4 + x*z^3", LADDER_OCTIC, SEVEN_GENERATORS]
+    )
+    def test_resolution_eliminates_no_macaulay_size_matrix(self, text, monkeypatch):
+        j = jac(text)
+        j.milnor_hilbert()
+        widths = []
+        forward = linalg._forward_eliminate
+
+        def recorded(M, field):
+            widths.append(M.shape[1])
+            return forward(M, field)
+
+        monkeypatch.setattr(linalg, "_forward_eliminate", recorded)
+        prof = resolve(j)
+        # every scanned degree k is at most the last generator's
+        assert widths
+        assert max(widths) <= 3 * (prof.exponents[-1] + 1)
