@@ -16,10 +16,13 @@ The list: the acceptance inputs under the default two-prime `gfp`, the
 first 60 curves of the benchmark's survey pool (read from
 perfbench/reference.json) and the pool's three curves with seven
 syzygy generators (all beyond the first 60), the degree-24 ladder curve
-under `--max-degree-cap 24`, and three small curves under the small
-primes 13 and 17.  On two of those the line x passes through a
-singular point, so the saturation pass falls back to another line
-while the field has few values to draw it from.
+under `--max-degree-cap 24`, three small curves under the small
+primes 13 and 17, and five formula-only (`--skip-oracle`) runs: two
+free curves, the plus-one quintic, a three-syzygy septic and a maximal
+Tjurina quintic, each with the exponents (and tau) the oracle finds.
+On two of the small-prime curves the line x passes through a singular
+point, so the saturation pass falls back to another line while the
+field has few values to draw it from.
 """
 
 from __future__ import annotations
@@ -67,6 +70,20 @@ ACCEPTANCE = (
 SMALL_PRIME_CURVES = (CONIC_PAIR, "x*y*z*(x+y+z)", "y^4 + x*z^3")
 SMALL_PRIMES = (13, 17)
 
+FORMULA = (
+    ["x*y*z", "--exponents", "1,1"],
+    ["(x^3-y^3)*(y^3-z^3)*(x^3-z^3)", "--exponents", "4,4"],
+    ["3*x^2*y^3 + 4*y^5 + 5*y^3*z^2 + 4*y*z^4", "--exponents", "2,3,4"],
+    ["x^4*y^2*z - 5*x*y^5*z + x*y*z^5 + 3*y^6*z", "--exponents", "5,5,5", "--tau", "15"],
+    [
+        "-2*x*y^3*z - 3*x*y^2*z^2 - 6*x*y*z^3 - 3*x*z^4 + 2*y^2*z^3 + 4*y*z^4",
+        "--exponents",
+        "3,3,3,3",
+        "--tau",
+        "10",
+    ],
+)
+
 
 def inputs() -> list[list[str]]:
     """The argument lists after `analyze`, in a fixed order."""
@@ -77,6 +94,7 @@ def inputs() -> list[list[str]]:
     out += [[pool[i][1]] for i in SEVEN_GENERATORS]
     out.append([ladder_curve(24), "--max-degree-cap", "24"])
     out += [[curve, "--field", f"gfp:{p}"] for curve in SMALL_PRIME_CURVES for p in SMALL_PRIMES]
+    out += [[args[0], "--skip-oracle", *args[1:]] for args in FORMULA]
     return out
 
 

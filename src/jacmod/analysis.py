@@ -248,7 +248,7 @@ def cross_check(
     if free:
         add("central-window", NA, "free curve")
         add("central-plateau", NA, "free curve")
-    elif 2 * r >= d:
+    elif cls.stable:
         lo, hi = central_window(d, r)
         bad = [
             j
@@ -303,7 +303,7 @@ def cross_check(
     else:
         add("three-syzygy-vector", NA)
 
-    if cls.maximal_tjurina and 2 * r >= d:
+    if cls.maximal_tjurina and cls.stable:
         predicted = maximal_tjurina_vector(d, r, tau)
         ok = tuple(predicted) == n
         add(
@@ -315,23 +315,21 @@ def cross_check(
         add("maximal-tjurina-vector", NA, "" if cls.maximal_tjurina else "not maximal")
 
     # semistability-range lower bound for sigma, with equality at maximal tau
-    if free:
-        add("hartshorne-bound", NA, "free curve")
-    elif 2 * r >= d - 1:
-        bound = hartshorne_bound(d, r, tau)
+    bound = _hartshorne(prof, cls, tau)
+    if bound is None:
+        add("hartshorne-bound", NA, "free curve" if free else "2 mdr < d - 1")
+    else:
         ok = vec.sigma is not None and vec.sigma >= bound
-        if ok and cls.maximal_tjurina and 2 * r >= d:
+        if ok and cls.maximal_tjurina and cls.stable:
             ok = vec.sigma == bound
         add(
             "hartshorne-bound",
             PASS if ok else FAIL,
             f"sigma {vec.sigma} vs bound {bound}",
         )
-    else:
-        add("hartshorne-bound", NA, "2 mdr < d - 1")
 
-    if 2 * r >= d:
-        b = bundle_invariants(d, r, tau)
+    if cls.stable:
+        b = bundle_invariants(d, tau)
         ok = b.c2 == vec.nu
         add("second-chern-is-nu", PASS if ok else FAIL, f"c2 {b.c2}, nu {vec.nu}")
     else:
@@ -371,6 +369,53 @@ def cross_check(
         )
 
     return checks
+
+
+def _hartshorne(prof: ResolutionProfile, cls: CurveClass, tau: int | None) -> int | None:
+    """Hartshorne's lower bound for sigma where it applies: a non-free
+    curve of known tau whose bundle is semistable (2 mdr >= d - 1)."""
+    if cls.tag == "free" or not cls.semistable or tau is None:
+        return None
+    return hartshorne_bound(prof.degree, prof.mdr, tau)
+
+
+def _report(
+    text: str,
+    prof: ResolutionProfile,
+    vec: ModuleVector,
+    tau: int | None,
+    cls: CurveClass,
+    source: str,
+    checks: Sequence[CheckResult],
+    timings: Sequence[tuple[str, float]],
+    labels: tuple[str, ...] = (),
+    milnor: MilnorProfile | None = None,
+    coincidence: CoincidenceThreshold | None = None,
+) -> CurveReport:
+    """The report of a curve with a resolution and a vector, whether the
+    oracle computed them or the formulas gave them."""
+    return CurveReport(
+        curve=text,
+        degree=prof.degree,
+        field_labels=labels,
+        top=vec.top,
+        tjurina=tau,
+        milnor=None if milnor is None else milnor.values,
+        mdr=prof.mdr,
+        exponents=prof.exponents,
+        second_degrees=prof.second_degrees,
+        epsilons=prof.epsilons,
+        sigma=vec.sigma,
+        nu=vec.nu,
+        vector=vec.values,
+        vector_source=source,
+        classification=cls,
+        bundle=None if tau is None else bundle_invariants(prof.degree, tau),
+        hartshorne=_hartshorne(prof, cls, tau),
+        coincidence=coincidence,
+        checks=tuple(checks),
+        timings=tuple(timings),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -436,36 +481,8 @@ def _analyze_over_field(
     checks = cross_check(jac, milnor, prof, vec, cls, ct, nodal)
     timings.append(("cross-check", time.perf_counter() - t))
     timings.append(("total", time.perf_counter() - t0))
-
-    r = prof.mdr
-    bundle = bundle_invariants(d, r, milnor.tjurina)
-    bound = (
-        hartshorne_bound(d, r, milnor.tjurina)
-        if 2 * r >= d - 1 and cls.tag != "free"
-        else None
-    )
-
-    return CurveReport(
-        curve=text,
-        degree=d,
-        field_labels=labels,
-        top=vec.top,
-        tjurina=milnor.tjurina,
-        milnor=milnor.values,
-        mdr=r,
-        exponents=prof.exponents,
-        second_degrees=prof.second_degrees,
-        epsilons=prof.epsilons,
-        sigma=vec.sigma,
-        nu=vec.nu,
-        vector=vec.values,
-        vector_source="oracle",
-        classification=cls,
-        bundle=bundle,
-        hartshorne=bound,
-        coincidence=ct,
-        checks=tuple(checks),
-        timings=tuple(timings),
+    return _report(
+        text, prof, vec, milnor.tjurina, cls, "oracle", checks, timings, labels, milnor, ct
     )
 
 
@@ -488,7 +505,6 @@ def _formula_report(
         raise AnalysisError("exponents must be at least two positive integers")
     m = len(exps)
     r = exps[0]
-    T = 3 * (d - 2)
     tau_max = max_tjurina_tau(d, r)  # du Plessis-Wall bound
     if tau is not None and not 0 <= tau <= tau_max:
         raise MetadataError(
@@ -505,12 +521,10 @@ def _formula_report(
             raise MetadataError(f"free exponents force tau = {derived_tau}, got {tau}")
         tau = derived_tau
         second: tuple[int, ...] = ()
-        vector = [0] * (T + 1)
-        sigma = None
+        vector = [0] * (3 * (d - 2) + 1)
     elif m == 3:
         d1, d2, d3 = exps
         second = (d1 + d2 + d3,)
-        sigma = 3 * (d - 1) - second[0]
         if d1 + d2 == d and d3 >= d2:
             vector = plus_one_vector(d, exps)
         elif d1 + d2 > d:
@@ -527,7 +541,6 @@ def _formula_report(
                 "many-syzygy formula evaluation is only available at maximal tau"
             )
         second = (d + r,) * (m - 2)
-        sigma = 2 * d - r - 3
         vector = maximal_tjurina_vector(d, r, tau)
     else:
         raise AnalysisError(
@@ -535,58 +548,26 @@ def _formula_report(
             "Tjurina pattern; run the oracle for this curve"
         )
 
-    epsilons = tuple(e - (d + exps[j + 2] - 1) for j, e in enumerate(second))
-    if any(eps < 1 for eps in epsilons):
+    prof = ResolutionProfile(d, exps, second)
+    if any(eps < 1 for eps in prof.epsilons):
         raise AnalysisError("second-level degrees violate the minimality offsets")
-
-    prof = ResolutionProfile(
-        degree=d,
-        mdr=r,
-        exponents=exps,
-        second_degrees=second,
-        epsilons=epsilons,
-        sigma=sigma if m > 2 else None,
-        extended_window=False,
-    )
     try:
         cls = classify(d, prof, tau)
     except InternalConsistencyError as exc:
         # here the inputs are user-declared, not computed
         raise MetadataError(f"tau and exponents are inconsistent: {exc}") from exc
 
-    checks = _identity_checks(vector)
-    vec_sigma = next((k for k, v in enumerate(vector) if v), None)
+    vec = ModuleVector(d, tuple(vector))
+    checks = _identity_checks(vec.values)
     checks.append(
         CheckResult(
             "sigma-resolution",
-            PASS if vec_sigma == prof.sigma else FAIL,
-            f"vector says {vec_sigma}, resolution says {prof.sigma}",
+            PASS if vec.sigma == prof.sigma else FAIL,
+            f"vector says {vec.sigma}, resolution says {prof.sigma}",
         )
     )
-
-    bundle = bundle_invariants(d, r, tau) if tau is not None else None
-    bound = (
-        hartshorne_bound(d, r, tau) if tau is not None and 2 * r >= d - 1 else None
-    )
-    return CurveReport(
-        curve=text,
-        degree=d,
-        top=T,
-        tjurina=tau,
-        mdr=r,
-        exponents=exps,
-        second_degrees=second,
-        epsilons=epsilons,
-        sigma=vec_sigma,
-        nu=vector[T // 2],
-        vector=tuple(vector),
-        vector_source="formula",
-        classification=cls,
-        bundle=bundle,
-        hartshorne=bound,
-        checks=tuple(checks),
-        timings=(("total", time.perf_counter() - t0),),
-    )
+    timings = (("total", time.perf_counter() - t0),)
+    return _report(text, prof, vec, tau, cls, "formula", checks, timings)
 
 
 # ---------------------------------------------------------------------------

@@ -225,21 +225,17 @@ def nodal_values(
 class BundleInvariants:
     c1: int
     c2: int
-    stable: bool
-    semistable: bool
 
 
-def bundle_invariants(d: int, r: int, tau: int) -> BundleInvariants:
-    """Chern numbers of the rank-2 vector bundle attached to the curve
-    (normalized so c1 is 0 or -1), and its (semi)stability, which is
-    governed purely by mdr versus d/2."""
+def bundle_invariants(d: int, tau: int) -> BundleInvariants:
+    """Chern numbers of the rank-2 vector bundle attached to the curve,
+    normalized so c1 is 0 or -1.  Its (semi)stability depends on mdr
+    versus d/2 only and is reported by classify."""
     if d % 2:
         e = (d - 1) // 2
-        c1, c2 = 0, 3 * e * e - tau
-    else:
-        e = d // 2
-        c1, c2 = -1, 3 * e * e - 3 * e + 1 - tau
-    return BundleInvariants(c1, c2, stable=2 * r >= d, semistable=2 * r >= d - 1)
+        return BundleInvariants(0, 3 * e * e - tau)
+    e = d // 2
+    return BundleInvariants(-1, 3 * e * e - 3 * e + 1 - tau)
 
 
 def hartshorne_bound(d: int, r: int, tau: int) -> int:

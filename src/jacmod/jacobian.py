@@ -51,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import Element, Field
+from .fields import Element
 from .linalg import GrowingRref, RrefResult, kernel_basis, matrix_zeros, null_space
 from .poly import Monomial, TernaryForm, basis_dimension, basis_position, monomial_basis
 
@@ -78,11 +78,15 @@ class MilnorProfile:
 
     degree: int
     values: tuple[int, ...]
-    tjurina: int
 
     @property
     def top(self) -> int:
         return 3 * (self.degree - 2)
+
+    @property
+    def tjurina(self) -> int:
+        """The stable value m(T+1) = m(T+2) of a reduced curve."""
+        return self.values[self.top + 1]
 
 
 @dataclass(frozen=True)
@@ -91,12 +95,20 @@ class ModuleVector:
 
     degree: int
     values: tuple[int, ...]
-    sigma: int | None  # smallest k with n_k != 0; None when N(f) = 0
-    nu: int  # peak value n_{floor(T/2)} (0 when N(f) = 0)
 
     @property
     def top(self) -> int:
         return 3 * (self.degree - 2)
+
+    @property
+    def sigma(self) -> int | None:
+        """Smallest k with n_k != 0; None when N(f) = 0."""
+        return next((k for k, v in enumerate(self.values) if v), None)
+
+    @property
+    def nu(self) -> int:
+        """Peak value n_{floor(T/2)} (0 when N(f) = 0)."""
+        return self.values[self.top // 2]
 
 
 @dataclass(frozen=True)
@@ -156,13 +168,11 @@ class CurveJacobian:
     serve the syzygy layer.
     """
 
-    def __init__(self, f: TernaryForm, field: Field | None = None):
+    def __init__(self, f: TernaryForm):
         if f.is_zero() or f.degree < 1:
             raise AnalysisError("a curve needs a nonzero form of degree >= 1")
         self.f = f
-        self.field = field if field is not None else f.field
-        if self.field.config != f.field.config:
-            raise AnalysisError("field mismatch between form and engine")
+        self.field = f.field
         self.degree = f.degree
         self.partials = f.gradient()
         self._rank_cache: dict[int, int] = {}
@@ -266,7 +276,7 @@ class CurveJacobian:
                 f"({values[T + 1]} -> {values[T + 2]}): "
                 "the curve has a repeated component"
             )
-        self._milnor = MilnorProfile(d, tuple(values), values[T + 1])
+        self._milnor = MilnorProfile(d, tuple(values))
         return self._milnor
 
     def tjurina(self) -> int:
@@ -349,16 +359,13 @@ class CurveJacobian:
         """n_k = dim Sat_k - dim (J_f)_k for k = 0..T.  Symmetry,
         unimodality and the support window are not enforced here: the
         analysis layer reports them as checks."""
-        mil = self.milnor_hilbert()  # also certifies reducedness
-        T = self.top
+        self.milnor_hilbert()  # certifies reducedness
         values = []
-        for k in range(T + 1):
+        for k in range(self.top + 1):
             n_k = self.saturation_dimension(k) - self.jacobian_rank(k)
             if n_k < 0:
                 raise InternalConsistencyError(
                     f"saturation smaller than ideal at degree {k}"
                 )
             values.append(n_k)
-        sigma = next((k for k, v in enumerate(values) if v), None)
-        nu = values[T // 2] if values else 0
-        return ModuleVector(self.degree, tuple(values), sigma, nu)
+        return ModuleVector(self.degree, tuple(values))

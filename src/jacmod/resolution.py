@@ -25,6 +25,17 @@ through its stable range.  The right side having nonnegative
 coefficients summing to m-2, with each e_j >= d + d_{j+2}, certifies
 that the generator search is complete; the search stops at the first
 degree where the identity balances.
+
+The scan never goes past max(d-1, 2d-4), because every generator lies
+there.  A smooth curve has d_i = d-1 (Koszul relations).  A free curve
+has d_1 + d_2 = d-1 with d_1 >= 1, so d_2 <= d-2.  A singular curve has
+Sat_0 = 0 (a unit in the saturation would make the singular scheme
+empty), so n_0 = 0 and sigma = 3(d-1) - e_{m-2} >= 1; with
+e_{m-2} >= d + d_m (minimality) this gives
+d_m <= e_{m-2} - d = 2d-3-sigma <= 2d-4.
+A search that has not balanced by then is wrong, not incomplete, and
+raises IncompleteResolutionError: the ranks it needs stop at degree
+max(2d-2, 3d-5) <= T+2, which the Milnor sweep already holds.
 """
 
 from __future__ import annotations
@@ -39,9 +50,9 @@ from .poly import basis_dimension
 
 
 class IncompleteResolutionError(RuntimeError):
-    """Generator search exhausted the extended degree window without
-    balancing the Hilbert identity.  This should be unreachable for
-    reduced curves; it indicates a bug or an unlucky prime."""
+    """Generator search reached the end of the proven degree window
+    without balancing the Hilbert identity.  This should be unreachable
+    for reduced curves; it indicates a bug or an unlucky prime."""
 
 
 class PencilOfLinesError(ValueError):
@@ -56,20 +67,29 @@ class ResolutionProfile:
 
     exponents: generator degrees d_1 <= ... <= d_m of Syz(f).
     second_degrees: e_1 <= ... <= e_{m-2} (empty iff the curve is free).
-    epsilons: e_j - (d + d_{j+2} - 1), each >= 1 by minimality.
-    sigma: 3(d-1) - e_{m-2}, the first degree where N(f) can be
-        nonzero; None for free curves (N(f) = 0, no second level).
-    extended_window: the search needed degrees beyond 2d-4 (never seen
-        for reduced curves; kept as a loud flag).
     """
 
     degree: int
-    mdr: int
     exponents: tuple[int, ...]
     second_degrees: tuple[int, ...]
-    epsilons: tuple[int, ...]
-    sigma: int | None
-    extended_window: bool
+
+    @property
+    def mdr(self) -> int:
+        return self.exponents[0]
+
+    @property
+    def epsilons(self) -> tuple[int, ...]:
+        """e_j - (d + d_{j+2} - 1), each >= 1 by minimality."""
+        d, exps = self.degree, self.exponents
+        return tuple(e - (d + exps[j + 2] - 1) for j, e in enumerate(self.second_degrees))
+
+    @property
+    def sigma(self) -> int | None:
+        """3(d-1) - e_{m-2}, the first degree where N(f) can be nonzero;
+        None for free curves (N(f) = 0, no second level)."""
+        if not self.second_degrees:
+            return None
+        return 3 * (self.degree - 1) - self.second_degrees[-1]
 
 
 def syzygy_dimension(jac: CurveJacobian, k: int) -> int:
@@ -125,15 +145,14 @@ def hilbert_numerator(milnor: MilnorProfile) -> tuple[int, ...]:
     )
 
 
-def second_syzygy_degrees(
+def balanced_profile(
     d: int, exponents: list[int], numerator: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+) -> ResolutionProfile | None:
     """Solve the balance identity for the e_j, or None if it does not
     balance for this exponent multiset (meaning: keep searching).
 
-    Returns (second_degrees, epsilons) with epsilons[j] =
-    e_j - (d + d_{j+2} - 1) >= 1 enforced; the identity must produce
-    exactly m-2 terms with nonnegative multiplicities."""
+    The identity must produce exactly m-2 terms with nonnegative
+    multiplicities, and each epsilon must be >= 1."""
     m = len(exponents)
     if m < 2:
         return None
@@ -154,25 +173,18 @@ def second_syzygy_degrees(
         e_list.extend([deg] * c)
     if len(e_list) != m - 2:
         return None
-    eps = []
-    exps = sorted(exponents)
-    for j, e in enumerate(e_list):
-        slack = e - (d + exps[j + 2] - 1)
-        if slack < 1:
-            return None
-        eps.append(slack)
-    return tuple(e_list), tuple(eps)
+    profile = ResolutionProfile(d, tuple(exponents), tuple(e_list))
+    return profile if all(eps >= 1 for eps in profile.epsilons) else None
 
 
 def resolve(jac: CurveJacobian, milnor: MilnorProfile | None = None) -> ResolutionProfile:
     """Find the minimal generator degrees of Syz(f) and the second-level
     degrees, certifying completeness via the Hilbert balance identity.
 
-    The scan runs over [mdr, max(d-1, 2d-4)], which suffices for every
-    reduced curve (generator degrees are bounded by 2d-4 for singular
-    curves and by d-1 for smooth ones); if the identity still does not
-    balance the window is extended to 3d-6 and then the run fails
-    loudly rather than report unverified degrees."""
+    The scan runs over [mdr, max(d-1, 2d-4)], which holds every
+    generator of a reduced curve (module docstring); if the identity
+    does not balance there, the run fails loudly rather than report
+    unverified degrees."""
     if milnor is None:
         milnor = jac.milnor_hilbert()
     d = jac.degree
@@ -183,13 +195,12 @@ def resolve(jac: CurveJacobian, milnor: MilnorProfile | None = None) -> Resoluti
         )
     numerator = hilbert_numerator(milnor)
     window_end = max(d - 1, 2 * d - 4)
-    hard_end = max(window_end, 3 * d - 6)
 
     def x_free_dimension(k: int) -> int:  # dim P_k
         return syzygy_dimension(jac, k) - syzygy_dimension(jac, k - 1)
 
     exponents: list[int] = []
-    for k in range(r, hard_end + 1):
+    for k in range(r, window_end + 1):
         image_rank = 0
         if x_free_dimension(k - 1):
             image = _y_z_shifts(jac.x_free_syzygies(k - 1), k - 1, jac.field)
@@ -200,21 +211,11 @@ def resolve(jac: CurveJacobian, milnor: MilnorProfile | None = None) -> Resoluti
                 f"negative generator count at degree {k} (bad prime?)"
             )
         exponents.extend([k] * new)
-        balanced = second_syzygy_degrees(d, exponents, numerator)
-        if balanced is not None:
-            e_list, eps = balanced
-            sigma = 3 * (d - 1) - e_list[-1] if e_list else None
-            return ResolutionProfile(
-                degree=d,
-                mdr=r,
-                exponents=tuple(exponents),
-                second_degrees=e_list,
-                epsilons=eps,
-                sigma=sigma,
-                extended_window=k > window_end,
-            )
+        profile = balanced_profile(d, exponents, numerator)
+        if profile is not None:
+            return profile
     raise IncompleteResolutionError(
-        f"generator degrees {exponents} found on [{r}, {hard_end}] do not "
+        f"generator degrees {exponents} found on [{r}, {window_end}] do not "
         "balance the Hilbert identity; refusing to report an unverified "
         "resolution"
     )

@@ -27,6 +27,28 @@ from jacmod.jacobian import CurveJacobian, InternalConsistencyError, NotReducedE
 
 CONIC_PAIR = "(x*z - y^2) * (y*z - x^2)"
 PLUS_ONE_QUINTIC = "3*x^2*y^3 + 4*y^5 + 5*y^3*z^2 + 4*y*z^4"
+# curves whose exponents the formula mode accepts, with the oracle's
+# exponents and tau: three free curves, one of each three-generator
+# class, and a maximal Tjurina quintic with four generators
+PARITY_CURVES = (
+    "x*y*z",
+    "x*y*z*(x-y)*(x-z)",
+    "(x^3-y^3)*(y^3-z^3)*(x^3-z^3)",
+    "y^4 + x*z^3",
+    PLUS_ONE_QUINTIC,
+    "x^4*y^2*z - 5*x*y^5*z + x*y*z^5 + 3*y^6*z",
+    "-2*x*y^3*z - 3*x*y^2*z^2 - 6*x*y*z^3 - 3*x*z^4 + 2*y^2*z^3 + 4*y*z^4",
+)
+# what only the oracle knows, or what describes how a report was made
+NOT_COMPARED = (
+    "milnor",
+    "coincidence_threshold",
+    "vector_source",
+    "checks",
+    "passed",
+    "fields",
+    "timings",
+)
 
 
 def status(report, name: str) -> str:
@@ -240,6 +262,19 @@ class TestFormulaMode:
             analyze_text(
                 "x^4+y^4+z^4", AnalysisOptions(skip_oracle=True, exponents=(1, 2, 3))
             )
+
+    @pytest.mark.parametrize("text", PARITY_CURVES)
+    def test_formula_report_matches_oracle(self, text):
+        oracle = analyze_text(text, AnalysisOptions(field="gfp:2147483647")).to_json_dict()
+        formula = analyze_text(
+            text,
+            AnalysisOptions(
+                skip_oracle=True, exponents=tuple(oracle["exponents"]), tau=oracle["tjurina"]
+            ),
+        ).to_json_dict()
+        for key in NOT_COMPARED:
+            del oracle[key], formula[key]
+        assert formula == oracle
 
     def test_nodal_needs_oracle(self):
         with pytest.raises(AnalysisError):

@@ -29,7 +29,7 @@ from jacmod.curves import (
 from jacmod.fields import prime_field
 from jacmod.jacobian import CurveJacobian, smooth_reference
 from jacmod.poly import parse_form
-from jacmod.resolution import resolve
+from jacmod.resolution import ResolutionProfile, resolve
 
 GFP = prime_field(2**31 - 1)
 
@@ -167,24 +167,31 @@ class TestNodal:
             assert vals[T - k] == vals[k]
 
 
+def bundle_class(d: int, exponents: tuple[int, ...], second: tuple[int, ...]):
+    """classify's verdict on the exponent pattern alone (tau unknown)."""
+    return classify(d, ResolutionProfile(d, exponents, second), None)
+
+
 class TestBundleInvariants:
     def test_odd_degree(self):
-        b = bundle_invariants(5, 3, 10)
-        assert b == BundleInvariants(c1=0, c2=12 - 10, stable=True, semistable=True)
+        assert bundle_invariants(5, 10) == BundleInvariants(c1=0, c2=12 - 10)
+        c = bundle_class(5, (3, 3, 3, 3), (8, 8))
+        assert c.stable and c.semistable
 
     def test_even_degree(self):
-        b = bundle_invariants(4, 2, 4)
+        b = bundle_invariants(4, 4)
         assert b.c1 == -1
         assert b.c2 == 7 - 4
-        assert b.stable
+        assert bundle_class(4, (2, 2, 2), (6,)).stable
 
     def test_not_semistable(self):
-        b = bundle_invariants(20, 9, 190)
-        assert not b.stable and not b.semistable
+        c = bundle_class(20, (9, 19, 19), (47,))
+        assert not c.stable and not c.semistable
 
     def test_stability_threshold(self):
-        assert not bundle_invariants(5, 2, 0).stable
-        assert bundle_invariants(5, 2, 0).semistable
+        c = bundle_class(5, (2, 3, 3), (8,))
+        assert not c.stable
+        assert c.semistable
 
 
 class TestHartshorneBound:

@@ -9,12 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from macaulay import new_generator_count, syzygy_kernel
 
-from jacmod import linalg
+from jacmod import linalg, resolution
 from jacmod.fields import Field, prime_field, rational_field
 from jacmod.jacobian import CurveJacobian, NotReducedError
 from jacmod.linalg import rref
 from jacmod.poly import TernaryForm, monomial_basis, parse_form
 from jacmod.resolution import (
+    IncompleteResolutionError,
     PencilOfLinesError,
     ResolutionProfile,
     hilbert_numerator,
@@ -42,8 +43,25 @@ DEFINITION_CURVES = (
 )
 
 
+# up to 10 (position, coefficient) picks of monomials of one degree
+RANDOM_TERMS = st.lists(
+    st.tuples(st.integers(0, 35), st.integers(1, 2**31 - 2)), min_size=1, max_size=10
+)
+
+
 def jac(text: str, field: Field = GFP) -> CurveJacobian:
     return CurveJacobian(parse_form(text, field))
+
+
+def random_resolution(d: int, picks) -> tuple[CurveJacobian, ResolutionProfile]:
+    """The curve with the picked terms over GF(2^31-1) and its resolution;
+    non-reduced curves and pencils of lines are discarded."""
+    basis = monomial_basis(d)
+    j = CurveJacobian(TernaryForm(GFP, d, {basis[i % len(basis)]: c for i, c in picks}))
+    try:
+        return j, resolve(j)
+    except (NotReducedError, PencilOfLinesError):
+        assume(False)
 
 
 def syzygy_triples(j: CurveJacobian, k: int) -> list[tuple[TernaryForm, ...]]:
@@ -125,7 +143,6 @@ class TestResolve:
         assert prof.second_degrees == (6,)
         assert prof.epsilons == (2,)
         assert prof.sigma == 0
-        assert not prof.extended_window
 
     def test_smooth_conic(self):
         prof = resolve(jac("x^2 + y^2 + z^2"))
@@ -220,6 +237,32 @@ class TestBalanceIdentity:
             assert total == m.values[k]
 
 
+class TestProvenWindow:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(3, 7), RANDOM_TERMS)
+    def test_exponents_lie_in_the_window(self, d, picks):
+        _, prof = random_resolution(d, picks)
+        assert max(prof.exponents) <= max(d - 1, 2 * d - 4)
+
+    @pytest.mark.parametrize(
+        "text", ["y^4 + x*z^3", "(x*z - y^2) * (y*z - x^2)", LADDER_OCTIC, SEVEN_GENERATORS]
+    )
+    def test_unbalanced_search_stops_at_the_window(self, text, monkeypatch):
+        j = jac(text)
+        requested = []
+        rank = j.jacobian_rank
+
+        def recorded(k):
+            requested.append(k)
+            return rank(k)
+
+        monkeypatch.setattr(j, "jacobian_rank", recorded)
+        monkeypatch.setattr(resolution, "balanced_profile", lambda *args: None)
+        with pytest.raises(IncompleteResolutionError):
+            resolve(j)
+        assert max(requested) <= j.top + 2
+
+
 def assert_counts_match_definition(j: CurveJacobian, prof: ResolutionProfile) -> None:
     """For every degree resolve() scanned, from mdr to the last
     generator, its count of new generators is dim Syz_k minus the rank
@@ -239,21 +282,9 @@ class TestGeneratorsFromXFreeParts:
         assert resolve(jac(SEVEN_GENERATORS)).exponents == (6, 6, 7, 7, 7, 7, 7)
 
     @settings(max_examples=25, deadline=None)
-    @given(
-        st.integers(3, 7),
-        st.lists(
-            st.tuples(st.integers(0, 35), st.integers(1, 2**31 - 2)), min_size=1, max_size=10
-        ),
-    )
+    @given(st.integers(3, 7), RANDOM_TERMS)
     def test_new_generators_match_definition_on_random_curves(self, d, picks):
-        basis = monomial_basis(d)
-        terms = {basis[i % len(basis)]: c for i, c in picks}
-        j = CurveJacobian(TernaryForm(GFP, d, terms))
-        try:
-            prof = resolve(j)
-        except (NotReducedError, PencilOfLinesError):
-            assume(False)
-        assert_counts_match_definition(j, prof)
+        assert_counts_match_definition(*random_resolution(d, picks))
 
     @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
     @pytest.mark.parametrize("text", ["(x*z - y^2) * (y*z - x^2)", "y^4 + x*z^3", LADDER_OCTIC])
