@@ -4,7 +4,9 @@
 For a fixed list of inputs, runs `python -m jacmod analyze ... --json`
 in a fresh process and records the report without its `timings`, the
 exit code and stderr.  `--write` stores that record; `--check` runs the
-list again and exits 1 on any difference.  The package that runs is
+list again, names each input whose output differs (its full argument
+list and the first top-level key that differs) and exits 1 on any
+difference.  The package that runs is
 whatever `python -m jacmod` imports, so point PYTHONPATH at the
 checkout to record (it defaults to this checkout's `src`):
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -119,6 +122,18 @@ def record() -> list[dict]:
     return [run(args, env) for args in inputs()]
 
 
+def first_difference(expected: dict, result: dict) -> str:
+    """The first top-level key of two differing records, or of their
+    reports when both are JSON objects, whose values differ."""
+    for key in ("exit", "stderr"):
+        if expected[key] != result[key]:
+            return key
+    old, new = expected["report"], result["report"]
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return "report"
+    return "report." + next(k for k in [*old, *new] if old.get(k) != new.get(k))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
@@ -135,9 +150,9 @@ def main(argv: list[str] | None = None) -> int:
     if [e["args"] for e in expected] != [r["args"] for r in results]:
         print("the input list differs from the recorded one", file=sys.stderr)
         return 1
-    differ = [r["args"][0] for e, r in zip(expected, results) if e != r]
-    for curve in differ:
-        print(f"differs: {curve}", file=sys.stderr)
+    differ = [(e, r) for e, r in zip(expected, results) if e != r]
+    for e, r in differ:
+        print(f"differs: {shlex.join(r['args'])}: {first_difference(e, r)}", file=sys.stderr)
     print(f"{len(results) - len(differ)} of {len(results)} outputs identical")
     return 1 if differ else 0
 

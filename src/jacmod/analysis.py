@@ -191,17 +191,24 @@ def _identity_checks(n: Sequence[int]) -> list[CheckResult]:
     ]
 
 
+def _sigma_check(vec: ModuleVector, prof: ResolutionProfile) -> CheckResult:
+    """sigma read off the vector equals sigma from the resolution."""
+    if vec.sigma == prof.sigma:
+        return CheckResult("sigma-resolution", PASS)
+    return CheckResult(
+        "sigma-resolution", FAIL, f"vector says {vec.sigma}, resolution says {prof.sigma}"
+    )
+
+
 def cross_check(
-    jac: CurveJacobian,
     milnor: MilnorProfile,
     prof: ResolutionProfile,
     vec: ModuleVector,
     cls: CurveClass,
-    ct: CoincidenceThreshold,
     nodal: NodalData | None,
 ) -> list[CheckResult]:
     """Every applicable closed-form statement versus the oracle."""
-    d = jac.degree
+    d = prof.degree
     T = vec.top
     tau = milnor.tjurina
     r = prof.mdr
@@ -225,11 +232,7 @@ def cross_check(
         )
         add("support-window", PASS if ok else FAIL)
 
-    # sigma from the resolution equals sigma read off the vector
-    if vec.sigma == prof.sigma:
-        add("sigma-resolution", PASS)
-    else:
-        add("sigma-resolution", FAIL, f"vector says {vec.sigma}, resolution says {prof.sigma}")
+    checks.append(_sigma_check(vec, prof))
 
     # resolution balance: ranks and twists reproduce the Milnor series
     balanced = True
@@ -336,14 +339,14 @@ def cross_check(
         add("second-chern-is-nu", NA, "bundle not stable")
 
     # coincidence threshold never ends before d - 2 + r
+    ct = milnor.coincidence
     ok = ct.value >= d - 2 + r
     add("coincidence-threshold", PASS if ok else FAIL, f"ct {ct.value}, floor {d - 2 + r}")
 
-    # saturation defect stabilizes to tau from degree 2d-4-r on
+    # saturation defect dim S_k - dim Sat_k = m_k - n_k stabilizes to
+    # tau from degree 2d-4-r on
     start = max(defect_stable_degree(d, r), 0)
-    ok = all(
-        basis_dimension(k) - jac.saturation_dimension(k) == tau for k in range(start, T + 1)
-    )
+    ok = all(milnor.values[k] - n[k] == tau for k in range(start, T + 1))
     add("saturation-defect", PASS if ok else FAIL)
 
     if nodal is None:
@@ -390,7 +393,6 @@ def _report(
     timings: Sequence[tuple[str, float]],
     labels: tuple[str, ...] = (),
     milnor: MilnorProfile | None = None,
-    coincidence: CoincidenceThreshold | None = None,
 ) -> CurveReport:
     """The report of a curve with a resolution and a vector, whether the
     oracle computed them or the formulas gave them."""
@@ -412,7 +414,7 @@ def _report(
         classification=cls,
         bundle=None if tau is None else bundle_invariants(prof.degree, tau),
         hartshorne=_hartshorne(prof, cls, tau),
-        coincidence=coincidence,
+        coincidence=None if milnor is None else milnor.coincidence,
         checks=tuple(checks),
         timings=tuple(timings),
     )
@@ -455,7 +457,7 @@ def _analyze_over_field(
 
     t = time.perf_counter()
     try:
-        prof = resolve(jac, milnor)
+        prof = resolve(jac)
     except PencilOfLinesError:
         timings.append(("total", time.perf_counter() - t0))
         return CurveReport(
@@ -475,14 +477,13 @@ def _analyze_over_field(
     timings.append(("saturation", time.perf_counter() - t))
 
     cls = classify(d, prof, milnor.tjurina)
-    ct = jac.coincidence_threshold()
 
     t = time.perf_counter()
-    checks = cross_check(jac, milnor, prof, vec, cls, ct, nodal)
+    checks = cross_check(milnor, prof, vec, cls, nodal)
     timings.append(("cross-check", time.perf_counter() - t))
     timings.append(("total", time.perf_counter() - t0))
     return _report(
-        text, prof, vec, milnor.tjurina, cls, "oracle", checks, timings, labels, milnor, ct
+        text, prof, vec, milnor.tjurina, cls, "oracle", checks, timings, labels, milnor
     )
 
 
@@ -558,14 +559,7 @@ def _formula_report(
         raise MetadataError(f"tau and exponents are inconsistent: {exc}") from exc
 
     vec = ModuleVector(d, tuple(vector))
-    checks = _identity_checks(vec.values)
-    checks.append(
-        CheckResult(
-            "sigma-resolution",
-            PASS if vec.sigma == prof.sigma else FAIL,
-            f"vector says {vec.sigma}, resolution says {prof.sigma}",
-        )
-    )
+    checks = [*_identity_checks(vec.values), _sigma_check(vec, prof)]
     timings = (("total", time.perf_counter() - t0),)
     return _report(text, prof, vec, tau, cls, "formula", checks, timings)
 

@@ -7,20 +7,26 @@ is computed by exact rank/kernel calculations on multiplication
 matrices; no closed-form results enter, so these values can serve as
 the independent reference for the formula layer.
 
-The pieces (J_f)_k come from one sweep over k instead of one
-elimination per degree.  basis_position does not depend on the x
-exponent, so x * basis(k) is exactly the first dim S_k positions of
+The oracle is two straight-line computations, each run once and in
+this order: one degree sweep gives the Milnor values and what the
+syzygy layer needs, and one saturation pass gives N(f).  No degree is
+served on demand.
+
+The pieces (J_f)_k come from one sweep over k = d-1, ..., T+2 instead
+of one elimination per degree.  basis_position does not depend on the
+x exponent, so x * basis(k) is exactly the first dim S_k positions of
 basis(k + 1), and (J_f)_{k+1} is x * (J_f)_k, the same vectors
 zero-padded, plus the multiples y^b z^c * f_i with b + c = k + 2 - d.
 The sweep keeps the reduced form of (J_f)_k (linalg.GrowingRref) and
-adds only those new rows at each degree; it only moves up.
+adds only those new rows at each degree.  It records m_k =
+dim (S/J_f)_k and keeps the canonical reduced form at T+1.
 
 The sweep also keeps each degree's batch of new rows reduced modulo
 x * (J_f)_{k-1}.  With j = k - d + 1, a combination sum c_(i,m) m f_i of
 its rows (m x-free of degree j) lies in x * (J_f)_{k-1} exactly when c
 is the x-free part of a degree-j syzygy (if sum c_i f_i = x sum a_i f_i,
 c - x a is one).  So P_j, the x-free parts of Syz_j, is the left kernel
-of the batch, computed only for the degrees the syzygy layer asks for.
+of the batch, computed only for the degrees the syzygy layer reads.
 
 Degrees are capped at T + 2 with T = 3(d - 2): the Hilbert function
 of S/J_f is constant equal to the global Tjurina number tau from T + 1
@@ -31,7 +37,8 @@ Saturation is one pass over nested images.  If a line l misses every
 point of the Jacobian scheme Sigma, l is a nonzerodivisor on S/Sat and
 Sat_{T+1} = (J_f)_{T+1}, so Sat_k = (J_f : l^(T+1-k))_k (Bayer and
 Stillman, Invent. Math. 87, 1987): dim Sat_k = dim S_k - rank Phi_k,
-Phi_k(g) = [l^(T+1-k) g] in S_{T+1} / (J_f)_{T+1}, of dimension tau.
+Phi_k(g) = [l^(T+1-k) g] in S_{T+1} / (J_f)_{T+1}, of dimension tau,
+so n_k = dim Sat_k - dim (J_f)_k = m_k - rank Phi_k.
 For l = x + a y + b z, S_{k+1} = l S_k + <x-free monomials>, so the
 images nest, and one GrowingRref fed the k+1 x-free rows of each Phi_k,
 k = 0..T, gives every rank.  A line is accepted only if rank Phi_T =
@@ -73,6 +80,18 @@ class InternalConsistencyError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class CoincidenceThreshold:
+    """Largest q with m(f)_k = m(f_smooth)_k for all k <= q.
+
+    censored means every computed degree (up to T+2) matched, so the
+    true threshold is only known to be >= value.
+    """
+
+    value: int
+    censored: bool
+
+
+@dataclass(frozen=True)
 class MilnorProfile:
     """Hilbert function of the Milnor algebra S/J_f on degrees 0..T+2."""
 
@@ -87,6 +106,16 @@ class MilnorProfile:
     def tjurina(self) -> int:
         """The stable value m(T+1) = m(T+2) of a reduced curve."""
         return self.values[self.top + 1]
+
+    @property
+    def coincidence(self) -> CoincidenceThreshold:
+        """Last degree (up to T+2) where the values agree with the
+        smooth reference of the same degree."""
+        ref = smooth_reference(self.degree)
+        for k, (a, b) in enumerate(zip(self.values, ref)):
+            if a != b:
+                return CoincidenceThreshold(k - 1, censored=False)
+        return CoincidenceThreshold(len(self.values) - 1, censored=True)
 
 
 @dataclass(frozen=True)
@@ -109,18 +138,6 @@ class ModuleVector:
     def nu(self) -> int:
         """Peak value n_{floor(T/2)} (0 when N(f) = 0)."""
         return self.values[self.top // 2]
-
-
-@dataclass(frozen=True)
-class CoincidenceThreshold:
-    """Largest q with m(f)_k = m(f_smooth)_k for all k <= q.
-
-    censored means every computed degree (up to T+2) matched, so the
-    true threshold is only known to be >= value.
-    """
-
-    value: int
-    censored: bool
 
 
 @lru_cache(maxsize=None)
@@ -161,12 +178,11 @@ def _unit_shift(var: int, n: int = 1) -> Monomial:
 
 
 class CurveJacobian:
-    """All graded data attached to one curve over one field.
-
-    Results are cached per instance; one instance should be reused for
-    a whole analysis so ranks computed for the Hilbert function also
-    serve the syzygy layer.
-    """
+    """The oracle's graded data of one curve over one field, in the
+    order the pipeline reads it: milnor_hilbert() runs the one degree
+    sweep, x_free_syzygies(j) reads the batch it kept in degree j+d-1,
+    and module_vector() runs the one saturation pass on the reduced
+    form it kept at T+1."""
 
     def __init__(self, f: TernaryForm):
         if f.is_zero() or f.degree < 1:
@@ -175,14 +191,8 @@ class CurveJacobian:
         self.field = f.field
         self.degree = f.degree
         self.partials = f.gradient()
-        self._rank_cache: dict[int, int] = {}
-        self._piece_cache: dict[int, RrefResult] = {}
-        self._sweep = GrowingRref(self.field, basis_dimension(self.degree - 2))
-        self._sweep_degree = self.degree - 2
         self._batches: dict[int, np.ndarray] = {}  # j -> reduced new rows
-        self._x_free_cache: dict[int, np.ndarray] = {}
-        self._sat_dim_cache: dict[int, int] = {}
-        self._projector: np.ndarray | None = None
+        self._piece: RrefResult | None = None  # reduced (J_f)_{T+1}
         self._milnor: MilnorProfile | None = None
 
     @property
@@ -190,86 +200,40 @@ class CurveJacobian:
         """T = 3(d - 2), the last degree where N(f) can be nonzero."""
         return 3 * (self.degree - 2)
 
-    # -- multiplication matrices ----------------------------------------
-
-    def _multiples(self, j: int, first: int) -> np.ndarray:
-        """Rows m * f_i for the monomials m of basis(j)[first:], one
-        block per partial, over the degree j+d-1 basis.  With first = 0
-        this is the Macaulay matrix of (a, b, c) -> a f_x + b f_y + c f_z
-        on S_j^3, whose left kernel is Syz_j."""
-        n = basis_dimension(j) - first
-        M = matrix_zeros(self.field, 3 * n, basis_dimension(j + self.degree - 1))
-        rows = np.arange(n)
+    def _new_rows(self, j: int) -> np.ndarray:
+        """Rows y^b z^c * f_i, b + c = j, one block of j+1 per partial
+        ordered by the z exponent, over the degree j+d-1 basis: the rows
+        of the Macaulay matrix in degree j at the x-free monomials."""
+        first = basis_dimension(j - 1)
+        M = matrix_zeros(self.field, 3 * (j + 1), basis_dimension(j + self.degree - 1))
+        rows = np.arange(j + 1)
         for block, partial in enumerate(self.partials):
             for mono, coeff in partial.terms.items():
-                M[block * n + rows, _shift_index(j, mono)[first:]] = coeff
+                M[block * (j + 1) + rows, _shift_index(j, mono)[first:]] = coeff
         return M
-
-    # -- Jacobian ideal pieces --------------------------------------------
-
-    def _sweep_to(self, k: int) -> GrowingRref:
-        """The sweep's reduced form of (J_f)_k, k >= d-1.  Each step up
-        one degree appends the k+1 monomials free of x as columns and
-        adds the 3(j+1) new rows y^b z^c * f_i, b + c = j = k-d+1,
-        keeping their reduced batch.  The sweep never goes back down."""
-        if k < self._sweep_degree:
-            raise RuntimeError(f"degree {k} is below the sweep's degree {self._sweep_degree}")
-        while self._sweep_degree < k:
-            self._sweep_degree += 1
-            j = self._sweep_degree - self.degree + 1
-            self._sweep.add_columns(self._sweep_degree + 1)
-            self._batches[j] = self._sweep.add_rows(self._multiples(j, basis_dimension(j - 1)))
-            self._rank_cache[self._sweep_degree] = self._sweep.rank
-        return self._sweep
-
-    def jacobian_rank(self, k: int) -> int:
-        """dim (J_f)_k, from the degree sweep (cached)."""
-        if k not in self._rank_cache:
-            self._rank_cache[k] = 0 if k < self.degree - 1 else self._sweep_to(k).rank
-        return self._rank_cache[k]
-
-    def jacobian_piece(self, k: int) -> RrefResult:
-        """Canonical reduced basis of (J_f)_k inside S_k: the rref of
-        _multiples(k-d+1, 0), read off the degree sweep (cached; a
-        degree the sweep has passed must have been asked for then)."""
-        if k not in self._piece_cache:
-            if k < self.degree - 1:
-                n = basis_dimension(k)
-                result = RrefResult(matrix_zeros(self.field, 0, n), (), 0, n)
-            else:
-                result = self._sweep_to(k).result()
-            self._piece_cache[k] = result
-        return self._piece_cache[k]
-
-    def x_free_syzygies(self, j: int) -> np.ndarray:
-        """P_j, the x-free parts of the degree-j syzygies (j >= 0): rows
-        in three blocks, one per partial, of j+1 coordinates ordered by
-        the z exponent.  The left kernel of the sweep's degree-(j+d-1)
-        batch (module docstring), computed once; the batch is dropped."""
-        if j not in self._x_free_cache:
-            self.jacobian_rank(j + self.degree - 1)  # sweeps up to the batch if needed
-            batch = self._batches.pop(j)
-            self._x_free_cache[j] = kernel_basis(batch.T, self.field)
-        return self._x_free_cache[j]
-
-    # -- Milnor algebra Hilbert function -----------------------------------
 
     def milnor_hilbert(self) -> MilnorProfile:
         """Hilbert function of S/J_f on 0..T+2; rejects non-reduced f.
 
-        For k < d-1 the value is dim S_k with no computation (the
-        ideal has no elements below the partials' degree).  From d-1
-        on, one sweep gives every rank, adding only each degree's new
-        rows; the canonical reduced form at T+1, which the saturation
-        layer needs, is read off on the way to T+2."""
+        For k < d-1 the value is dim S_k (the ideal has no elements
+        below the partials' degree).  From d-1 to T+2 one sweep gives
+        every rank: each step appends the k+1 monomials free of x as
+        columns and adds the 3(j+1) new rows, j = k-d+1, keeping their
+        reduced batch; the canonical reduced form at T+1 is kept for
+        the saturation pass.  Computed once."""
         if self._milnor is not None:
             return self._milnor
-        d = self.degree
+        d, T = self.degree, self.top
         if d < 2:
             raise AnalysisError("Milnor data needs degree >= 2")
-        T = self.top
-        self.jacobian_piece(T + 1)  # kept for the saturation layer
-        values = [basis_dimension(k) - self.jacobian_rank(k) for k in range(T + 3)]
+        sweep = GrowingRref(self.field, basis_dimension(d - 2))
+        values = [basis_dimension(k) for k in range(d - 1)]
+        for k in range(d - 1, T + 3):
+            sweep.add_columns(k + 1)
+            self._batches[k - d + 1] = sweep.add_rows(self._new_rows(k - d + 1))
+            values.append(basis_dimension(k) - sweep.rank)
+            if k == T + 1:
+                self._piece = sweep.result()
         if values[T + 1] != values[T + 2]:
             raise NotReducedError(
                 f"S/J_f keeps growing at degree {T + 2} "
@@ -279,42 +243,20 @@ class CurveJacobian:
         self._milnor = MilnorProfile(d, tuple(values))
         return self._milnor
 
-    def tjurina(self) -> int:
-        """Global Tjurina number: stable value of the Milnor Hilbert
-        function (0 exactly when the curve is smooth)."""
-        return self.milnor_hilbert().tjurina
+    def x_free_syzygies(self, j: int) -> np.ndarray:
+        """P_j, the x-free parts of the degree-j syzygies (0 <= j <= 2d-3,
+        after milnor_hilbert): rows in three blocks, one per partial, of
+        j+1 coordinates ordered by the z exponent.  The left kernel of
+        the sweep's degree-(j+d-1) batch (module docstring), which is
+        dropped; each degree is read once."""
+        return kernel_basis(self._batches.pop(j).T, self.field)
 
-    def coincidence_threshold(self) -> CoincidenceThreshold:
-        """Last degree (up to T+2) where m(f) agrees with the smooth
-        reference of the same degree."""
-        mil = self.milnor_hilbert()
-        ref = smooth_reference(self.degree)
-        for k, (a, b) in enumerate(zip(mil.values, ref)):
-            if a != b:
-                return CoincidenceThreshold(k - 1, censored=False)
-        return CoincidenceThreshold(len(mil.values) - 1, censored=True)
-
-    # -- saturation --------------------------------------------------------
-
-    def _quotient_projector(self) -> np.ndarray:
-        """Matrix Q sending a degree-(T+1) coefficient vector, given as
-        a basis unit vector index, to its canonical coordinates in
-        S_{T+1} / (J_f)_{T+1}.
-
-        Q is the transpose of the null-space basis of the full RREF at
-        degree T+1: row j is a unit vector for a non-pivot column j and
-        minus the reduced tail for a pivot column.  Built once."""
-        if self._projector is None:
-            piece = self.jacobian_piece(self.top + 1)
-            self._projector = null_space(piece, self.field).T
-        return self._projector
-
-    def _image_ranks(self, a: Element) -> list[int]:
+    def _image_ranks(self, phi: np.ndarray, a: Element) -> list[int]:
         """rank Phi_k, k = 0..T, for l = x + a y + a^2 z (module
-        docstring).  Phi_{T+1} is the quotient projector and Phi_k =
-        Phi_{k+1}(l *), one variable shift each, a prefix for a = 0."""
+        docstring).  phi = Phi_{T+1} is the quotient projector and
+        Phi_k = Phi_{k+1}(l *), one variable shift each, a prefix for
+        a = 0."""
         field = self.field
-        phi = self._quotient_projector()
         square = field.mul(a, a)
         free_rows = []  # x-free rows of Phi_T, Phi_{T-1}, ..., Phi_0
         for k in range(self.top, -1, -1):
@@ -330,42 +272,31 @@ class CurveJacobian:
             ranks.append(image.rank)
         return ranks
 
-    def _saturate(self) -> None:
-        """Fill dim Sat_k, k = 0..T, from the first certified line."""
-        field, tau = self.field, self.tjurina()  # also certifies reducedness
+    def module_vector(self) -> ModuleVector:
+        """n_k = m_k - rank Phi_k for k = 0..T, from the first line that
+        passes the certificate rank Phi_T = tau (module docstring).
+
+        The quotient projector, row j sending basis monomial j of degree
+        T+1 to its coordinates in S_{T+1} / (J_f)_{T+1}, is the
+        transposed null-space basis of the kept reduced form: a unit
+        vector for a non-pivot column, minus the reduced tail for a
+        pivot column.  Symmetry, unimodality and the support window are
+        not enforced here: the analysis layer reports them as checks."""
+        milnor = self.milnor_hilbert()  # certifies reducedness
+        field, tau = self.field, milnor.tjurina
+        projector = null_space(self._piece, field).T
         slopes = 2 * tau + 1 if field.p is None else min(2 * tau + 1, field.p - 1)
         for m in range(1, slopes + 1):
             a = field.inv(field.embed_integer(m)) if m > 1 else field.zero()
-            ranks = self._image_ranks(a)
+            ranks = self._image_ranks(projector, a)
             if ranks[self.top] == tau:
-                self._sat_dim_cache = {k: basis_dimension(k) - r for k, r in enumerate(ranks)}
-                return
-        raise InternalConsistencyError("every line tried meets the singular scheme")
-
-    def saturation_dimension(self, k: int) -> int:
-        """dim Sat_k.  Sat_k = (J_f)_k from T+1 on; the first call for
-        0 <= k <= T runs the one pass over nested images for all k."""
-        if k < 0:
-            return 0
-        if k > self.top:
-            return self.jacobian_rank(k)
-        if k not in self._sat_dim_cache:
-            self._saturate()
-        return self._sat_dim_cache[k]
-
-    # -- the Jacobian module N(f) -------------------------------------------
-
-    def module_vector(self) -> ModuleVector:
-        """n_k = dim Sat_k - dim (J_f)_k for k = 0..T.  Symmetry,
-        unimodality and the support window are not enforced here: the
-        analysis layer reports them as checks."""
-        self.milnor_hilbert()  # certifies reducedness
-        values = []
-        for k in range(self.top + 1):
-            n_k = self.saturation_dimension(k) - self.jacobian_rank(k)
-            if n_k < 0:
-                raise InternalConsistencyError(
-                    f"saturation smaller than ideal at degree {k}"
-                )
-            values.append(n_k)
-        return ModuleVector(self.degree, tuple(values))
+                break
+        else:
+            raise InternalConsistencyError("every line tried meets the singular scheme")
+        values = tuple(m_k - r for m_k, r in zip(milnor.values, ranks))
+        negative = [k for k, n_k in enumerate(values) if n_k < 0]
+        if negative:
+            raise InternalConsistencyError(
+                f"saturation smaller than ideal at degree {negative[0]}"
+            )
+        return ModuleVector(self.degree, values)

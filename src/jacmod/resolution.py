@@ -11,9 +11,10 @@ S_1 * Syz_{k-1}; and pi(y v) = y pi(v), pi(z v) = z pi(v).  Hence
 
     new_k = dim P_k - rank [y P_{k-1} ; z P_{k-1}],
 
-with dim P_k = dim Syz_k - dim Syz_{k-1} from the Milnor ranks.  The
-x-free monomials of each block are ordered by their z exponent, so
-y * appends a zero coordinate and z * prepends one.
+with dim P_k = dim Syz_k - dim Syz_{k-1} read off the Milnor values:
+dim Syz_k = 3 dim S_k - dim (J_f)_{k+d-1} = 3 dim S_k - dim S_{k+d-1}
++ m_{k+d-1}.  The x-free monomials of each block are ordered by their
+z exponent, so y * appends a zero coordinate and z * prepends one.
 
 The second-level degrees e_1 <= ... <= e_{m-2} are recovered from the
 Hilbert-series balance: with P(t) = (1-t)^3 * HS(S/J_f),
@@ -34,8 +35,8 @@ empty), so n_0 = 0 and sigma = 3(d-1) - e_{m-2} >= 1; with
 e_{m-2} >= d + d_m (minimality) this gives
 d_m <= e_{m-2} - d = 2d-3-sigma <= 2d-4.
 A search that has not balanced by then is wrong, not incomplete, and
-raises IncompleteResolutionError: the ranks it needs stop at degree
-max(2d-2, 3d-5) <= T+2, which the Milnor sweep already holds.
+raises IncompleteResolutionError: the Milnor values it reads stop at
+degree max(2d-2, 3d-5) <= T+2, which the Milnor sweep already holds.
 """
 
 from __future__ import annotations
@@ -92,19 +93,20 @@ class ResolutionProfile:
         return 3 * (self.degree - 1) - self.second_degrees[-1]
 
 
-def syzygy_dimension(jac: CurveJacobian, k: int) -> int:
-    """dim Syz(f)_k = 3 dim S_k - dim (J_f)_{k+d-1}."""
+def syzygy_dimension(milnor: MilnorProfile, k: int) -> int:
+    """dim Syz(f)_k = 3 dim S_k - dim (J_f)_{k+d-1}, for k+d-1 <= T+2."""
     if k < 0:
         return 0
-    return 3 * basis_dimension(k) - jac.jacobian_rank(k + jac.degree - 1)
+    n = k + milnor.degree - 1
+    return 3 * basis_dimension(k) - basis_dimension(n) + milnor.values[n]
 
 
-def mdr(jac: CurveJacobian) -> int:
+def mdr(milnor: MilnorProfile) -> int:
     """Minimal degree of a gradient relation; 0 exactly for pencils of
     lines (linearly dependent partials).  Bounded by d-1 because the
     Koszul relations live there."""
-    for k in range(jac.degree):
-        if syzygy_dimension(jac, k) > 0:
+    for k in range(milnor.degree):
+        if syzygy_dimension(milnor, k) > 0:
             return k
     raise InternalConsistencyError(
         "no gradient relation found up to the Koszul degree"
@@ -177,7 +179,7 @@ def balanced_profile(
     return profile if all(eps >= 1 for eps in profile.epsilons) else None
 
 
-def resolve(jac: CurveJacobian, milnor: MilnorProfile | None = None) -> ResolutionProfile:
+def resolve(jac: CurveJacobian) -> ResolutionProfile:
     """Find the minimal generator degrees of Syz(f) and the second-level
     degrees, certifying completeness via the Hilbert balance identity.
 
@@ -185,10 +187,9 @@ def resolve(jac: CurveJacobian, milnor: MilnorProfile | None = None) -> Resoluti
     generator of a reduced curve (module docstring); if the identity
     does not balance there, the run fails loudly rather than report
     unverified degrees."""
-    if milnor is None:
-        milnor = jac.milnor_hilbert()
+    milnor = jac.milnor_hilbert()
     d = jac.degree
-    r = mdr(jac)
+    r = mdr(milnor)
     if r == 0:
         raise PencilOfLinesError(
             "the partials are linearly dependent (pencil of lines)"
@@ -197,7 +198,7 @@ def resolve(jac: CurveJacobian, milnor: MilnorProfile | None = None) -> Resoluti
     window_end = max(d - 1, 2 * d - 4)
 
     def x_free_dimension(k: int) -> int:  # dim P_k
-        return syzygy_dimension(jac, k) - syzygy_dimension(jac, k - 1)
+        return syzygy_dimension(milnor, k) - syzygy_dimension(milnor, k - 1)
 
     exponents: list[int] = []
     for k in range(r, window_end + 1):

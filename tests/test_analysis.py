@@ -51,8 +51,16 @@ NOT_COMPARED = (
 )
 
 
+# the checks both modes make, each from the same data
+SHARED_CHECKS = ("symmetry", "unimodality", "sigma-resolution")
+
+
 def status(report, name: str) -> str:
     return {c.name: c.status for c in report.checks}[name]
+
+
+def shared_checks(report: dict) -> list[dict]:
+    return [c for c in report["checks"] if c["name"] in SHARED_CHECKS]
 
 
 class TestOracleReports:
@@ -125,12 +133,14 @@ class TestOracleReports:
     def test_broken_identity_is_a_failed_check(self, monkeypatch):
         # the engine does not enforce the module identities; a vector that
         # breaks one is reported with that check failed
-        exact = CurveJacobian.saturation_dimension
+        exact = CurveJacobian._image_ranks
 
-        def skewed(self, k):
-            return exact(self, k) + (k == 0)
+        def skewed(self, projector, a):
+            ranks = exact(self, projector, a)
+            ranks[0] -= 1  # n_0 = m_0 - rank Phi_0 goes up by one
+            return ranks
 
-        monkeypatch.setattr(CurveJacobian, "saturation_dimension", skewed)
+        monkeypatch.setattr(CurveJacobian, "_image_ranks", skewed)
         report = analyze_text("x^3 + y^3 + z^3", AnalysisOptions(field="gfp:2147483647"))
         assert report.vector == (2, 3, 3, 1)
         assert status(report, "symmetry") == FAIL
@@ -272,6 +282,7 @@ class TestFormulaMode:
                 skip_oracle=True, exponents=tuple(oracle["exponents"]), tau=oracle["tjurina"]
             ),
         ).to_json_dict()
+        assert shared_checks(formula) == shared_checks(oracle)
         for key in NOT_COMPARED:
             del oracle[key], formula[key]
         assert formula == oracle

@@ -220,7 +220,7 @@ class TestHartshorneBound:
 class TestClassify:
     def test_smooth(self):
         j, prof = analyzed("x^3 + y^3 + z^3")
-        c = classify(3, prof, j.tjurina())
+        c = classify(3, prof, j.milnor_hilbert().tjurina)
         assert c.tag == "smooth"
         assert c.exponents == (2, 2, 2)
         assert not c.maximal_tjurina
@@ -228,13 +228,13 @@ class TestClassify:
 
     def test_smooth_conic_is_maximal_tjurina(self):
         j, prof = analyzed("x^2 + y^2 + z^2")
-        c = classify(2, prof, j.tjurina())
+        c = classify(2, prof, j.milnor_hilbert().tjurina)
         assert c.tag == "smooth"
         assert c.maximal_tjurina
 
     def test_free_triangle_maximal(self):
         j, prof = analyzed("x*y*z")
-        c = classify(3, prof, j.tjurina())
+        c = classify(3, prof, j.milnor_hilbert().tjurina)
         assert c.tag == "free"
         assert c.m == 2
         assert c.maximal_tjurina  # balanced free curves attain the bound
@@ -242,28 +242,28 @@ class TestClassify:
 
     def test_unbalanced_free_not_flagged(self):
         j, prof = analyzed("x * y * (x + y) * z")
-        c = classify(4, prof, j.tjurina())
+        c = classify(4, prof, j.milnor_hilbert().tjurina)
         assert c.tag == "free"
         assert not c.semistable
         assert not c.maximal_tjurina
 
     def test_nearly_free(self):
         j, prof = analyzed("y^4 + x*z^3")
-        c = classify(4, prof, j.tjurina())
+        c = classify(4, prof, j.milnor_hilbert().tjurina)
         assert c.tag == "nearly-free"
         assert c.level is None
         assert c.exponents == (1, 3, 3)
 
     def test_four_syzygy(self):
         j, prof = analyzed("(x*z - y^2) * (y*z - x^2)")
-        c = classify(4, prof, j.tjurina())
+        c = classify(4, prof, j.milnor_hilbert().tjurina)
         assert c.tag == "m-syzygy"
         assert c.m == 4
         assert c.stable
 
     def test_nearly_free_cubic(self):
         j, prof = analyzed("x * (x^2 + y*z)")
-        c = classify(3, prof, j.tjurina())
+        c = classify(3, prof, j.milnor_hilbert().tjurina)
         assert c.tag == "nearly-free"
 
 

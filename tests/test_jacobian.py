@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from jacmod.fields import Field, prime_field, rational_field
 from jacmod.jacobian import (
     CurveJacobian,
+    InternalConsistencyError,
+    MilnorProfile,
     NotReducedError,
     _shift_index,
     _unit_shift,
     smooth_reference,
 )
-from jacmod.linalg import kernel_basis, row_rank, rref
+from jacmod.linalg import GrowingRref, kernel_basis, null_space, row_rank, rref
 from jacmod.poly import TernaryForm, basis_dimension, monomial_basis, parse_form
 from macaulay import macaulay_matrix
 from row_space import in_row_space
@@ -58,7 +60,7 @@ class TestMilnor:
 
     def test_cuspidal_cubic(self):
         # one A_2 cusp
-        assert jac("y^2*z - x^3").tjurina() == 2
+        assert jac("y^2*z - x^3").milnor_hilbert().tjurina == 2
 
     def test_nearly_free_quartic(self):
         m = jac("y^4 + x*z^3").milnor_hilbert()
@@ -80,23 +82,22 @@ class TestMilnor:
 
 class TestJacobianPieces:
     def test_fermat_cubic_piece_ranks(self):
-        j = jac("x^3 + y^3 + z^3")
-        assert j.jacobian_piece(2).rank == 3
-        assert j.jacobian_piece(3).rank == 9
-        # dim M(f)_3 = 10 - 9 = 1, matching the Milnor tail
-        assert len(monomial_basis(3)) - j.jacobian_rank(3) == 1
+        m = jac("x^3 + y^3 + z^3").milnor_hilbert().values
+        # dim (J_f)_2 = 3 and dim (J_f)_3 = 9, so dim M(f)_3 = 10 - 9 = 1
+        assert basis_dimension(2) - m[2] == 3
+        assert basis_dimension(3) - m[3] == 9
+        assert m[3] == 1
 
     def test_triangle_piece_rank(self):
-        assert jac("x*y*z").jacobian_rank(3) == 7
+        assert basis_dimension(3) - jac("x*y*z").milnor_hilbert().values[3] == 7
 
     def test_piece_rows_multiples_of_partials(self):
+        # every m * f_i of degree T+1 lies in the kept reduced form
         j = jac("x^3 + y^3 + z^3")
-        piece = j.jacobian_piece(3)
-        fx = np.zeros(len(monomial_basis(3)), dtype=np.int64)
-        for mono, c in j.f.partial(0).terms.items():
-            ex, ey, ez = mono
-            fx[monomial_basis(3).index((ex + 1, ey, ez))] = c
-        assert in_row_space(piece, fx, GFP)
+        j.milnor_hilbert()
+        multiples = macaulay_matrix(j, j.top + 2 - j.degree)
+        assert j._piece.ncols == basis_dimension(j.top + 1)
+        assert all(in_row_space(j._piece, row, GFP) for row in multiples)
 
 
 LADDER_OCTIC = "(x+1*y)^2*(x-1*y)^2*(x+2*y)^2*(x-2*y)^2 + z^8"
@@ -109,46 +110,46 @@ SWEEP_CURVES = (
 )
 
 
-def assert_sweep_matches_elimination(j: CurveJacobian, degrees) -> None:
-    """Each rank and piece the sweep reports equals an independent
-    elimination of the Macaulay matrix in degree k - d + 1.  The rank is
-    compared with the reference rref's, which test_linalg pins to
-    row_rank: over Q a second elimination per degree would double the
-    test's time."""
-    for k in degrees:
-        expected = rref(macaulay_matrix(j, k - j.degree + 1), j.field)
-        piece = j.jacobian_piece(k)
-        assert j.jacobian_rank(k) == expected.rank, k
-        assert piece.pivots == expected.pivots, k
-        assert (piece.rank, piece.ncols) == (expected.rank, expected.ncols), k
-        assert piece.matrix.dtype == expected.matrix.dtype
-        assert piece.matrix.shape == expected.matrix.shape, k
-        assert np.array_equal(piece.matrix, expected.matrix), k
+def assert_sweep_matches_elimination(j: CurveJacobian) -> None:
+    """Each Milnor value m_k, k <= T+2, is dim S_k minus the rank of an
+    independent elimination of the Macaulay matrix in degree k - d + 1,
+    and the reduced form kept at T+1 is that matrix's rref.  A curve the
+    sweep rejects as non-reduced has m_(T+1) != m_(T+2) there too."""
+    T = j.top
+    expected = [
+        basis_dimension(k) - row_rank(macaulay_matrix(j, k - j.degree + 1), j.field)
+        for k in range(T + 3)
+    ]
+    try:
+        values = j.milnor_hilbert().values
+    except NotReducedError:
+        assert expected[T + 1] != expected[T + 2]
+        return
+    assert list(values) == expected
+    piece = j._piece
+    reference = rref(macaulay_matrix(j, T + 2 - j.degree), j.field)
+    assert piece.pivots == reference.pivots
+    assert (piece.rank, piece.ncols) == (reference.rank, reference.ncols)
+    assert piece.matrix.dtype == reference.matrix.dtype
+    assert piece.matrix.shape == reference.matrix.shape
+    assert np.array_equal(piece.matrix, reference.matrix)
 
 
 class TestDegreeSweep:
     @pytest.mark.parametrize("field", [GFP, rational_field()], ids=["gfp", "rational"])
     @pytest.mark.parametrize("text", SWEEP_CURVES)
     def test_sweep_equals_independent_elimination(self, text, field):
-        j = jac(text, field)
-        T = j.top
-        # ranks first: the sweep runs to T+4, past the Milnor window
-        ranks = [j.jacobian_rank(k) for k in range(T + 5)]
-        # the sweep only moves up, so the pieces below it come from fresh
-        # sweeps: one stopped at T+1, one run up degree by degree
-        assert_sweep_matches_elimination(jac(text, field), [T + 1])
-        assert_sweep_matches_elimination(jac(text, field), range(T + 5))
-        assert ranks == [j.jacobian_rank(k) for k in range(T + 5)]
+        assert_sweep_matches_elimination(jac(text, field))
 
-    def test_piece_below_the_sweep_is_refused(self):
+    @pytest.mark.parametrize("text", ["(x*z - y^2) * (y*z - x^2)", "x^2*y*z"])
+    def test_non_reduced_is_rejected_as_elimination_shows(self, text):
+        assert_sweep_matches_elimination(jac(text))
+
+    def test_sweep_runs_once(self, monkeypatch):
         j = jac("(x*z - y^2) * (y*z - x^2)")
-        T = j.top
-        j.jacobian_piece(T + 1)
-        j.jacobian_rank(T + 2)
-        assert j.jacobian_piece(T + 1).rank == j.jacobian_rank(T + 1)  # cached
-        assert j.jacobian_rank(T) == basis_dimension(T) - 4
-        with pytest.raises(RuntimeError, match="below the sweep"):
-            j.jacobian_piece(T)
+        first = j.milnor_hilbert()
+        monkeypatch.setattr(GrowingRref, "add_rows", lambda *args: pytest.fail("swept again"))
+        assert j.milnor_hilbert() is first
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -160,51 +161,47 @@ class TestDegreeSweep:
     def test_sweep_equals_elimination_on_random_curves(self, d, picks):
         basis = monomial_basis(d)
         terms = {basis[i % len(basis)]: c for i, c in picks}
-        j = CurveJacobian(TernaryForm(GFP, d, terms))
-        assert_sweep_matches_elimination(j, range(j.top + 4))
+        assert_sweep_matches_elimination(CurveJacobian(TernaryForm(GFP, d, terms)))
 
     @pytest.mark.parametrize("text", ["(x*z - y^2) * (y*z - x^2)", "x^2*y*z"])
     def test_milnor_builds_no_macaulay_matrix(self, text, monkeypatch):
-        multiples = CurveJacobian._multiples
+        # only the new rows y^b z^c * f_i of each degree j = 0..2d-3,
+        # once each, never the x-multiples
+        new_rows = CurveJacobian._new_rows
+        built = []
 
-        def refuse(self, j, first):
-            # only the new rows y^b z^c * f_i of degree j, never the x-multiples
-            if first < basis_dimension(j - 1):
-                raise AssertionError("the Milnor layer built the Macaulay matrix")
-            return multiples(self, j, first)
+        def recorded(self, j):
+            rows = new_rows(self, j)
+            built.append((j, rows.shape[0]))
+            return rows
 
-        monkeypatch.setattr(CurveJacobian, "_multiples", refuse)
+        monkeypatch.setattr(CurveJacobian, "_new_rows", recorded)
         j = jac(text)
         if text == "x^2*y*z":
             with pytest.raises(NotReducedError):
                 j.milnor_hilbert()
         else:
             assert j.milnor_hilbert().values == (1, 3, 6, 7, 6, 4, 4, 4, 4)
+        assert built == [(k, 3 * (k + 1)) for k in range(2 * j.degree - 2)]
 
     @pytest.mark.parametrize("text", ["(x*z - y^2) * (y*z - x^2)", "y^4 + x*z^3"])
     def test_mult_matrix_grows_by_x_shift(self, text):
-        # the Macaulay matrix _multiples(j+1, 0) is _multiples(j, 0)
+        # the Macaulay matrix in degree j+1 is the one in degree j
         # zero-padded (the multiples by x * basis(j)) plus, at the end of
-        # each block, y^b z^c * f_i
+        # each block, the new rows y^b z^c * f_i
         j = jac(text)
-        d = j.degree
         for deg in range(5):
-            small, big = j._multiples(deg, 0), j._multiples(deg + 1, 0)
+            small, big = macaulay_matrix(j, deg), macaulay_matrix(j, deg + 1)
+            new = j._new_rows(deg + 1)
             n0, n1 = basis_dimension(deg), basis_dimension(deg + 1)
-            for i, partial in enumerate(j.partials):
+            assert [m[0] for m in monomial_basis(deg + 1)[n0:]] == [0] * (n1 - n0)
+            for i in range(3):
                 old = big[i * n1 : i * n1 + n0]
                 assert np.array_equal(old[:, : small.shape[1]], small[i * n0 : (i + 1) * n0])
                 assert not np.any(old[:, small.shape[1] :] != 0)
-                target = monomial_basis(deg + d)
-                for row, (a, b, c) in zip(
-                    big[i * n1 + n0 : (i + 1) * n1], monomial_basis(deg + 1)[n0:]
-                ):
-                    assert a == 0 and b + c == deg + 1
-                    multiple = partial * TernaryForm(GFP, deg + 1, {(0, b, c): 1})
-                    expected = np.zeros(len(target), dtype=np.int64)
-                    for mono, coeff in multiple.terms.items():
-                        expected[target.index(mono)] = coeff
-                    assert np.array_equal(row, expected)
+                assert np.array_equal(
+                    big[i * n1 + n0 : (i + 1) * n1], new[i * (deg + 2) : (i + 1) * (deg + 2)]
+                )
 
 
 class TestModuleVector:
@@ -244,26 +241,46 @@ class TestModuleVector:
         assert n.values == (0, 0, 1, 1, 1, 0, 0)
 
 
-def membership_matrix(j: CurveJacobian, k: int) -> np.ndarray:
+def quotient_projector(j: CurveJacobian) -> np.ndarray:
+    """Row m: the coordinates of the monomial m of degree T+1 in
+    S_{T+1} / (J_f)_{T+1}, with (J_f)_{T+1} from the rref of the
+    Macaulay matrix."""
+    piece = rref(macaulay_matrix(j, j.top + 2 - j.degree), j.field)
+    return null_space(piece, j.field).T
+
+
+def membership_matrix(j: CurveJacobian, k: int, Q: np.ndarray) -> np.ndarray:
     """Rows indexed by basis(k), 0 <= k <= T+1: the row of m holds the
-    coordinates of x^N m, y^N m and z^N m in S_{T+1} / (J_f)_{T+1},
+    coordinates (by Q = quotient_projector(j)) of x^N m, y^N m and z^N m,
     N = T+1-k.  A form lies in Sat_k exactly when its coefficient vector
     is a left null vector (the definition of the saturation, with
     Sat_{T+1} = (J_f)_{T+1})."""
     N = j.top + 1 - k
-    Q = j._quotient_projector()
     return np.concatenate([Q[_shift_index(k, _unit_shift(var, N))] for var in range(3)], axis=1)
 
 
 def assert_saturation_matches_membership(j: CurveJacobian) -> None:
-    """saturation_dimension(k) = dim S_k - rank of the membership matrix
-    for k = 0..T+1, and dim (J_f)_{T+2} at T+2 (the ideal is saturated
-    from T+1 on)."""
-    T = j.top
-    for k in range(T + 2):
-        expected = basis_dimension(k) - row_rank(membership_matrix(j, k), j.field)
-        assert j.saturation_dimension(k) == expected, k
-    assert j.saturation_dimension(T + 2) == j.jacobian_rank(T + 2)
+    """n_k = dim Sat_k - dim (J_f)_k = m_k - rank of the membership
+    matrix, for k = 0..T."""
+    milnor, vec, Q = j.milnor_hilbert(), j.module_vector(), quotient_projector(j)
+    expected = [
+        milnor.values[k] - row_rank(membership_matrix(j, k, Q), j.field)
+        for k in range(j.top + 1)
+    ]
+    assert list(vec.values) == expected
+
+
+def recorded_passes(monkeypatch) -> list[tuple[np.ndarray, object]]:
+    """The (projector, slope) of every saturation pass tried from now on."""
+    tried = []
+    image_ranks = CurveJacobian._image_ranks
+
+    def recorded(self, projector, a):
+        tried.append((projector, a))
+        return image_ranks(self, projector, a)
+
+    monkeypatch.setattr(CurveJacobian, "_image_ranks", recorded)
+    return tried
 
 
 # x meets the singular scheme at (0 : 0 : 1); so does x + y/2 + z/4,
@@ -274,13 +291,13 @@ TWO_LINES_REJECTED = "x*y*z*(2*x + y)"
 class TestSaturation:
     def test_saturation_contains_ideal(self):
         j = jac("(x*z - y^2) * (y*z - x^2)")
-        # the pieces first: the saturation runs the sweep up to T+2
-        pieces = {k: j.jacobian_piece(k) for k in range(3, 7)}
-        for k, piece in pieces.items():
+        vec, Q = j.module_vector(), quotient_projector(j)
+        for k in range(3, 7):
+            piece = rref(macaulay_matrix(j, k - j.degree + 1), GFP)
             # canonical basis of the saturation piece: the left kernel of
             # the membership matrix (k <= T + 1 here)
-            sat = rref(kernel_basis(membership_matrix(j, k).T, GFP), GFP)
-            assert sat.rank == j.saturation_dimension(k)
+            sat = rref(kernel_basis(membership_matrix(j, k, Q).T, GFP), GFP)
+            assert sat.rank == piece.rank + vec.values[k]
             for row in piece.matrix:
                 assert in_row_space(sat, row, GFP)
 
@@ -314,30 +331,28 @@ class TestSaturation:
     def test_certificate_rejects_lines_through_singular_points(
         self, text, rejected, field, monkeypatch
     ):
-        tried = []
-        image_ranks = CurveJacobian._image_ranks
-
-        def recorded(self, a):
-            tried.append(a)
-            return image_ranks(self, a)
-
-        monkeypatch.setattr(CurveJacobian, "_image_ranks", recorded)
+        tried = recorded_passes(monkeypatch)
         j = jac(text, field)
-        T, tau = j.top, j.tjurina()
-        j.saturation_dimension(0)
+        T, tau = j.top, j.milnor_hilbert().tjurina
+        j.module_vector()
         # x + a y + a^2 z for a = 0, 1/2, 1/3, ...: the first `rejected`
         # lines fail the certificate and the pass stops at the next one
         slopes = [field.zero()] + [field.inv(field.embed_integer(m)) for m in range(2, 5)]
-        assert tried == slopes[: rejected + 1]
+        assert [a for _, a in tried] == slopes[: rejected + 1]
+        projector = tried[0][0]
+        assert all(p is projector for p, _ in tried)  # built once
+        image_ranks = CurveJacobian._image_ranks
         for a in slopes[:rejected]:
-            assert image_ranks(j, a)[T] < tau
-        assert image_ranks(j, slopes[rejected])[T] == tau
+            assert image_ranks(j, projector, a)[T] < tau
+        assert image_ranks(j, projector, slopes[rejected])[T] == tau
 
     @pytest.mark.parametrize("field", [GFP, rational_field()], ids=["gfp", "rational"])
-    def test_quotient_projector_of_conic_pair(self, field):
+    def test_quotient_projector_of_conic_pair(self, field, monkeypatch):
+        tried = recorded_passes(monkeypatch)
         j = jac("(x*z - y^2) * (y*z - x^2)", field)
-        piece = j.jacobian_piece(j.top + 1)
-        Q = j._quotient_projector()
+        j.module_vector()
+        Q = tried[0][0]
+        piece = rref(macaulay_matrix(j, j.top + 2 - j.degree), field)
         free = [c for c in range(piece.ncols) if c not in piece.pivots]
         assert Q.shape == (piece.ncols, len(free))
         # the rows of (J_f)_{T+1} project to zero ...
@@ -347,37 +362,55 @@ class TestSaturation:
         assert np.array_equal(Q[free], np.eye(len(free), dtype=np.int64))
 
     def test_smooth_curve_saturates_to_everything(self):
-        # tau = 0 forces the saturation to be the whole ring in low degrees
+        # tau = 0 forces the saturation to be the whole ring up to T, so
+        # N(f) is the Milnor algebra there
         j = jac("x^3 + y^3 + z^3")
-        for k in range(0, 4):
-            assert j.saturation_dimension(k) == len(monomial_basis(k))
+        assert j.module_vector().values == j.milnor_hilbert().values[: j.top + 1]
 
     def test_free_curve_ideal_already_saturated(self):
-        j = jac("x*y*z")
-        for k in range(2, 6):
-            assert j.saturation_dimension(k) == j.jacobian_rank(k)
+        # five lines, three through each of two points: free, exponents 2, 2
+        j = jac("x*y*z*(x-y)*(x-z)")
+        assert j.module_vector().values == (0,) * (j.top + 1)
 
-    def test_high_degree_falls_back_to_ideal(self):
+    def test_vector_stops_at_top(self):
+        # the ideal is saturated from T+1 on, so the vector ends at T
         j = jac("x*y*z")
-        T = 3 * (j.degree - 2)
-        assert j.saturation_dimension(T + 2) == j.jacobian_rank(T + 2)
+        assert len(j.module_vector().values) == 3 * (j.degree - 2) + 1
+
+    def test_negative_value_is_an_internal_error(self, monkeypatch):
+        exact = CurveJacobian._image_ranks
+
+        def inflated(self, projector, a):
+            ranks = exact(self, projector, a)
+            ranks[0] += 2  # rank Phi_0 above m_0 = 1
+            return ranks
+
+        monkeypatch.setattr(CurveJacobian, "_image_ranks", inflated)
+        with pytest.raises(InternalConsistencyError, match="at degree 0"):
+            jac("(x*z - y^2) * (y*z - x^2)").module_vector()
 
 
 class TestCoincidenceThreshold:
     def test_free_cubic(self):
-        ct = jac("x*y*z").coincidence_threshold()
+        ct = jac("x*y*z").milnor_hilbert().coincidence
         assert ct.value == 2
         assert not ct.censored
 
     def test_conic_pair(self):
-        ct = jac("(x*z - y^2) * (y*z - x^2)").coincidence_threshold()
+        ct = jac("(x*z - y^2) * (y*z - x^2)").milnor_hilbert().coincidence
         assert ct.value == 4
         assert not ct.censored
 
     def test_smooth_curve_censored(self):
-        ct = jac("x^3 + y^3 + z^3").coincidence_threshold()
+        ct = jac("x^3 + y^3 + z^3").milnor_hilbert().coincidence
         assert ct.censored
         assert ct.value == 3 * (3 - 2) + 2
+
+    def test_profile_without_an_oracle(self):
+        # a property of the values alone: the Fermat quartic's with one
+        # degree raised from 7 breaks off at degree 3
+        ct = MilnorProfile(4, (1, 3, 6, 8, 6, 3, 1, 0, 0)).coincidence
+        assert (ct.value, ct.censored) == (2, False)
 
 
 @st.composite
