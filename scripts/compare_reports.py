@@ -17,8 +17,9 @@ The list: the acceptance inputs under the default two-prime `gfp`, the
 `rational` benchmark workload's curves under `--field rational`, the
 first 60 curves of the benchmark's survey pool (read from
 perfbench/reference.json) and the pool's three curves with seven
-syzygy generators (all beyond the first 60), the degree-24 ladder curve
-under `--max-degree-cap 24`, three small curves under the small
+syzygy generators (all beyond the first 60), the degree-24 and
+degree-28 ladder curves under `--max-degree-cap` 24 and 28 (degree 28
+is ROADMAP aim 1's target curve), three small curves under the small
 primes 13 and 17, and five formula-only (`--skip-oracle`) runs: two
 free curves, the plus-one quintic, a three-syzygy septic and a maximal
 Tjurina quintic, each with the exponents (and tau) the oracle finds.
@@ -95,7 +96,7 @@ def inputs() -> list[list[str]]:
     pool = load_reference()["survey_pool"]
     out += [[curve] for _, curve, _ in pool[:SURVEY_CURVES]]
     out += [[pool[i][1]] for i in SEVEN_GENERATORS]
-    out.append([ladder_curve(24), "--max-degree-cap", "24"])
+    out += [[ladder_curve(d), "--max-degree-cap", str(d)] for d in (24, 28)]
     out += [[curve, "--field", f"gfp:{p}"] for curve in SMALL_PRIME_CURVES for p in SMALL_PRIMES]
     out += [[args[0], "--skip-oracle", *args[1:]] for args in FORMULA]
     return out

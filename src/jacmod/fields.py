@@ -95,8 +95,7 @@ class Field:
         if self.is_zero(a):
             raise FieldError("inverse of zero")
         if self.kind == "gfp":
-            # Fermat: a^(p-2) mod p.
-            return pow(int(a), self.p - 2, self.p)
+            return pow(int(a), -1, self.p)
         return 1 / a
 
     def is_zero(self, a: Element) -> bool:

@@ -19,7 +19,8 @@ basis(k + 1), and (J_f)_{k+1} is x * (J_f)_k, the same vectors
 zero-padded, plus the multiples y^b z^c * f_i with b + c = k + 2 - d.
 The sweep keeps the reduced form of (J_f)_k (linalg.GrowingRref) and
 adds only those new rows at each degree.  It records m_k =
-dim (S/J_f)_k and keeps the canonical reduced form at T+1.
+dim (S/J_f)_k and keeps the projector onto S_(T+1) / (J_f)_(T+1), a
+dim S_(T+1) x tau matrix read off its reduced form at T+1.
 
 The sweep also keeps each degree's batch of new rows reduced modulo
 x * (J_f)_{k-1}.  With j = k - d + 1, a combination sum c_(i,m) m f_i of
@@ -59,7 +60,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import Element
-from .linalg import GrowingRref, RrefResult, kernel_basis, matrix_zeros, null_space
+from .linalg import GrowingRref, kernel_basis, matrix_zeros
 from .poly import Monomial, TernaryForm, basis_dimension, basis_position, monomial_basis
 
 
@@ -181,8 +182,8 @@ class CurveJacobian:
     """The oracle's graded data of one curve over one field, in the
     order the pipeline reads it: milnor_hilbert() runs the one degree
     sweep, x_free_syzygies(j) reads the batch it kept in degree j+d-1,
-    and module_vector() runs the one saturation pass on the reduced
-    form it kept at T+1."""
+    and module_vector() runs the one saturation pass on the quotient
+    projector it kept at T+1."""
 
     def __init__(self, f: TernaryForm):
         if f.is_zero() or f.degree < 1:
@@ -192,7 +193,7 @@ class CurveJacobian:
         self.degree = f.degree
         self.partials = f.gradient()
         self._batches: dict[int, np.ndarray] = {}  # j -> reduced new rows
-        self._piece: RrefResult | None = None  # reduced (J_f)_{T+1}
+        self._projector: np.ndarray | None = None  # onto S_{T+1} / (J_f)_{T+1}
         self._milnor: MilnorProfile | None = None
 
     @property
@@ -219,8 +220,8 @@ class CurveJacobian:
         below the partials' degree).  From d-1 to T+2 one sweep gives
         every rank: each step appends the k+1 monomials free of x as
         columns and adds the 3(j+1) new rows, j = k-d+1, keeping their
-        reduced batch; the canonical reduced form at T+1 is kept for
-        the saturation pass.  Computed once."""
+        reduced batch; the quotient projector at T+1 is kept for the
+        saturation pass.  Computed once."""
         if self._milnor is not None:
             return self._milnor
         d, T = self.degree, self.top
@@ -233,7 +234,7 @@ class CurveJacobian:
             self._batches[k - d + 1] = sweep.add_rows(self._new_rows(k - d + 1))
             values.append(basis_dimension(k) - sweep.rank)
             if k == T + 1:
-                self._piece = sweep.result()
+                self._projector = sweep.quotient_projector()
         if values[T + 1] != values[T + 2]:
             raise NotReducedError(
                 f"S/J_f keeps growing at degree {T + 2} "
@@ -276,19 +277,15 @@ class CurveJacobian:
         """n_k = m_k - rank Phi_k for k = 0..T, from the first line that
         passes the certificate rank Phi_T = tau (module docstring).
 
-        The quotient projector, row j sending basis monomial j of degree
-        T+1 to its coordinates in S_{T+1} / (J_f)_{T+1}, is the
-        transposed null-space basis of the kept reduced form: a unit
-        vector for a non-pivot column, minus the reduced tail for a
-        pivot column.  Symmetry, unimodality and the support window are
-        not enforced here: the analysis layer reports them as checks."""
+        Phi_(T+1) is the projector the sweep kept.  Symmetry,
+        unimodality and the support window are not enforced here: the
+        analysis layer reports them as checks."""
         milnor = self.milnor_hilbert()  # certifies reducedness
         field, tau = self.field, milnor.tjurina
-        projector = null_space(self._piece, field).T
         slopes = 2 * tau + 1 if field.p is None else min(2 * tau + 1, field.p - 1)
         for m in range(1, slopes + 1):
             a = field.inv(field.embed_integer(m)) if m > 1 else field.zero()
-            ranks = self._image_ranks(projector, a)
+            ranks = self._image_ranks(self._projector, a)
             if ranks[self.top] == tau:
                 break
         else:

@@ -10,16 +10,23 @@ below 2^63.
 
 Elimination is dense row-major with partial pivoting by column order,
 ties broken by lowest row index, so every result (and in particular
-every kernel basis) is reproducible bit for bit.
+every kernel basis) is reproducible bit for bit.  A run of columns
+that are zero below the current row is crossed with one scan: a row
+operation never makes such a column nonzero again.
 
-GrowingRref keeps the reduced row echelon form of a row space that
-grows by rows and by columns (the graded pieces of an ideal, degree
-after degree) without eliminating the whole matrix again: each batch
-of new rows is reduced against the kept form, the remainder goes
-through rref, and the new pivots are cleared from the kept rows.  Both
-reductions are sparse combinations of kept rows, one reduced product
-per nonzero coefficient, summed per row; over GF(p) every summand is
-below p < 2^31, so a sum of fewer than 2^32 of them is exact in int64.
+GrowingRref keeps a reduced form of a row space that grows by rows
+and by columns (the graded pieces of an ideal, degree after degree)
+without eliminating the whole matrix again: each batch of new rows is
+reduced against the kept form, the remainder goes through rref with its
+columns reversed, and the new pivots are cleared from the kept rows.
+Pivoting on the newest column first pays when the kept rows are zero
+on the columns just added (x-multiples of a lower degree on the x-free
+monomials): a new pivot there needs no clearing, only one on an older
+free column does.  quotient_projector() reads the projection onto the
+quotient off the kept tails.  Both reductions are sparse combinations
+of kept rows, one reduced product per nonzero coefficient, summed per
+row; over GF(p) every summand is below p < 2^31, so a sum of fewer
+than 2^32 of them is exact in int64.
 """
 
 from __future__ import annotations
@@ -67,13 +74,15 @@ def _forward_eliminate(M: Matrix, field: Field) -> list[int]:
     """
     rows, cols = M.shape
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
+    r = c = 0
+    while r < rows and c < cols:
         nz = np.nonzero(M[r:, c])[0]
         if nz.size == 0:
-            continue
+            live = np.flatnonzero(M[r:, c:].any(axis=0))
+            if live.size == 0:
+                break
+            c += int(live[0])
+            nz = np.nonzero(M[r:, c])[0]
         piv = r + int(nz[0])
         if piv != r:
             M[[r, piv]] = M[[piv, r]]
@@ -85,6 +94,7 @@ def _forward_eliminate(M: Matrix, field: Field) -> list[int]:
             _clear_column(M, r + 1 + below, r, c, field)
         pivots.append(c)
         r += 1
+        c += 1
     return pivots
 
 
@@ -147,14 +157,15 @@ def _subtract_combination(A: Matrix, C: Matrix, R: Matrix, field: Field) -> None
 
 
 class GrowingRref:
-    """Reduced row echelon form of a row space that grows by rows and by
-    columns.
+    """Reduced echelon form of a row space that grows by rows and by
+    columns, pivoting on the newest column first.
 
     Kept as pivot columns plus tails: kept row i has a 1 in column
     pivots[i], zeros on the other pivot columns and tails[i] on the
-    free columns (increasing).  Rows are kept in the order they were
-    found; result() sorts them into the canonical RrefResult, which is
-    the one rref gives for any matrix with the same row space.
+    free columns (increasing), nonzero only left of pivots[i].  That is
+    the rref of the row space with its columns in reverse order, mapped
+    back, whatever the order the rows came in; the rows are kept in the
+    order they were found.
     """
 
     def __init__(self, field: Field, ncols: int):
@@ -188,23 +199,24 @@ class GrowingRref:
         field = self.field
         block = N[:, self.free]
         _subtract_combination(block, N[:, self.pivots], self.tails, field)
-        new = rref(block, field)
+        new = rref(block[:, ::-1], field)
         if new.rank == 0:
             return block
-        cols = list(new.pivots)  # positions in self.free
-        _subtract_combination(self.tails, self.tails[:, cols], new.matrix, field)
+        cols = [len(self.free) - 1 - c for c in new.pivots]  # positions in self.free
+        rows = new.matrix[:, ::-1]
+        _subtract_combination(self.tails, self.tails[:, cols], rows, field)
         keep = np.ones(len(self.free), dtype=bool)
         keep[cols] = False
         self.pivots.extend(self.free[cols].tolist())
         self.free = self.free[keep]
-        self.tails = np.concatenate([self.tails[:, keep], new.matrix[:, keep]])
+        self.tails = np.concatenate([self.tails[:, keep], rows[:, keep]])
         return block
 
-    def result(self) -> RrefResult:
-        """The canonical reduced form: rows sorted by pivot column."""
-        order = np.argsort(self.pivots)
-        pivots = np.array(self.pivots, dtype=np.intp)[order]
-        M = matrix_zeros(self.field, self.rank, self.ncols)
-        M[np.arange(self.rank), pivots] = self.field.one()
-        M[:, self.free] = self.tails[order]
-        return RrefResult(M, tuple(pivots.tolist()), self.rank, self.ncols)
+    def quotient_projector(self) -> Matrix:
+        """Row c: e_c modulo the kept row space, on the free columns (a
+        unit row, or minus the tail pivoting on c); null_space(form).T."""
+        field = self.field
+        Q = matrix_zeros(field, self.ncols, len(self.free))
+        Q[self.free, np.arange(len(self.free))] = field.one()
+        Q[self.pivots] = field.reduce(-self.tails)
+        return Q

@@ -1,4 +1,5 @@
-"""Row-space membership by direct reduction against an RREF: an
+"""Row-space membership by direct reduction against a reduced form, and
+the reduced forms the elimination results are compared with: an
 independent reference for tests of the elimination results."""
 
 from __future__ import annotations
@@ -6,11 +7,32 @@ from __future__ import annotations
 import numpy as np
 
 from jacmod.fields import Field
-from jacmod.linalg import Matrix, RrefResult
+from jacmod.linalg import GrowingRref, Matrix, RrefResult, matrix_zeros, rref
+
+
+def reversed_rref(M: Matrix, field: Field) -> RrefResult:
+    """The rref of M with its columns in reverse order, mapped back: each
+    row's pivot is its rightmost nonzero column, rows sorted by pivot."""
+    R = rref(M[:, ::-1], field)
+    n = M.shape[1]
+    pivots = tuple(n - 1 - c for c in reversed(R.pivots))
+    return RrefResult(R.matrix[::-1, ::-1].copy(), pivots, R.rank, n)
+
+
+def kept_form(grown: GrowingRref) -> RrefResult:
+    """The reduced form a GrowingRref keeps, as a dense matrix with its
+    rows sorted by pivot column."""
+    order = np.argsort(grown.pivots)
+    pivots = np.array(grown.pivots, dtype=np.intp)[order]
+    M = matrix_zeros(grown.field, grown.rank, grown.ncols)
+    M[np.arange(grown.rank), pivots] = grown.field.one()
+    M[:, grown.free] = grown.tails[order]
+    return RrefResult(M, tuple(pivots.tolist()), grown.rank, grown.ncols)
 
 
 def in_row_space(R: RrefResult, v: Matrix, field: Field) -> bool:
-    """Membership of vector v in the row space described by R."""
+    """Membership of vector v in the row space described by R: unit
+    pivots, each zero on the other pivot columns."""
     w = field.array(v)
     for i, c in enumerate(R.pivots):
         if w[c] != 0:

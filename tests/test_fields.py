@@ -58,6 +58,16 @@ def test_prime_pair_deterministic_and_distinct():
         assert 2**30 <= p < 2**31
 
 
+@pytest.mark.parametrize("p", [2**31 - 1, 13, random_prime(random.Random(5))])
+def test_inverse_of_random_units(p):
+    field, rng = prime_field(p), random.Random(p)
+    for a in [1, p - 1, *(rng.randrange(1, p) for _ in range(200))]:
+        assert field.mul(a, field.inv(a)) == 1
+        assert field.inv(a) == pow(a, p - 2, p)  # Fermat
+    with pytest.raises(FieldError):
+        field.inv(0)
+
+
 def test_random_prime_in_range():
     rng = random.Random(99)
     for _ in range(5):

@@ -21,7 +21,7 @@ from jacmod.jacobian import (
 from jacmod.linalg import GrowingRref, kernel_basis, null_space, row_rank, rref
 from jacmod.poly import TernaryForm, basis_dimension, monomial_basis, parse_form
 from macaulay import macaulay_matrix
-from row_space import in_row_space
+from row_space import in_row_space, reversed_rref
 
 GFP = prime_field(2**31 - 1)
 
@@ -92,12 +92,16 @@ class TestJacobianPieces:
         assert basis_dimension(3) - jac("x*y*z").milnor_hilbert().values[3] == 7
 
     def test_piece_rows_multiples_of_partials(self):
-        # every m * f_i of degree T+1 lies in the kept reduced form
-        j = jac("x^3 + y^3 + z^3")
-        j.milnor_hilbert()
-        multiples = macaulay_matrix(j, j.top + 2 - j.degree)
-        assert j._piece.ncols == basis_dimension(j.top + 1)
-        assert all(in_row_space(j._piece, row, GFP) for row in multiples)
+        # every m * f_i of degree T+1 maps to zero under the kept
+        # projector onto S_(T+1) / (J_f)_(T+1) (tau = 0 for the Fermat
+        # cubic, 4 for the conic pair)
+        for text in ("x^3 + y^3 + z^3", "(x*z - y^2) * (y*z - x^2)"):
+            j = jac(text)
+            tau = j.milnor_hilbert().tjurina
+            multiples = macaulay_matrix(j, j.top + 2 - j.degree)
+            assert j._projector.shape == (basis_dimension(j.top + 1), tau)
+            product = GFP.reduce(multiples.astype(object) @ j._projector.astype(object))
+            assert not np.any(product != 0)
 
 
 LADDER_OCTIC = "(x+1*y)^2*(x-1*y)^2*(x+2*y)^2*(x-2*y)^2 + z^8"
@@ -113,8 +117,10 @@ SWEEP_CURVES = (
 def assert_sweep_matches_elimination(j: CurveJacobian) -> None:
     """Each Milnor value m_k, k <= T+2, is dim S_k minus the rank of an
     independent elimination of the Macaulay matrix in degree k - d + 1,
-    and the reduced form kept at T+1 is that matrix's rref.  A curve the
-    sweep rejects as non-reduced has m_(T+1) != m_(T+2) there too."""
+    and the projector kept at T+1 is the null-space projector of that
+    matrix's rref with the columns in reverse order (the pivot rule of
+    the sweep).  A curve the sweep rejects as non-reduced has
+    m_(T+1) != m_(T+2) there too."""
     T = j.top
     expected = [
         basis_dimension(k) - row_rank(macaulay_matrix(j, k - j.degree + 1), j.field)
@@ -126,13 +132,12 @@ def assert_sweep_matches_elimination(j: CurveJacobian) -> None:
         assert expected[T + 1] != expected[T + 2]
         return
     assert list(values) == expected
-    piece = j._piece
-    reference = rref(macaulay_matrix(j, T + 2 - j.degree), j.field)
-    assert piece.pivots == reference.pivots
-    assert (piece.rank, piece.ncols) == (reference.rank, reference.ncols)
-    assert piece.matrix.dtype == reference.matrix.dtype
-    assert piece.matrix.shape == reference.matrix.shape
-    assert np.array_equal(piece.matrix, reference.matrix)
+    reference = reversed_rref(macaulay_matrix(j, T + 2 - j.degree), j.field)
+    projector = null_space(reference, j.field).T
+    assert reference.ncols - reference.rank == values[T + 1]
+    assert j._projector.dtype == projector.dtype
+    assert j._projector.shape == projector.shape
+    assert np.array_equal(j._projector, projector)
 
 
 class TestDegreeSweep:
@@ -352,7 +357,7 @@ class TestSaturation:
         j = jac("(x*z - y^2) * (y*z - x^2)", field)
         j.module_vector()
         Q = tried[0][0]
-        piece = rref(macaulay_matrix(j, j.top + 2 - j.degree), field)
+        piece = reversed_rref(macaulay_matrix(j, j.top + 2 - j.degree), field)
         free = [c for c in range(piece.ncols) if c not in piece.pivots]
         assert Q.shape == (piece.ncols, len(free))
         # the rows of (J_f)_{T+1} project to zero ...

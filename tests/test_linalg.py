@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jacmod.fields import prime_field, rational_field
+from jacmod import linalg
 from jacmod.linalg import GrowingRref, kernel_basis, matrix_zeros, row_rank, rref
-from row_space import in_row_space, rows_in_row_space
+from row_space import in_row_space, kept_form, reversed_rref, rows_in_row_space
 
 GF7 = prime_field(7)
 GF = prime_field(2**31 - 1)
@@ -199,17 +200,18 @@ def growth_steps(draw):
 @pytest.mark.parametrize("field", [GF7, QQ], ids=["gf7", "rational"])
 @given(steps=growth_steps())
 @settings(max_examples=60, deadline=None)
-def test_growing_rref_equals_rref_of_padded_stack(field, steps):
-    # after every step the kept form is the rref of all rows so far,
-    # each zero-padded on the right to the current width
+def test_growing_rref_equals_reversed_rref_of_padded_stack(field, steps):
+    # after every step the kept form is the rref, with the columns in
+    # reverse order, of all rows so far, each zero-padded on the right to
+    # the current width
     grown = GrowingRref(field, 0)
     stacked: list[list[int]] = []
     for width, rows in steps:
         grown.add_columns(width - grown.ncols)
         stacked = [row + [0] * (width - len(row)) for row in stacked] + rows
         grown.add_rows(_build(field, len(rows), width, sum(rows, [])))
-        expected = rref(_build(field, len(stacked), width, sum(stacked, [])), field)
-        got = grown.result()
+        expected = reversed_rref(_build(field, len(stacked), width, sum(stacked, [])), field)
+        got = kept_form(grown)
         assert grown.rank == expected.rank
         assert (got.pivots, got.rank, got.ncols) == (expected.pivots, expected.rank, width)
         assert got.matrix.shape == expected.matrix.shape
@@ -225,7 +227,7 @@ def test_growing_rref_returns_rows_reduced_modulo_kept_form(field, steps):
     grown = GrowingRref(field, 0)
     for width, rows in steps:
         grown.add_columns(width - grown.ncols)
-        kept = grown.result()
+        kept = kept_form(grown)
         N = _build(field, len(rows), width, sum(rows, []))
         block = grown.add_rows(N)
         assert block.shape == (len(rows), width - kept.rank)
@@ -233,3 +235,95 @@ def test_growing_rref_returns_rows_reduced_modulo_kept_form(field, steps):
         assert relations.shape[0] == len(rows) - (grown.rank - kept.rank)
         for c in relations:
             assert in_row_space(kept, field.reduce(c @ N), field)
+
+
+@pytest.mark.parametrize("field", [GF7, QQ], ids=["gf7", "rational"])
+@given(steps=growth_steps(), new=st.integers(1, 3), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_new_pivots_on_new_columns_leave_kept_rows_alone(field, steps, new, data):
+    # a batch whose remainder has full rank on the n columns just added
+    # pivots on those columns only: every earlier kept row, free column
+    # and tail stays as it was, whatever the batch holds on older columns
+    grown = GrowingRref(field, 0)
+    for width, rows in steps:
+        grown.add_columns(width - grown.ncols)
+        grown.add_rows(_build(field, len(rows), width, sum(rows, [])))
+    width = grown.ncols
+    pivots, free, tails = list(grown.pivots), grown.free.copy(), grown.tails.copy()
+    grown.add_columns(new)
+    old = data.draw(st.lists(st.integers(-3, 3), min_size=new * width, max_size=new * width))
+    below = data.draw(st.lists(st.integers(-3, 3), min_size=new * new, max_size=new * new))
+    N = matrix_zeros(field, new, width + new)
+    N[:, :width] = _build(field, new, width, old)
+    # unit upper triangular on the new columns: rank new there
+    triangle = np.triu(_build(field, new, new, below), 1)
+    triangle[np.arange(new), np.arange(new)] = field.one()
+    N[:, width:] = triangle
+    grown.add_rows(N)
+    assert grown.rank == len(pivots) + new
+    assert grown.pivots[: len(pivots)] == pivots
+    assert sorted(grown.pivots[len(pivots) :]) == list(range(width, width + new))
+    assert np.array_equal(grown.free, free)
+    assert np.array_equal(grown.tails[: len(pivots)], tails)
+
+
+@pytest.mark.parametrize("field", [GF7, QQ], ids=["gf7", "rational"])
+@given(steps=growth_steps())
+@settings(max_examples=60, deadline=None)
+def test_quotient_projector_is_null_space_of_kept_form(field, steps):
+    grown = GrowingRref(field, 0)
+    for width, rows in steps:
+        grown.add_columns(width - grown.ncols)
+        grown.add_rows(_build(field, len(rows), width, sum(rows, [])))
+        Q = grown.quotient_projector()
+        expected = linalg.null_space(kept_form(grown), field).T
+        assert Q.dtype == expected.dtype
+        assert Q.shape == expected.shape == (width, width - grown.rank)
+        assert np.array_equal(Q, expected)
+
+
+def naive_forward_eliminate(M, field):
+    """Reference for linalg._forward_eliminate: one column at a time, one
+    row at a time, with the same pivot rule (lowest column, then lowest
+    row) and the same unit normalisation."""
+    rows, cols = M.shape
+    pivots, r = [], 0
+    for c in range(cols):
+        if r == rows:
+            break
+        live = [i for i in range(r, rows) if M[i, c] != 0]
+        if not live:
+            continue
+        M[[r, live[0]]] = M[[live[0], r]]
+        M[r] = field.reduce(M[r] * field.inv(M[r, c]))
+        for i in range(r + 1, rows):
+            if M[i, c] != 0:
+                M[i] = field.reduce(M[i] - M[i, c] * M[r])
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+@st.composite
+def sparse_low_rank(draw):
+    """Integer matrices A @ B of rank below min(rows, cols), mostly zero,
+    with runs of zero columns (the zero columns of B)."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(2, 14))
+    inner = draw(st.integers(0, min(rows, cols) - 1))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, 3])
+    A = np.array(draw(st.lists(entry, min_size=rows * inner, max_size=rows * inner)))
+    B = np.array(draw(st.lists(entry, min_size=inner * cols, max_size=inner * cols)))
+    B = B.reshape(inner, cols)
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, cols - 1))
+        B[:, start : start + draw(st.integers(1, 4))] = 0
+    return (A.reshape(rows, inner) @ B).astype(np.int64)
+
+
+@pytest.mark.parametrize("field", [GF7, QQ], ids=["gf7", "rational"])
+@given(M=sparse_low_rank())
+@settings(max_examples=100, deadline=None)
+def test_forward_elimination_equals_column_by_column_reference(field, M):
+    fast, slow = field.array(M), field.array(M)
+    assert linalg._forward_eliminate(fast, field) == naive_forward_eliminate(slow, field)
+    assert np.array_equal(fast, slow)
