@@ -19,7 +19,9 @@ first 60 curves of the benchmark's survey pool (read from
 perfbench/reference.json) and the pool's three curves with seven
 syzygy generators (all beyond the first 60), the degree-24 and
 degree-28 ladder curves under `--max-degree-cap` 24 and 28 (degree 28
-is ROADMAP aim 1's target curve), three small curves under the small
+is ROADMAP aim 1's target curve), the arrangement of the 20 lines
+x + i*y + i^2*z, i = 1..20 (dense, nodal, rational components) with its
+nodal data, three small curves under the small
 primes 13 and 17, and five formula-only (`--skip-oracle`) runs: two
 free curves, the plus-one quintic, a three-syzygy septic and a maximal
 Tjurina quintic, each with the exponents (and tau) the oracle finds.
@@ -57,6 +59,14 @@ UNINODAL_QUINTIC = (
     "+ 3*x*y^3*z - 2*x*y^2*z^2 + 2*x*y*z^3 + 2*y^5 - 2*y^4*z "
     "- 2*y^3*z^2 - 3*y^2*z^3"
 )
+
+def lines_curve(d: int) -> str:
+    """The d lines x + i*y + i^2*z, i = 1..d: no three meet, so the curve
+    is nodal with C(d, 2) nodes, and every monomial of degree d occurs."""
+    return "*".join(f"(x+{i}*y+{i * i}*z)" for i in range(1, d + 1))
+
+
+LINES = [lines_curve(20), "--nodal", "--nodes", "190", "--components", "20", "--rational"]
 
 # the inputs of acceptance criteria 1-6 and one curve of criterion 7's
 # structured set; the default gfp run also covers criterion 8's second prime
@@ -97,6 +107,7 @@ def inputs() -> list[list[str]]:
     out += [[curve] for _, curve, _ in pool[:SURVEY_CURVES]]
     out += [[pool[i][1]] for i in SEVEN_GENERATORS]
     out += [[ladder_curve(d), "--max-degree-cap", str(d)] for d in (24, 28)]
+    out.append(LINES)
     out += [[curve, "--field", f"gfp:{p}"] for curve in SMALL_PRIME_CURVES for p in SMALL_PRIMES]
     out += [[args[0], "--skip-oracle", *args[1:]] for args in FORMULA]
     return out

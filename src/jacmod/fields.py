@@ -103,6 +103,12 @@ class Field:
 
     # -- arrays -------------------------------------------------------
 
+    def zeros(self, shape: tuple[int, int]) -> np.ndarray:
+        """A zero matrix in self.dtype."""
+        if self.kind == "gfp":
+            return np.zeros(shape, dtype=np.int64)
+        return np.full(shape, Fraction(0), dtype=object)
+
     def array(self, M) -> np.ndarray:
         """Copy of the matrix M with canonical entries in self.dtype."""
         if self.kind == "gfp":
@@ -122,6 +128,29 @@ class Field:
         if self.kind == "gfp":
             return A % self.p
         return A  # Fractions are always in lowest terms
+
+    def add_combination(self, out: np.ndarray, coeffs, blocks) -> None:
+        """out += sum_t coeffs[t] * blocks[t] in place, for canonical
+        out, coefficients and blocks of out's shape.
+
+        Over GF(p) two unreduced products are added before each
+        reduction: out < p and each product is at most (p-1)^2, so the
+        sum stays below p + 2(p-1)^2 < 2^63 for p < 2^31.  Over Q only
+        the nonzero entries of a block are scaled and added, since
+        arithmetic on a Fraction zero costs as much as on any other."""
+        if self.kind == "gfp":
+            product = np.empty_like(out)
+            for t, (c, block) in enumerate(zip(coeffs, blocks)):
+                np.multiply(block, c, out=product)
+                out += product
+                if t % 2:
+                    out %= self.p
+            if len(coeffs) % 2:
+                out %= self.p
+            return
+        for c, block in zip(coeffs, blocks):
+            nonzero = np.nonzero(block)
+            out[nonzero] += c * block[nonzero]
 
     # -- embeddings ---------------------------------------------------
 

@@ -17,10 +17,18 @@ of one elimination per degree.  basis_position does not depend on the
 x exponent, so x * basis(k) is exactly the first dim S_k positions of
 basis(k + 1), and (J_f)_{k+1} is x * (J_f)_k, the same vectors
 zero-padded, plus the multiples y^b z^c * f_i with b + c = k + 2 - d.
-The sweep keeps the reduced form of (J_f)_k (linalg.GrowingRref) and
-adds only those new rows at each degree.  It records m_k =
-dim (S/J_f)_k and keeps the projector onto S_(T+1) / (J_f)_(T+1), a
-dim S_(T+1) x tau matrix read off its reduced form at T+1.
+The sweep keeps the reduced form of (J_f)_k as its normal-form table
+Q_k (linalg.GrowingRref): row t of Q_k is the t-th monomial of degree
+k modulo (J_f)_k, on the quotient's basis monomials.  It adds only
+those new rows at each degree, and reduces them without building them.
+basis_position depends only on the y and z exponents, so for a term m
+= x^a' y^b' z^c' of f_i the products y^b z^c m, b + c = j (ordered by
+c), sit at the j+1 consecutive positions of basis(k) from that of
+y^j m, s(s+1)/2 + c' with s = j + b' + c'.  The reduced rows of f_i
+are therefore sum_m coeff_m * Q_k[start_m : start_m + j + 1], one
+scaled contiguous slice of the table per term.  The sweep records
+m_k = dim (S/J_f)_k and keeps Q_(T+1), the projector onto
+S_(T+1) / (J_f)_(T+1), a dim S_(T+1) x tau matrix.
 
 The sweep also keeps each degree's batch of new rows reduced modulo
 x * (J_f)_{k-1}.  With j = k - d + 1, a combination sum c_(i,m) m f_i of
@@ -50,6 +58,15 @@ hand-made curves favour as coordinates of singular points).  A point
 of Sigma lies on at most two of them (a nonzero quadratic in a) and
 Sigma has at most tau points, so 2 tau + 1 distinct slopes always
 yield one; mod p at most p - 1 of these slopes are distinct.
+
+The two layers are tied by n_k = m_k + m_(T-k) - m_s(k) - tau for
+0 <= k <= T, m_s the smooth reference: 0 -> E -> O^3 -> I_Sigma(d-1)
+-> 0 gives n_k = h^1(E(k-d+1)), and h^1 = h^0 + h^2 - chi, Serre
+duality with E^dual = E(d-1) and the Gorenstein symmetry of m_s give
+the rest.  module_vector checks it as a guard, at O(T) cost: a vector
+that breaks it (an unlucky prime, a wrongly accepted line) is refused,
+never reported.  N(f) is not computed from it, which would make its
+symmetry and support window tautologies.
 """
 
 from __future__ import annotations
@@ -60,7 +77,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import Element
-from .linalg import GrowingRref, kernel_basis, matrix_zeros
+from .linalg import GrowingRref, kernel_basis
 from .poly import Monomial, TernaryForm, basis_dimension, basis_position, monomial_basis
 
 
@@ -201,17 +218,23 @@ class CurveJacobian:
         """T = 3(d - 2), the last degree where N(f) can be nonzero."""
         return 3 * (self.degree - 2)
 
-    def _new_rows(self, j: int) -> np.ndarray:
-        """Rows y^b z^c * f_i, b + c = j, one block of j+1 per partial
-        ordered by the z exponent, over the degree j+d-1 basis: the rows
-        of the Macaulay matrix in degree j at the x-free monomials."""
-        first = basis_dimension(j - 1)
-        M = matrix_zeros(self.field, 3 * (j + 1), basis_dimension(j + self.degree - 1))
-        rows = np.arange(j + 1)
-        for block, partial in enumerate(self.partials):
-            for mono, coeff in partial.terms.items():
-                M[block * (j + 1) + rows, _shift_index(j, mono)[first:]] = coeff
-        return M
+    def _reduced_batch(self, table: np.ndarray, j: int) -> np.ndarray:
+        """The rows y^b z^c * f_i, b + c = j, reduced modulo the kept
+        form whose normal-form table is given: one block of j+1 rows per
+        partial, ordered by the z exponent.  Row c of partial i's block
+        is sum_m coeff_m * table[start_m + c] over the terms m of f_i,
+        start_m the position of y^j m, so the block is one scaled
+        contiguous slice of the table per term (module docstring)."""
+        n = j + 1
+        batch = self.field.zeros((3 * n, table.shape[1]))
+        for i, partial in enumerate(self.partials):
+            starts = [basis_position(j + m[1], m[2]) for m in partial.terms]
+            self.field.add_combination(
+                batch[i * n : (i + 1) * n],
+                list(partial.terms.values()),
+                [table[s : s + n] for s in starts],
+            )
+        return batch
 
     def milnor_hilbert(self) -> MilnorProfile:
         """Hilbert function of S/J_f on 0..T+2; rejects non-reduced f.
@@ -219,9 +242,10 @@ class CurveJacobian:
         For k < d-1 the value is dim S_k (the ideal has no elements
         below the partials' degree).  From d-1 to T+2 one sweep gives
         every rank: each step appends the k+1 monomials free of x as
-        columns and adds the 3(j+1) new rows, j = k-d+1, keeping their
-        reduced batch; the quotient projector at T+1 is kept for the
-        saturation pass.  Computed once."""
+        columns, reduces the 3(j+1) new rows, j = k-d+1, as slice sums
+        of the normal-form table and adds them, keeping their reduced
+        batch; the table at T+1, the quotient projector, is kept for
+        the saturation pass.  Computed once."""
         if self._milnor is not None:
             return self._milnor
         d, T = self.degree, self.top
@@ -231,10 +255,12 @@ class CurveJacobian:
         values = [basis_dimension(k) for k in range(d - 1)]
         for k in range(d - 1, T + 3):
             sweep.add_columns(k + 1)
-            self._batches[k - d + 1] = sweep.add_rows(self._new_rows(k - d + 1))
+            batch = self._reduced_batch(sweep.table, k - d + 1)
+            sweep.add_reduced(batch)
+            self._batches[k - d + 1] = batch
             values.append(basis_dimension(k) - sweep.rank)
             if k == T + 1:
-                self._projector = sweep.quotient_projector()
+                self._projector = sweep.table.copy()
         if values[T + 1] != values[T + 2]:
             raise NotReducedError(
                 f"S/J_f keeps growing at degree {T + 2} "
@@ -277,9 +303,11 @@ class CurveJacobian:
         """n_k = m_k - rank Phi_k for k = 0..T, from the first line that
         passes the certificate rank Phi_T = tau (module docstring).
 
-        Phi_(T+1) is the projector the sweep kept.  Symmetry,
-        unimodality and the support window are not enforced here: the
-        analysis layer reports them as checks."""
+        Phi_(T+1) is the projector the sweep kept.  A vector that breaks
+        n_k = m_k + m_(T-k) - m_s(k) - tau (module docstring) raises
+        InternalConsistencyError.  Unimodality and the support window
+        are not enforced here: the analysis layer reports them as
+        checks."""
         milnor = self.milnor_hilbert()  # certifies reducedness
         field, tau = self.field, milnor.tjurina
         slopes = 2 * tau + 1 if field.p is None else min(2 * tau + 1, field.p - 1)
@@ -290,10 +318,19 @@ class CurveJacobian:
                 break
         else:
             raise InternalConsistencyError("every line tried meets the singular scheme")
-        values = tuple(m_k - r for m_k, r in zip(milnor.values, ranks))
+        m, T = milnor.values, self.top
+        values = tuple(m_k - r for m_k, r in zip(m, ranks))
         negative = [k for k, n_k in enumerate(values) if n_k < 0]
         if negative:
             raise InternalConsistencyError(
                 f"saturation smaller than ideal at degree {negative[0]}"
             )
+        smooth = smooth_reference(self.degree)
+        for k, n_k in enumerate(values):
+            expected = m[k] + m[T - k] - smooth[k] - tau
+            if n_k != expected:
+                raise InternalConsistencyError(
+                    f"saturation and Milnor ranks disagree at degree {k}: "
+                    f"n_k = {n_k}, m_k + m_(T-k) - m_s(k) - tau = {expected}"
+                )
         return ModuleVector(self.degree, values)

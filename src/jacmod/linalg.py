@@ -16,17 +16,29 @@ operation never makes such a column nonzero again.
 
 GrowingRref keeps a reduced form of a row space that grows by rows
 and by columns (the graded pieces of an ideal, degree after degree)
-without eliminating the whole matrix again: each batch of new rows is
-reduced against the kept form, the remainder goes through rref with its
-columns reversed, and the new pivots are cleared from the kept rows.
-Pivoting on the newest column first pays when the kept rows are zero
-on the columns just added (x-multiples of a lower degree on the x-free
-monomials): a new pivot there needs no clearing, only one on an older
-free column does.  quotient_projector() reads the projection onto the
-quotient off the kept tails.  Both reductions are sparse combinations
-of kept rows, one reduced product per nonzero coefficient, summed per
-row; over GF(p) every summand is below p < 2^31, so a sum of fewer
-than 2^32 of them is exact in int64.
+without eliminating the whole matrix again.  Its state is one
+normal-form table Q, one row per column: e_c modulo the row space, on
+the free columns.  A free column's row is a unit row and a pivot
+column's row is minus the tail of the kept row pivoting there; Q is
+also the projection onto the quotient.  A batch of new rows N reduces
+to N @ Q.  add_rows computes that as a sparse combination of the rows
+of Q at N's nonzeros on pivot columns; a caller whose rows are sums of
+shifted monomials (the Jacobian sweep) instead adds scaled contiguous
+slices of Q with Field.add_combination, and hands the result to
+add_reduced.  The remainder goes through rref with its columns
+reversed; each new pivot turns its unit row into minus its reduced
+row, updates the other pivot rows as Q - Q[:, cols] @ rows and drops
+its column.  Pivoting on the newest column first pays when the kept
+rows are zero on the columns just added (x-multiples of a lower degree
+on the x-free monomials): Q is zero there, so a new pivot there updates
+no kept row, and its column is a trailing one, dropped without moving
+the others.  Q lives in a buffer with room to grow, so adding columns
+copies nothing either.
+
+Every sum stays exact in int64 over GF(p).  A sparse combination adds
+reduced products, each below p < 2^31, so a sum of fewer than 2^32 of
+them is exact.  A slice sum adds two unreduced products, each at most
+(p-1)^2, to an accumulator below p before reducing: below 2^63.
 """
 
 from __future__ import annotations
@@ -57,7 +69,7 @@ class RrefResult:
 
 
 def matrix_zeros(field: Field, rows: int, cols: int) -> Matrix:
-    return np.full((rows, cols), field.zero(), dtype=field.dtype)
+    return field.zeros((rows, cols))
 
 
 def _clear_column(M: Matrix, targets: np.ndarray, r: int, c: int, field: Field) -> None:
@@ -89,9 +101,8 @@ def _forward_eliminate(M: Matrix, field: Field) -> list[int]:
         lead = M[r, c]
         if lead != 1:
             M[r, c:] = field.reduce(M[r, c:] * field.inv(lead))
-        below = np.nonzero(M[r + 1 :, c])[0]
-        if below.size:
-            _clear_column(M, r + 1 + below, r, c, field)
+        if nz.size > 1:  # rows r..piv-1 were zero in column c
+            _clear_column(M, r + nz[1:], r, c, field)
         pivots.append(c)
         r += 1
         c += 1
@@ -143,36 +154,47 @@ def kernel_basis(M: Matrix, field: Field) -> Matrix:
     return null_space(rref(M, field), field)
 
 
-def _subtract_combination(A: Matrix, C: Matrix, R: Matrix, field: Field) -> None:
-    """A -= C @ R in place, for a sparse C: each nonzero C[i, t] adds
-    one reduced product C[i, t] * R[t] to row i, and only the rows of A
-    where C has a nonzero are rewritten."""
+def _add_combination(
+    A: Matrix, C: Matrix, R: Matrix, field: Field, at: np.ndarray | None = None
+) -> None:
+    """A += C @ R[at] in place (C @ R without at), for a sparse C: each
+    nonzero C[i, t] adds one reduced product C[i, t] * R[at[t]] to row
+    i, and only the rows of A where C has a nonzero are rewritten."""
     rows, terms = np.nonzero(C)
     if rows.size == 0:
         return
-    products = field.reduce(C[rows, terms][:, None] * R[terms])
-    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    products = field.reduce(C[rows, terms][:, None] * R[terms if at is None else at[terms]])
+    new_row = np.empty(rows.size, dtype=bool)
+    new_row[0] = True
+    np.not_equal(rows[1:], rows[:-1], out=new_row[1:])
+    starts = np.flatnonzero(new_row)
+    if starts.size < rows.size:  # some row has more than one term
+        products = np.add.reduceat(products, starts, axis=0)
     touched = rows[starts]
-    A[touched] = field.reduce(A[touched] - np.add.reduceat(products, starts, axis=0))
+    A[touched] = field.reduce(A[touched] + products)
 
 
 class GrowingRref:
     """Reduced echelon form of a row space that grows by rows and by
     columns, pivoting on the newest column first.
 
-    Kept as pivot columns plus tails: kept row i has a 1 in column
-    pivots[i], zeros on the other pivot columns and tails[i] on the
-    free columns (increasing), nonzero only left of pivots[i].  That is
-    the rref of the row space with its columns in reverse order, mapped
-    back, whatever the order the rows came in; the rows are kept in the
-    order they were found.
+    The state is the normal-form table: row c is e_c modulo the row
+    space, on the free columns (increasing).  A free column's row is a
+    unit row; a pivot column's row is minus the tail of the kept row
+    pivoting there, which has a 1 in that column, zeros on the other
+    pivot columns and is nonzero only left of its pivot.  That is the
+    rref of the row space with its columns in reverse order, mapped
+    back, whatever the order the rows came in; pivots lists the pivot
+    columns in the order they were found.  The table is also the
+    projection onto the quotient: null_space(form).T.
     """
 
     def __init__(self, field: Field, ncols: int):
         self.field = field
         self.pivots: list[int] = []
         self.free = np.arange(ncols)
-        self.tails = matrix_zeros(field, 0, ncols)
+        self._buffer = field.zeros((ncols, ncols))
+        self._buffer[self.free, self.free] = field.one()
 
     @property
     def rank(self) -> int:
@@ -182,41 +204,81 @@ class GrowingRref:
     def ncols(self) -> int:
         return len(self.pivots) + len(self.free)
 
+    @property
+    def table(self) -> Matrix:
+        """The normal-form table, ncols x len(free): a view, changed by
+        the next add_columns or add_reduced."""
+        return self._buffer[: self.ncols, : len(self.free)]
+
     def add_columns(self, n: int) -> None:
-        """Append n columns on the right, zero on every kept row."""
-        start = self.ncols
-        self.free = np.concatenate([self.free, np.arange(start, start + n)])
-        self.tails = np.concatenate(
-            [self.tails, matrix_zeros(self.field, self.rank, n)], axis=1
-        )
+        """Append n columns on the right, zero on every kept row: n
+        unit rows and n columns of the table."""
+        rows, cols = self.ncols, len(self.free)
+        buffer = self._reserve(rows + n, cols + n)
+        zero = self.field.zero()
+        buffer[:rows, cols : cols + n] = zero
+        buffer[rows : rows + n, : cols + n] = zero
+        buffer[rows + np.arange(n), cols + np.arange(n)] = self.field.one()
+        self.free = np.concatenate([self.free, np.arange(rows, rows + n)])
+
+    def _reserve(self, rows: int, cols: int) -> Matrix:
+        """The buffer, reallocated if it has fewer than rows rows or
+        cols columns.  Rows grow by half and columns by an eighth: every
+        written row is as wide as the buffer, so spare columns cost
+        memory on every row."""
+        have_rows, have_cols = self._buffer.shape
+        if rows > have_rows or cols > have_cols:
+            grown = self.field.zeros(
+                (
+                    have_rows if rows <= have_rows else max(rows, have_rows + have_rows // 2),
+                    have_cols if cols <= have_cols else max(cols, have_cols + have_cols // 8),
+                )
+            )
+            grown[: self.ncols, : len(self.free)] = self.table
+            self._buffer = grown
+        return self._buffer
 
     def add_rows(self, N: Matrix) -> Matrix:
         """Extend the row space by the rows of N: ncols wide, canonical
         entries in the field's dtype.  Returns N reduced modulo the kept
-        form, on the columns that were free before the call: its left
-        kernel is the combinations of N's rows that lie in the kept row
-        space."""
-        field = self.field
+        form, N @ table, on the columns that were free before the call:
+        its left kernel is the combinations of N's rows that lie in the
+        kept row space."""
         block = N[:, self.free]
-        _subtract_combination(block, N[:, self.pivots], self.tails, field)
-        new = rref(block[:, ::-1], field)
-        if new.rank == 0:
-            return block
-        cols = [len(self.free) - 1 - c for c in new.pivots]  # positions in self.free
-        rows = new.matrix[:, ::-1]
-        _subtract_combination(self.tails, self.tails[:, cols], rows, field)
-        keep = np.ones(len(self.free), dtype=bool)
-        keep[cols] = False
-        self.pivots.extend(self.free[cols].tolist())
-        self.free = self.free[keep]
-        self.tails = np.concatenate([self.tails[:, keep], rows[:, keep]])
+        pivots = np.array(self.pivots, dtype=np.intp)
+        _add_combination(block, N[:, pivots], self.table, self.field, at=pivots)
+        self.add_reduced(block)
         return block
 
-    def quotient_projector(self) -> Matrix:
-        """Row c: e_c modulo the kept row space, on the free columns (a
-        unit row, or minus the tail pivoting on c); null_space(form).T."""
+    def add_reduced(self, block: Matrix) -> None:
+        """Extend the row space by rows given already reduced modulo the
+        kept form, on the free columns (N @ table for rows N).
+
+        The block goes through rref with its columns reversed.  Each of
+        its reduced rows pivots on a free column, whose unit row in the
+        table becomes minus that reduced row; every pivot column's row t
+        becomes t - t[cols] @ rows, cols the new pivot positions (with
+        newest-first pivots, t[cols] is mostly zero); then the new pivot
+        columns leave the table."""
         field = self.field
-        Q = matrix_zeros(field, self.ncols, len(self.free))
-        Q[self.free, np.arange(len(self.free))] = field.one()
-        Q[self.pivots] = field.reduce(-self.tails)
-        return Q
+        new = rref(block[:, ::-1], field)
+        if new.rank == 0:
+            return
+        width = len(self.free)
+        cols = [width - 1 - c for c in new.pivots]  # positions in self.free, decreasing
+        units = self.free[cols]
+        table = self.table
+        negated = field.reduce(-new.matrix[:, ::-1])
+        C = table[:, cols]
+        C[units, np.arange(new.rank)] = field.zero()  # unit rows: overwritten below
+        _add_combination(table, C, negated, field)
+        table[units] = negated
+        self.pivots.extend(units.tolist())
+        first = cols[-1]
+        if first == width - new.rank:  # only trailing columns drop
+            self.free = self.free[:first]
+            return
+        keep = np.ones(width, dtype=bool)
+        keep[cols] = False
+        table[:, first : width - new.rank] = table[:, first:][:, keep[first:]]
+        self.free = self.free[keep]

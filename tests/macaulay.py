@@ -9,7 +9,7 @@ import numpy as np
 from jacmod.fields import Field
 from jacmod.jacobian import CurveJacobian
 from jacmod.linalg import kernel_basis, matrix_zeros, row_rank
-from jacmod.poly import monomial_basis
+from jacmod.poly import basis_dimension, monomial_basis
 
 
 def macaulay_matrix(j: CurveJacobian, k: int) -> np.ndarray:
@@ -19,6 +19,20 @@ def macaulay_matrix(j: CurveJacobian, k: int) -> np.ndarray:
     space is (J_f)_{k+d-1} and its left kernel Syz_k."""
     source = monomial_basis(k)
     target = {m: t for t, m in enumerate(monomial_basis(k + j.degree - 1))}
+    M = matrix_zeros(j.field, 3 * len(source), len(target))
+    for i, partial in enumerate(j.f.gradient()):
+        for r, m in enumerate(source):
+            for mono, coeff in partial.terms.items():
+                M[i * len(source) + r, target[tuple(a + b for a, b in zip(m, mono))]] = coeff
+    return M
+
+
+def new_rows(j: CurveJacobian, deg: int) -> np.ndarray:
+    """Rows y^b z^c * f_i, b + c = deg, one block of deg+1 per partial
+    ordered by the z exponent, over basis(deg + d - 1): the rows of the
+    Macaulay matrix in degree deg at the x-free monomials."""
+    source = monomial_basis(deg)[basis_dimension(deg - 1) :]
+    target = {m: t for t, m in enumerate(monomial_basis(deg + j.degree - 1))}
     M = matrix_zeros(j.field, 3 * len(source), len(target))
     for i, partial in enumerate(j.f.gradient()):
         for r, m in enumerate(source):

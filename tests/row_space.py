@@ -20,13 +20,14 @@ def reversed_rref(M: Matrix, field: Field) -> RrefResult:
 
 
 def kept_form(grown: GrowingRref) -> RrefResult:
-    """The reduced form a GrowingRref keeps, as a dense matrix with its
-    rows sorted by pivot column."""
-    order = np.argsort(grown.pivots)
-    pivots = np.array(grown.pivots, dtype=np.intp)[order]
+    """The reduced form a GrowingRref keeps, read off its normal-form
+    table (a pivot column's row is minus the tail of the kept row
+    pivoting there), as a dense matrix with its rows sorted by pivot
+    column."""
+    pivots = np.sort(np.array(grown.pivots, dtype=np.intp))
     M = matrix_zeros(grown.field, grown.rank, grown.ncols)
     M[np.arange(grown.rank), pivots] = grown.field.one()
-    M[:, grown.free] = grown.tails[order]
+    M[:, grown.free] = grown.field.reduce(-grown.table[pivots])
     return RrefResult(M, tuple(pivots.tolist()), grown.rank, grown.ncols)
 
 

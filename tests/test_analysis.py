@@ -23,7 +23,12 @@ from jacmod.analysis import (
 )
 from jacmod.curves import MetadataError
 from jacmod.fields import prime_field, prime_pair
-from jacmod.jacobian import CurveJacobian, InternalConsistencyError, NotReducedError
+from jacmod.jacobian import (
+    CurveJacobian,
+    InternalConsistencyError,
+    ModuleVector,
+    NotReducedError,
+)
 
 CONIC_PAIR = "(x*z - y^2) * (y*z - x^2)"
 PLUS_ONE_QUINTIC = "3*x^2*y^3 + 4*y^5 + 5*y^3*z^2 + 4*y*z^4"
@@ -131,16 +136,15 @@ class TestOracleReports:
         assert report.classification.tag == "pencil-of-lines"
 
     def test_broken_identity_is_a_failed_check(self, monkeypatch):
-        # the engine does not enforce the module identities; a vector that
-        # breaks one is reported with that check failed
-        exact = CurveJacobian._image_ranks
+        # the analysis layer reports an identity a vector breaks as a
+        # failed check; the vector is skewed after the engine's own guard
+        exact = CurveJacobian.module_vector
 
-        def skewed(self, projector, a):
-            ranks = exact(self, projector, a)
-            ranks[0] -= 1  # n_0 = m_0 - rank Phi_0 goes up by one
-            return ranks
+        def skewed(self):
+            vec = exact(self)
+            return ModuleVector(vec.degree, (vec.values[0] + 1, *vec.values[1:]))
 
-        monkeypatch.setattr(CurveJacobian, "_image_ranks", skewed)
+        monkeypatch.setattr(CurveJacobian, "module_vector", skewed)
         report = analyze_text("x^3 + y^3 + z^3", AnalysisOptions(field="gfp:2147483647"))
         assert report.vector == (2, 3, 3, 1)
         assert status(report, "symmetry") == FAIL
@@ -150,6 +154,11 @@ class TestOracleReports:
     def test_non_reduced_rejected(self):
         with pytest.raises(NotReducedError):
             analyze_text("x^2*y*z")
+
+    def test_broken_milnor_identity_under_explicit_prime_raises(self, monkeypatch):
+        _skew_image_rank(monkeypatch, 3, lambda p: True)
+        with pytest.raises(InternalConsistencyError, match="at degree 3"):
+            analyze_text(CONIC_PAIR, AnalysisOptions(field="gfp:2147483647"))
 
     def test_explicit_prime(self):
         report = analyze_text("x*y*z", AnalysisOptions(field="gfp:2147483647"))
@@ -357,6 +366,20 @@ def _fail_under(monkeypatch, modulus: int, fail) -> None:
     monkeypatch.setattr(CurveJacobian, "milnor_hilbert", patched)
 
 
+def _skew_image_rank(monkeypatch, k: int, under) -> None:
+    """rank Phi_k comes out one short in every saturation pass run under
+    a modulus p with under(p)."""
+    exact = CurveJacobian._image_ranks
+
+    def skewed(self, projector, a):
+        ranks = exact(self, projector, a)
+        if under(self.field.p):
+            ranks[k] -= 1
+        return ranks
+
+    monkeypatch.setattr(CurveJacobian, "_image_ranks", skewed)
+
+
 def _raise(exc: BaseException):
     def fail():
         raise exc
@@ -437,6 +460,20 @@ class TestPrimePair:
         report = analyze_text(FERMAT_CUBIC)
         q1, q2 = prime_pair(7919, max_degree=3)
         assert report.field_labels == (f"gfp:{q1}", f"gfp:{q2}")
+
+    @pytest.mark.parametrize("under", [(0,), (0, 1)], ids=["first", "both"])
+    def test_broken_milnor_identity_redraws(self, monkeypatch, under):
+        # rank Phi_3 one short under primes of the first pair: the
+        # cross-layer guard raises there and the pair is re-drawn, even
+        # when both primes would agree on the wrong vector
+        pair = prime_pair(0, max_degree=4)
+        unlucky = {pair[i] for i in under}
+        _skew_image_rank(monkeypatch, 3, lambda p: p in unlucky)
+        report = analyze_text(CONIC_PAIR)
+        q1, q2 = prime_pair(7919, max_degree=4)
+        assert report.field_labels == (f"gfp:{q1}", f"gfp:{q2}")
+        assert report.vector == (0, 0, 2, 3, 2, 0, 0)
+        assert_no_child_left()
 
     def test_parse_error_in_child_redraws(self):
         # the second prime divides the denominator; the child's ParseError

@@ -8,7 +8,7 @@ import pytest
 
 from jacmod import cli
 from jacmod.cli import main
-from jacmod.jacobian import InternalConsistencyError
+from jacmod.jacobian import CurveJacobian, InternalConsistencyError
 
 D63 = "(x^9+y^4*z^5)^7+x*z^62"
 
@@ -118,6 +118,23 @@ class TestAnalyze:
         assert code == 2
         assert err == "error: structural identity failed\n"
         assert out == ""
+
+    def test_broken_milnor_identity_exit_two(self, capsys, monkeypatch):
+        # rank Phi_3 one short: the cross-layer guard refuses the run under
+        # an explicit prime, which is never replaced
+        exact = CurveJacobian._image_ranks
+
+        def skewed(self, projector, a):
+            ranks = exact(self, projector, a)
+            ranks[3] -= 1
+            return ranks
+
+        monkeypatch.setattr(CurveJacobian, "_image_ranks", skewed)
+        curve = "(x*z - y^2) * (y*z - x^2)"
+        code, out, err = run(capsys, "analyze", "--field", "gfp:2147483647", curve)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: saturation and Milnor ranks disagree at degree 3")
 
     def test_unlucky_prime_redrawn_at_parse_time(self, capsys):
         # 1277389331 is the first prime drawn at seed 0: dividing by it is

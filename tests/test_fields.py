@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,3 +155,36 @@ def test_embedding_is_ring_hom(m, n):
     f = prime_field(2**31 - 1)
     assert f.embed_integer(m + n) == f.add(f.embed_integer(m), f.embed_integer(n))
     assert f.embed_integer(m * n) == f.mul(f.embed_integer(m), f.embed_integer(n))
+
+
+@st.composite
+def combinations(draw):
+    """(coefficients, blocks, start) of one shape, entries canonical mod
+    the largest prime the int64 engine takes, many of them near p - 1."""
+    p = 2**31 - 1
+    entry = st.one_of(st.integers(p - 3, p - 1), st.integers(0, p - 1), st.just(0))
+    rows, cols, terms = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(0, 7))
+    coeffs = draw(st.lists(entry, min_size=terms, max_size=terms))
+    size = (terms + 1) * rows * cols
+    cells = draw(st.lists(entry, min_size=size, max_size=size))
+    arrays = [cells[t * rows * cols : (t + 1) * rows * cols] for t in range(terms + 1)]
+    return coeffs, arrays[:-1], arrays[-1], (rows, cols)
+
+
+@pytest.mark.parametrize("kind", ["gfp", "rational"])
+@given(combinations())
+@settings(max_examples=100, deadline=None)
+def test_add_combination_equals_exact_sum(kind, spec):
+    # int64 accumulation with a reduction every second product, and the
+    # nonzero-only Fraction accumulation, against exact integer arithmetic
+    coeffs, blocks, start, shape = spec
+    p = 2**31 - 1
+    field = prime_field(p) if kind == "gfp" else rational_field()
+    out = field.array(np.array(start, dtype=object).reshape(shape))
+    arrays = [field.array(np.array(b, dtype=object).reshape(shape)) for b in blocks]
+    field.add_combination(out, [field.embed_integer(c) for c in coeffs], arrays)
+    exact = [s + sum(c * b[i] for c, b in zip(coeffs, blocks)) for i, s in enumerate(start)]
+    if kind == "gfp":
+        exact = [v % p for v in exact]
+    assert out.dtype == field.dtype
+    assert out.reshape(-1).tolist() == exact

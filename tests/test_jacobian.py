@@ -20,7 +20,7 @@ from jacmod.jacobian import (
 )
 from jacmod.linalg import GrowingRref, kernel_basis, null_space, row_rank, rref
 from jacmod.poly import TernaryForm, basis_dimension, monomial_basis, parse_form
-from macaulay import macaulay_matrix
+from macaulay import macaulay_matrix, new_rows
 from row_space import in_row_space, reversed_rref
 
 GFP = prime_field(2**31 - 1)
@@ -140,6 +140,34 @@ def assert_sweep_matches_elimination(j: CurveJacobian) -> None:
     assert np.array_equal(j._projector, projector)
 
 
+def record_batches(monkeypatch) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """(j, the table read, the batch built) for every slice-kernel call
+    from now on."""
+    batches = []
+    reduced_batch = CurveJacobian._reduced_batch
+
+    def recorded(self, table, j):
+        batch = reduced_batch(self, table, j)
+        batches.append((j, table.copy(), batch))
+        return batch
+
+    monkeypatch.setattr(CurveJacobian, "_reduced_batch", recorded)
+    return batches
+
+
+def assert_batch_is_new_rows_times_table(
+    j: CurveJacobian, deg: int, table: np.ndarray, batch: np.ndarray
+) -> None:
+    """The batch equals the new rows of the Macaulay matrix in degree
+    deg times the table, entry for entry, in the field's dtype."""
+    rows = new_rows(j, deg)
+    assert rows.shape[1] == table.shape[0]
+    expected = j.field.array(j.field.reduce(rows.astype(object) @ table.astype(object)))
+    assert batch.dtype == expected.dtype
+    assert batch.shape == expected.shape
+    assert np.array_equal(batch, expected)
+
+
 class TestDegreeSweep:
     @pytest.mark.parametrize("field", [GFP, rational_field()], ids=["gfp", "rational"])
     @pytest.mark.parametrize("text", SWEEP_CURVES)
@@ -153,7 +181,7 @@ class TestDegreeSweep:
     def test_sweep_runs_once(self, monkeypatch):
         j = jac("(x*z - y^2) * (y*z - x^2)")
         first = j.milnor_hilbert()
-        monkeypatch.setattr(GrowingRref, "add_rows", lambda *args: pytest.fail("swept again"))
+        monkeypatch.setattr(GrowingRref, "add_reduced", lambda *args: pytest.fail("swept again"))
         assert j.milnor_hilbert() is first
 
     @settings(max_examples=25, deadline=None)
@@ -170,24 +198,48 @@ class TestDegreeSweep:
 
     @pytest.mark.parametrize("text", ["(x*z - y^2) * (y*z - x^2)", "x^2*y*z"])
     def test_milnor_builds_no_macaulay_matrix(self, text, monkeypatch):
-        # only the new rows y^b z^c * f_i of each degree j = 0..2d-3,
-        # once each, never the x-multiples
-        new_rows = CurveJacobian._new_rows
-        built = []
-
-        def recorded(self, j):
-            rows = new_rows(self, j)
-            built.append((j, rows.shape[0]))
-            return rows
-
-        monkeypatch.setattr(CurveJacobian, "_new_rows", recorded)
+        # the slice kernel builds only the new rows y^b z^c * f_i of each
+        # degree j = 0..2d-3, reduced, once each, never the x-multiples
+        batches = record_batches(monkeypatch)
         j = jac(text)
         if text == "x^2*y*z":
             with pytest.raises(NotReducedError):
                 j.milnor_hilbert()
         else:
             assert j.milnor_hilbert().values == (1, 3, 6, 7, 6, 4, 4, 4, 4)
-        assert built == [(k, 3 * (k + 1)) for k in range(2 * j.degree - 2)]
+        assert [(deg, batch.shape[0]) for deg, _, batch in batches] == [
+            (k, 3 * (k + 1)) for k in range(2 * j.degree - 2)
+        ]
+        for deg, table, batch in batches:
+            assert_batch_is_new_rows_times_table(j, deg, table, batch)
+
+    @pytest.mark.parametrize(
+        "field, top", [(GFP, 6), (rational_field(), 4)], ids=["gfp", "rational"]
+    )
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_slice_sums_equal_new_rows_times_table(self, field, top, data):
+        # at every degree of the sweep, the batch the slice kernel builds
+        # is the Macaulay matrix's new rows times the normal-form table
+        # (degrees up to 4 over Q, where entries grow)
+        d = data.draw(st.integers(2, top))
+        basis = monomial_basis(d)
+        picks = data.draw(
+            st.lists(st.tuples(st.integers(0, 27), st.integers(-5, 5)), min_size=1, max_size=12)
+        )
+        terms = {basis[i % len(basis)]: field.embed_integer(c) for i, c in picks}
+        terms = {m: c for m, c in terms.items() if c}
+        assume(terms)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            batches = record_batches(monkeypatch)
+            j = CurveJacobian(TernaryForm(field, d, terms))
+            try:
+                j.milnor_hilbert()
+            except NotReducedError:
+                pass
+        assert [deg for deg, _, _ in batches] == list(range(2 * d - 2))
+        for deg, table, batch in batches:
+            assert_batch_is_new_rows_times_table(j, deg, table, batch)
 
     @pytest.mark.parametrize("text", ["(x*z - y^2) * (y*z - x^2)", "y^4 + x*z^3"])
     def test_mult_matrix_grows_by_x_shift(self, text):
@@ -197,7 +249,7 @@ class TestDegreeSweep:
         j = jac(text)
         for deg in range(5):
             small, big = macaulay_matrix(j, deg), macaulay_matrix(j, deg + 1)
-            new = j._new_rows(deg + 1)
+            new = new_rows(j, deg + 1)
             n0, n1 = basis_dimension(deg), basis_dimension(deg + 1)
             assert [m[0] for m in monomial_basis(deg + 1)[n0:]] == [0] * (n1 - n0)
             for i in range(3):
@@ -392,6 +444,21 @@ class TestSaturation:
 
         monkeypatch.setattr(CurveJacobian, "_image_ranks", inflated)
         with pytest.raises(InternalConsistencyError, match="at degree 0"):
+            jac("(x*z - y^2) * (y*z - x^2)").module_vector()
+
+    @pytest.mark.parametrize("k", [0, 3, 5])
+    def test_vector_breaking_the_milnor_identity_is_an_internal_error(self, k, monkeypatch):
+        # n_k = m_k + m_(T-k) - m_s(k) - tau ties the saturation to the
+        # Milnor ranks; one rank off by one at degree k breaks it there
+        exact = CurveJacobian._image_ranks
+
+        def skewed(self, projector, a):
+            ranks = exact(self, projector, a)
+            ranks[k] -= 1
+            return ranks
+
+        monkeypatch.setattr(CurveJacobian, "_image_ranks", skewed)
+        with pytest.raises(InternalConsistencyError, match=f"at degree {k}:"):
             jac("(x*z - y^2) * (y*z - x^2)").module_vector()
 
 

@@ -249,7 +249,7 @@ def test_new_pivots_on_new_columns_leave_kept_rows_alone(field, steps, new, data
         grown.add_columns(width - grown.ncols)
         grown.add_rows(_build(field, len(rows), width, sum(rows, [])))
     width = grown.ncols
-    pivots, free, tails = list(grown.pivots), grown.free.copy(), grown.tails.copy()
+    pivots, free, table = list(grown.pivots), grown.free.copy(), grown.table.copy()
     grown.add_columns(new)
     old = data.draw(st.lists(st.integers(-3, 3), min_size=new * width, max_size=new * width))
     below = data.draw(st.lists(st.integers(-3, 3), min_size=new * new, max_size=new * new))
@@ -264,22 +264,28 @@ def test_new_pivots_on_new_columns_leave_kept_rows_alone(field, steps, new, data
     assert grown.pivots[: len(pivots)] == pivots
     assert sorted(grown.pivots[len(pivots) :]) == list(range(width, width + new))
     assert np.array_equal(grown.free, free)
-    assert np.array_equal(grown.tails[: len(pivots)], tails)
+    assert np.array_equal(grown.table[pivots], table[pivots])
+    assert np.array_equal(grown.table[:width], table)
 
 
 @pytest.mark.parametrize("field", [GF7, QQ], ids=["gf7", "rational"])
 @given(steps=growth_steps())
 @settings(max_examples=60, deadline=None)
-def test_quotient_projector_is_null_space_of_kept_form(field, steps):
+def test_table_is_null_space_of_reversed_rref(field, steps):
+    # the normal-form table is the projection onto the quotient: the
+    # null-space basis, transposed, of the reference reduced form of the
+    # padded stack
     grown = GrowingRref(field, 0)
+    stacked: list[list[int]] = []
     for width, rows in steps:
         grown.add_columns(width - grown.ncols)
+        stacked = [row + [0] * (width - len(row)) for row in stacked] + rows
         grown.add_rows(_build(field, len(rows), width, sum(rows, [])))
-        Q = grown.quotient_projector()
-        expected = linalg.null_space(kept_form(grown), field).T
-        assert Q.dtype == expected.dtype
-        assert Q.shape == expected.shape == (width, width - grown.rank)
-        assert np.array_equal(Q, expected)
+        reference = reversed_rref(_build(field, len(stacked), width, sum(stacked, [])), field)
+        expected = linalg.null_space(reference, field).T
+        assert grown.table.dtype == expected.dtype
+        assert grown.table.shape == expected.shape == (width, width - grown.rank)
+        assert np.array_equal(grown.table, expected)
 
 
 def naive_forward_eliminate(M, field):
