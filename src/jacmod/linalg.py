@@ -14,6 +14,20 @@ every kernel basis) is reproducible bit for bit.  A run of columns
 that are zero below the current row is crossed with one scan: a row
 operation never makes such a column nonzero again.
 
+rref and row_rank first peel the rows with one nonzero, in whole-array
+passes (the singleton step of structured Gaussian elimination).  A row
+whose one nonzero is at column c spans e_c, so e_c is a row of the
+reduced form; clearing c from the other rows only zeroes their entry
+there, which may leave more rows with one nonzero for the next pass.
+The row space is then the span of the unit rows plus that of the rows
+left, which are zero on the peeled columns, and so is their reduced
+form: the unit rows and the reduced rows left, merged by pivot column.
+The reduced form of a row space is unique, so the result is the one
+the column loop alone would give, entry for entry.  Sparse blocks (the
+sweep's remainders, the syzygy kernels, the saturation images) get
+most or all of their pivots this way, and the column loop only sees
+the rows left.
+
 GrowingRref keeps a reduced form of a row space that grows by rows
 and by columns (the graded pieces of an ideal, degree after degree)
 without eliminating the whole matrix again.  Its state is one
@@ -118,18 +132,66 @@ def _back_substitute(M: Matrix, pivots: list[int], field: Field) -> None:
             _clear_column(M, above, t, c, field)
 
 
+def _peel(W: Matrix, field: Field) -> tuple[np.ndarray | tuple[()], Matrix]:
+    """Peel the one-nonzero rows of W, pass after pass.
+
+    A row whose one nonzero is at column c spans e_c, which is its
+    reduced row; clearing c from every other row only zeroes that entry,
+    and may leave further rows with one nonzero.  Returns the peeled
+    columns, increasing (one unit row each), and the rows of W left
+    nonzero, with those columns cleared: () and W itself if no row has
+    one nonzero."""
+    if not W.size:
+        return (), W
+    nonzero = W.astype(bool)
+    counts = nonzero.sum(axis=1)
+    single = (counts == 1).nonzero()[0]
+    if single.size == 0:
+        return (), W
+    owner = np.full(W.shape[1], -1)  # column -> the row peeled there
+    while single.size:
+        cols = nonzero[single].nonzero()[1]  # one per row, in row order
+        owner[cols] = single
+        cols = cols[owner[cols] == single]  # one row per column
+        counts -= nonzero[:, cols].sum(axis=1)
+        nonzero[:, cols] = False
+        single = (counts == 1).nonzero()[0]
+    units = (owner >= 0).nonzero()[0]
+    W = W[counts > 0]
+    W[:, units] = field.zero()
+    return units, W
+
+
 def rref(M: Matrix, field: Field) -> RrefResult:
-    """Reduced row echelon form of a copy of M."""
-    W = field.array(M)
-    pivots = _forward_eliminate(W, field)
-    _back_substitute(W, pivots, field)
-    rank = len(pivots)
-    return RrefResult(W[:rank].copy(), tuple(pivots), rank, M.shape[1])
+    """Reduced row echelon form of a copy of M: the unit rows peeled
+    first, the rows left eliminated, the two merged by pivot column."""
+    ncols = M.shape[1]
+    units, W = _peel(field.array(M), field)
+    found = _forward_eliminate(W, field)
+    _back_substitute(W, found, field)
+    rank = len(units) + len(found)
+    if not len(units):
+        return RrefResult(W[:rank].copy(), tuple(found), rank, ncols)
+    out = field.zeros((rank, ncols))
+    if not found:  # every pivot peeled
+        out[np.arange(rank), units] = field.one()
+        return RrefResult(out, tuple(units.tolist()), rank, ncols)
+    is_pivot = np.zeros(ncols, dtype=bool)
+    is_pivot[units] = True
+    is_pivot[found] = True
+    pivots = is_pivot.nonzero()[0]
+    row = np.empty(ncols, dtype=np.intp)  # pivot column -> its row of the result
+    row[pivots] = np.arange(rank)
+    out[row[units], units] = field.one()
+    out[row[found]] = W[: len(found)]
+    return RrefResult(out, tuple(pivots.tolist()), rank, ncols)
 
 
 def row_rank(M: Matrix, field: Field) -> int:
-    """Rank via forward elimination only (no back substitution)."""
-    return len(_forward_eliminate(field.array(M), field))
+    """Rank via forward elimination only (no back substitution), after
+    peeling the unit rows."""
+    units, W = _peel(field.array(M), field)
+    return len(units) + len(_forward_eliminate(W, field))
 
 
 def null_space(R: RrefResult, field: Field) -> Matrix:

@@ -333,3 +333,86 @@ def test_forward_elimination_equals_column_by_column_reference(field, M):
     fast, slow = field.array(M), field.array(M)
     assert linalg._forward_eliminate(fast, field) == naive_forward_eliminate(slow, field)
     assert np.array_equal(fast, slow)
+
+
+# -- the one-nonzero-row peel -------------------------------------------------
+
+
+def unpeeled_rref(M, field):
+    """The reduced form of the column loop alone, with no row peeled."""
+    W = field.array(M)
+    pivots = linalg._forward_eliminate(W, field)
+    linalg._back_substitute(W, pivots, field)
+    rank = len(pivots)
+    return linalg.RrefResult(W[:rank].copy(), tuple(pivots), rank, M.shape[1])
+
+
+def assert_identical(got, expected):
+    """Same shape, dtype and entries; over Q also the same element types."""
+    assert got.shape == expected.shape
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+    if got.dtype == object:
+        assert [type(x) for x in got.flat] == [type(x) for x in expected.flat]
+
+
+@st.composite
+def peelable_matrices(draw):
+    """Small integer matrices with planted one-nonzero rows, in a drawn
+    row order: several in one column, and a chain of rows each left with
+    one nonzero only once the previous one is peeled; around them zero
+    rows and sparse rows (7 vanishes in GF(7)).  Shapes include 0 rows,
+    0 columns and all-zero matrices."""
+    cols = draw(st.integers(0, 7))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, 3, 7])
+    noise = draw(st.integers(0, 3))
+    rows = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(noise)]
+    if cols and draw(st.booleans()):
+        column = draw(st.integers(0, cols - 1))
+        for value in draw(st.lists(st.sampled_from([1, 2, -3, 5]), min_size=1, max_size=3)):
+            rows.append([value if c == column else 0 for c in range(cols)])
+    if cols and draw(st.booleans()):
+        chain = draw(st.permutations(range(cols)))[: draw(st.integers(1, cols))]
+        for previous, c in zip([None, *chain], chain):
+            row = [0] * cols
+            row[c] = draw(st.sampled_from([1, 2, -1, 4]))
+            if previous is not None:
+                row[previous] = draw(st.sampled_from([1, -2, 3]))
+            rows.append(row)
+    rows += [[0] * cols] * draw(st.integers(0, 2))
+    if draw(st.integers(0, 9)) == 0:
+        rows = [[0] * cols for _ in rows]
+    order = draw(st.permutations(range(len(rows))))
+    return np.array([rows[i] for i in order], dtype=np.int64).reshape(len(rows), cols)
+
+
+@pytest.mark.parametrize("field", [GF7, GF, QQ], ids=["gf7", "gf2^31-1", "rational"])
+@given(M=peelable_matrices())
+@settings(max_examples=150, deadline=None)
+def test_peeled_elimination_equals_the_column_loop_alone(field, M):
+    expected = unpeeled_rref(M, field)
+    got = rref(M, field)
+    assert (got.pivots, got.rank, got.ncols) == (expected.pivots, expected.rank, expected.ncols)
+    assert_identical(got.matrix, expected.matrix)
+    assert row_rank(M, field) == expected.rank
+    assert_identical(kernel_basis(M, field), linalg.null_space(expected, field))
+
+
+def test_unit_pivots_leave_the_column_loop_no_row(monkeypatch):
+    # every pivot comes from a one-nonzero row: column 1 at once (twice),
+    # column 3 once column 1 is peeled, column 0 once column 3 is
+    M = gf7([[0, 3, 0, 0, 0], [2, 0, 0, 5, 0], [0, 0, 0, 0, 0], [0, 1, 0, 6, 0], [0, 4, 0, 0, 0]])
+    handed = []
+    forward = linalg._forward_eliminate
+
+    def recorded(W, field):
+        handed.append(int(np.count_nonzero(W.any(axis=1))))
+        return forward(W, field)
+
+    monkeypatch.setattr(linalg, "_forward_eliminate", recorded)
+    R = rref(M, GF7)
+    assert R.pivots == (0, 1, 3)
+    assert R.matrix.tolist() == [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 1, 0]]
+    assert row_rank(M, GF7) == 3
+    assert kernel_basis(M, GF7).tolist() == [[0, 0, 1, 0, 0], [0, 0, 0, 0, 1]]
+    assert sum(handed) == 0

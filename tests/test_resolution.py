@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from macaulay import new_generator_count, syzygy_kernel
 
-from jacmod import linalg, resolution
+from jacmod import jacobian, linalg, resolution
 from jacmod.fields import Field, prime_field, rational_field
 from jacmod.jacobian import CurveJacobian, NotReducedError
 from jacmod.linalg import rref
@@ -300,17 +300,40 @@ class TestGeneratorsFromXFreeParts:
         "text", ["(x*z - y^2) * (y*z - x^2)", "y^4 + x*z^3", LADDER_OCTIC, SEVEN_GENERATORS]
     )
     def test_resolution_eliminates_no_macaulay_size_matrix(self, text, monkeypatch):
+        # recorded where the resolution layer enters linalg: row_rank of
+        # the shifted parts and kernel_basis of the transposed batches
         j = jac(text)
         j.milnor_hilbert()
         widths = []
-        forward = linalg._forward_eliminate
 
-        def recorded(M, field):
-            widths.append(M.shape[1])
-            return forward(M, field)
+        def recorder(eliminate):
+            def recorded(M, field):
+                widths.append(M.shape[1])
+                return eliminate(M, field)
 
-        monkeypatch.setattr(linalg, "_forward_eliminate", recorded)
+            return recorded
+
+        monkeypatch.setattr(resolution, "row_rank", recorder(resolution.row_rank))
+        monkeypatch.setattr(jacobian, "kernel_basis", recorder(jacobian.kernel_basis))
         prof = resolve(j)
         # every scanned degree k is at most the last generator's
         assert widths
         assert max(widths) <= 3 * (prof.exponents[-1] + 1)
+
+    def test_ladder_kernels_and_saturation_pivot_on_unit_rows_only(self, monkeypatch):
+        # on the ladder every pivot of the resolution's eliminations and of
+        # the saturation blocks comes from a row with one nonzero, at once
+        # or once earlier ones are peeled: the column loop gets no work
+        j = jac(LADDER_OCTIC)
+        j.milnor_hilbert()
+        handed = []
+        forward = linalg._forward_eliminate
+
+        def recorded(M, field):
+            handed.append(int(np.count_nonzero(M.any(axis=1))))
+            return forward(M, field)
+
+        monkeypatch.setattr(linalg, "_forward_eliminate", recorded)
+        resolve(j)
+        j.module_vector()
+        assert sum(handed) == 0
