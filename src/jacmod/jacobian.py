@@ -31,11 +31,13 @@ m_k = dim (S/J_f)_k and keeps Q_(T+1), the projector onto
 S_(T+1) / (J_f)_(T+1), a dim S_(T+1) x tau matrix.
 
 The sweep also keeps each degree's batch of new rows reduced modulo
-x * (J_f)_{k-1}.  With j = k - d + 1, a combination sum c_(i,m) m f_i of
-its rows (m x-free of degree j) lies in x * (J_f)_{k-1} exactly when c
-is the x-free part of a degree-j syzygy (if sum c_i f_i = x sum a_i f_i,
+x * (J_f)_{k-1}, as the list batches, indexed by j = k - d + 1 and never
+changed once the sweep is done.  A combination sum c_(i,m) m f_i of its
+rows (m x-free of degree j) lies in x * (J_f)_{k-1} exactly when c is
+the x-free part of a degree-j syzygy (if sum c_i f_i = x sum a_i f_i,
 c - x a is one).  So P_j, the x-free parts of Syz_j, is the left kernel
-of the batch, computed only for the degrees the syzygy layer reads.
+of batch j; the syzygy layer (resolution.py) owns P_j and computes it
+from the batches, only for the degrees it reads.
 
 Degrees are capped at T + 2 with T = 3(d - 2): the Hilbert function
 of S/J_f is constant equal to the global Tjurina number tau from T + 1
@@ -77,8 +79,8 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import Element
-from .linalg import GrowingRref, kernel_basis
-from .poly import Monomial, TernaryForm, basis_dimension, basis_position, monomial_basis
+from .linalg import GrowingRref
+from .poly import TernaryForm, basis_dimension, basis_position, monomial_basis
 
 
 class AnalysisError(ValueError):
@@ -183,24 +185,12 @@ def _yz_exponents(k: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _shift_index(k: int, shift: Monomial) -> np.ndarray:
-    """Positions in basis(k + |shift|) of m * x^shift for m running over
-    basis(k)."""
-    b, c = _yz_exponents(k)
-    return basis_position(b + shift[1], c + shift[2])
-
-
-def _unit_shift(var: int, n: int = 1) -> Monomial:
-    """The exponent vector of x_var^n."""
-    return tuple(n if v == var else 0 for v in range(3))
-
-
 class CurveJacobian:
     """The oracle's graded data of one curve over one field, in the
     order the pipeline reads it: milnor_hilbert() runs the one degree
-    sweep, x_free_syzygies(j) reads the batch it kept in degree j+d-1,
-    and module_vector() runs the one saturation pass on the quotient
-    projector it kept at T+1."""
+    sweep and keeps batches[j], its reduced batch in degree j+d-1, for
+    the syzygy layer, and module_vector() runs the one saturation pass
+    on the quotient projector it kept at T+1."""
 
     def __init__(self, f: TernaryForm):
         if f.is_zero() or f.degree < 1:
@@ -209,7 +199,7 @@ class CurveJacobian:
         self.field = f.field
         self.degree = f.degree
         self.partials = f.gradient()
-        self._batches: dict[int, np.ndarray] = {}  # j -> reduced new rows
+        self.batches: list[np.ndarray] = []  # j -> reduced batch in degree j+d-1
         self._projector: np.ndarray | None = None  # onto S_{T+1} / (J_f)_{T+1}
         self._milnor: MilnorProfile | None = None
 
@@ -253,11 +243,11 @@ class CurveJacobian:
             raise AnalysisError("Milnor data needs degree >= 2")
         sweep = GrowingRref(self.field, basis_dimension(d - 2))
         values = [basis_dimension(k) for k in range(d - 1)]
+        batches = []
         for k in range(d - 1, T + 3):
             sweep.add_columns(k + 1)
-            batch = self._reduced_batch(sweep.table, k - d + 1)
-            sweep.add_reduced(batch)
-            self._batches[k - d + 1] = batch
+            batches.append(self._reduced_batch(sweep.table, k - d + 1))
+            sweep.add_reduced(batches[-1])
             values.append(basis_dimension(k) - sweep.rank)
             if k == T + 1:
                 self._projector = sweep.table.copy()
@@ -267,16 +257,9 @@ class CurveJacobian:
                 f"({values[T + 1]} -> {values[T + 2]}): "
                 "the curve has a repeated component"
             )
+        self.batches = batches
         self._milnor = MilnorProfile(d, tuple(values))
         return self._milnor
-
-    def x_free_syzygies(self, j: int) -> np.ndarray:
-        """P_j, the x-free parts of the degree-j syzygies (0 <= j <= 2d-3,
-        after milnor_hilbert): rows in three blocks, one per partial, of
-        j+1 coordinates ordered by the z exponent.  The left kernel of
-        the sweep's degree-(j+d-1) batch (module docstring), which is
-        dropped; each degree is read once."""
-        return kernel_basis(self._batches.pop(j).T, self.field)
 
     def _image_ranks(self, phi: np.ndarray, a: Element) -> list[int]:
         """rank Phi_k, k = 0..T, for l = x + a y + a^2 z (module
@@ -289,8 +272,9 @@ class CurveJacobian:
         for k in range(self.top, -1, -1):
             phi, above = phi[: basis_dimension(k)], phi
             if a:
-                phi = field.reduce(phi + a * above[_shift_index(k, _unit_shift(1))])
-                phi = field.reduce(phi + square * above[_shift_index(k, _unit_shift(2))])
+                b, c = _yz_exponents(k)
+                phi = field.reduce(phi + a * above[basis_position(b + 1, c)])
+                phi = field.reduce(phi + square * above[basis_position(b, c + 1)])
             free_rows.append(phi[basis_dimension(k - 1) :].copy())
         image = GrowingRref(field, phi.shape[1])
         ranks = []

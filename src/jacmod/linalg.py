@@ -70,20 +70,17 @@ Matrix = np.ndarray
 class RrefResult:
     """Reduced row echelon form: unit pivots, zeros above and below.
 
-    matrix holds only the first `rank` rows of the reduced form (the
-    nonzero rows); pivots are their pivot column indices, strictly
-    increasing.  ncols is kept so an empty row space still knows its
-    ambient dimension.
+    matrix holds only the nonzero rows of the reduced form, as wide as
+    the matrix reduced; pivots are their pivot column indices, strictly
+    increasing.
     """
 
     matrix: Matrix
     pivots: tuple[int, ...]
-    rank: int
-    ncols: int
 
-
-def matrix_zeros(field: Field, rows: int, cols: int) -> Matrix:
-    return field.zeros((rows, cols))
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
 
 
 def _clear_column(M: Matrix, targets: np.ndarray, r: int, c: int, field: Field) -> None:
@@ -171,11 +168,11 @@ def rref(M: Matrix, field: Field) -> RrefResult:
     _back_substitute(W, found, field)
     rank = len(units) + len(found)
     if not len(units):
-        return RrefResult(W[:rank].copy(), tuple(found), rank, ncols)
+        return RrefResult(W[:rank].copy(), tuple(found))
     out = field.zeros((rank, ncols))
     if not found:  # every pivot peeled
         out[np.arange(rank), units] = field.one()
-        return RrefResult(out, tuple(units.tolist()), rank, ncols)
+        return RrefResult(out, tuple(units.tolist()))
     is_pivot = np.zeros(ncols, dtype=bool)
     is_pivot[units] = True
     is_pivot[found] = True
@@ -184,7 +181,7 @@ def rref(M: Matrix, field: Field) -> RrefResult:
     row[pivots] = np.arange(rank)
     out[row[units], units] = field.one()
     out[row[found]] = W[: len(found)]
-    return RrefResult(out, tuple(pivots.tolist()), rank, ncols)
+    return RrefResult(out, tuple(pivots.tolist()))
 
 
 def row_rank(M: Matrix, field: Field) -> int:
@@ -194,26 +191,22 @@ def row_rank(M: Matrix, field: Field) -> int:
     return len(units) + len(_forward_eliminate(W, field))
 
 
-def null_space(R: RrefResult, field: Field) -> Matrix:
-    """Canonical basis of the right kernel of the matrix reduced to R,
-    rows = vectors; no elimination is run.
+def kernel_basis(M: Matrix, field: Field) -> Matrix:
+    """Canonical basis of the right kernel {v : M v = 0}, rows = vectors,
+    read off the rref of M.
 
     One vector per free column j, with a 1 in position j and minus the
     reduced column j on the pivot positions.  The result is itself in
     reduced echelon form up to column permutation, hence deterministic.
     """
+    R, ncols = rref(M, field), M.shape[1]
     pivots = set(R.pivots)
-    free = [j for j in range(R.ncols) if j not in pivots]
-    K = matrix_zeros(field, len(free), R.ncols)
+    free = [j for j in range(ncols) if j not in pivots]
+    K = field.zeros((len(free), ncols))
     K[np.arange(len(free)), free] = field.one()
     if R.pivots and free:
         K[:, list(R.pivots)] = field.reduce(-R.matrix[:, free].T)
     return K
-
-
-def kernel_basis(M: Matrix, field: Field) -> Matrix:
-    """Canonical basis of the right kernel {v : M v = 0}, rows = vectors."""
-    return null_space(rref(M, field), field)
 
 
 def _add_combination(
@@ -248,7 +241,7 @@ class GrowingRref:
     rref of the row space with its columns in reverse order, mapped
     back, whatever the order the rows came in; pivots lists the pivot
     columns in the order they were found.  The table is also the
-    projection onto the quotient: null_space(form).T.
+    projection onto the quotient: kernel_basis(form).T.
     """
 
     def __init__(self, field: Field, ncols: int):
@@ -322,6 +315,8 @@ class GrowingRref:
         becomes t - t[cols] @ rows, cols the new pivot positions (with
         newest-first pivots, t[cols] is mostly zero); then the new pivot
         columns leave the table."""
+        if not block.size:  # no row, or no free column left
+            return
         field = self.field
         new = rref(block[:, ::-1], field)
         if new.rank == 0:

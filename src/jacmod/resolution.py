@@ -5,7 +5,9 @@ deg a.  The exponents d_1 <= ... <= d_m are the degrees of a minimal
 generating set, with dim Syz_k - dim(S_1 * Syz_{k-1}) new ones in
 degree k, counted on x-free parts.  Let pi send a triple in S_k^3 to
 its x-free part in k[y, z]_k^3 (3(k+1) coordinates), and
-P_k = pi(Syz_k) (CurveJacobian.x_free_syzygies).  x is a nonzerodivisor
+P_k = pi(Syz_k).  This module owns P_k: it is the left kernel of the
+Milnor sweep's reduced batch CurveJacobian.batches[k] (see jacobian.py),
+computed here for the degrees the scan reads.  x is a nonzerodivisor
 on S^3, so the kernel of pi is x * Syz_{k-1} both on Syz_k and on
 S_1 * Syz_{k-1}; and pi(y v) = y pi(v), pi(z v) = z pi(v).  Hence
 
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jacobian import CurveJacobian, InternalConsistencyError, MilnorProfile
-from .linalg import matrix_zeros, row_rank
+from .linalg import kernel_basis, row_rank
 from .poly import basis_dimension
 
 
@@ -119,7 +121,7 @@ def _y_z_shifts(P: np.ndarray, k: int, field) -> np.ndarray:
     z * raising it by one."""
     n = P.shape[0]
     blocks = P.reshape(n, 3, k + 1)
-    out = matrix_zeros(field, 2 * n, 3 * (k + 2)).reshape(2 * n, 3, k + 2)
+    out = field.zeros((2 * n, 3 * (k + 2))).reshape(2 * n, 3, k + 2)
     out[:n, :, :-1] = blocks
     out[n:, :, 1:] = blocks
     return out.reshape(2 * n, 3 * (k + 2))
@@ -188,7 +190,7 @@ def resolve(jac: CurveJacobian) -> ResolutionProfile:
     does not balance there, the run fails loudly rather than report
     unverified degrees."""
     milnor = jac.milnor_hilbert()
-    d = jac.degree
+    d, field = jac.degree, jac.field
     r = mdr(milnor)
     if r == 0:
         raise PencilOfLinesError(
@@ -204,8 +206,8 @@ def resolve(jac: CurveJacobian) -> ResolutionProfile:
     for k in range(r, window_end + 1):
         image_rank = 0
         if x_free_dimension(k - 1):
-            image = _y_z_shifts(jac.x_free_syzygies(k - 1), k - 1, jac.field)
-            image_rank = row_rank(image, jac.field)
+            parts = kernel_basis(jac.batches[k - 1].T, field)  # P_(k-1)
+            image_rank = row_rank(_y_z_shifts(parts, k - 1, field), field)
         new = x_free_dimension(k) - image_rank
         if new < 0:
             raise IncompleteResolutionError(

@@ -8,7 +8,7 @@ import numpy as np
 
 from jacmod.fields import Field
 from jacmod.jacobian import CurveJacobian
-from jacmod.linalg import kernel_basis, matrix_zeros, row_rank
+from jacmod.linalg import kernel_basis, row_rank
 from jacmod.poly import basis_dimension, monomial_basis
 
 
@@ -19,7 +19,7 @@ def macaulay_matrix(j: CurveJacobian, k: int) -> np.ndarray:
     space is (J_f)_{k+d-1} and its left kernel Syz_k."""
     source = monomial_basis(k)
     target = {m: t for t, m in enumerate(monomial_basis(k + j.degree - 1))}
-    M = matrix_zeros(j.field, 3 * len(source), len(target))
+    M = j.field.zeros((3 * len(source), len(target)))
     for i, partial in enumerate(j.f.gradient()):
         for r, m in enumerate(source):
             for mono, coeff in partial.terms.items():
@@ -33,7 +33,7 @@ def new_rows(j: CurveJacobian, deg: int) -> np.ndarray:
     Macaulay matrix in degree deg at the x-free monomials."""
     source = monomial_basis(deg)[basis_dimension(deg - 1) :]
     target = {m: t for t, m in enumerate(monomial_basis(deg + j.degree - 1))}
-    M = matrix_zeros(j.field, 3 * len(source), len(target))
+    M = j.field.zeros((3 * len(source), len(target)))
     for i, partial in enumerate(j.f.gradient()):
         for r, m in enumerate(source):
             for mono, coeff in partial.terms.items():
@@ -53,7 +53,7 @@ def variable_shift(V: np.ndarray, k: int, var: int, field: Field) -> np.ndarray:
     source, target = monomial_basis(k), monomial_basis(k + 1)
     position = {m: t for t, m in enumerate(target)}
     index = [position[tuple(e + (v == var) for v, e in enumerate(m))] for m in source]
-    out = matrix_zeros(field, V.shape[0], 3 * len(target))
+    out = field.zeros((V.shape[0], 3 * len(target)))
     for block in range(3):
         out[:, [block * len(target) + t for t in index]] = V[
             :, block * len(source) : (block + 1) * len(source)

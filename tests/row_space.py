@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from jacmod.fields import Field
-from jacmod.linalg import GrowingRref, Matrix, RrefResult, matrix_zeros, rref
+from jacmod.linalg import GrowingRref, Matrix, RrefResult, rref
 
 
 def reversed_rref(M: Matrix, field: Field) -> RrefResult:
@@ -16,7 +16,7 @@ def reversed_rref(M: Matrix, field: Field) -> RrefResult:
     R = rref(M[:, ::-1], field)
     n = M.shape[1]
     pivots = tuple(n - 1 - c for c in reversed(R.pivots))
-    return RrefResult(R.matrix[::-1, ::-1].copy(), pivots, R.rank, n)
+    return RrefResult(R.matrix[::-1, ::-1].copy(), pivots)
 
 
 def kept_form(grown: GrowingRref) -> RrefResult:
@@ -25,10 +25,24 @@ def kept_form(grown: GrowingRref) -> RrefResult:
     pivoting there), as a dense matrix with its rows sorted by pivot
     column."""
     pivots = np.sort(np.array(grown.pivots, dtype=np.intp))
-    M = matrix_zeros(grown.field, grown.rank, grown.ncols)
+    M = grown.field.zeros((grown.rank, grown.ncols))
     M[np.arange(grown.rank), pivots] = grown.field.one()
     M[:, grown.free] = grown.field.reduce(-grown.table[pivots])
-    return RrefResult(M, tuple(pivots.tolist()), grown.rank, grown.ncols)
+    return RrefResult(M, tuple(pivots.tolist()))
+
+
+def null_space(R: RrefResult, field: Field) -> Matrix:
+    """Canonical basis of the right kernel of the matrix reduced to R,
+    rows = vectors, with no elimination: one vector per free column j,
+    a 1 in position j and minus the reduced column j on the pivot
+    positions."""
+    ncols = R.matrix.shape[1]
+    free = [j for j in range(ncols) if j not in R.pivots]
+    K = field.zeros((len(free), ncols))
+    K[np.arange(len(free)), free] = field.one()
+    if R.pivots and free:
+        K[:, list(R.pivots)] = field.reduce(-R.matrix[:, free].T)
+    return K
 
 
 def in_row_space(R: RrefResult, v: Matrix, field: Field) -> bool:

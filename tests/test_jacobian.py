@@ -14,14 +14,13 @@ from jacmod.jacobian import (
     InternalConsistencyError,
     MilnorProfile,
     NotReducedError,
-    _shift_index,
-    _unit_shift,
+    _yz_exponents,
     smooth_reference,
 )
-from jacmod.linalg import GrowingRref, kernel_basis, null_space, row_rank, rref
-from jacmod.poly import TernaryForm, basis_dimension, monomial_basis, parse_form
+from jacmod.linalg import GrowingRref, kernel_basis, row_rank, rref
+from jacmod.poly import TernaryForm, basis_dimension, basis_position, monomial_basis, parse_form
 from macaulay import macaulay_matrix, new_rows
-from row_space import in_row_space, reversed_rref
+from row_space import in_row_space, null_space, reversed_rref
 
 GFP = prime_field(2**31 - 1)
 
@@ -134,7 +133,7 @@ def assert_sweep_matches_elimination(j: CurveJacobian) -> None:
     assert list(values) == expected
     reference = reversed_rref(macaulay_matrix(j, T + 2 - j.degree), j.field)
     projector = null_space(reference, j.field).T
-    assert reference.ncols - reference.rank == values[T + 1]
+    assert reference.matrix.shape[1] - reference.rank == values[T + 1]
     assert j._projector.dtype == projector.dtype
     assert j._projector.shape == projector.shape
     assert np.array_equal(j._projector, projector)
@@ -313,7 +312,9 @@ def membership_matrix(j: CurveJacobian, k: int, Q: np.ndarray) -> np.ndarray:
     is a left null vector (the definition of the saturation, with
     Sat_{T+1} = (J_f)_{T+1})."""
     N = j.top + 1 - k
-    return np.concatenate([Q[_shift_index(k, _unit_shift(var, N))] for var in range(3)], axis=1)
+    b, c = _yz_exponents(k)
+    shifts = (basis_position(b, c), basis_position(b + N, c), basis_position(b, c + N))
+    return np.concatenate([Q[index] for index in shifts], axis=1)
 
 
 def assert_saturation_matches_membership(j: CurveJacobian) -> None:
@@ -410,8 +411,9 @@ class TestSaturation:
         j.module_vector()
         Q = tried[0][0]
         piece = reversed_rref(macaulay_matrix(j, j.top + 2 - j.degree), field)
-        free = [c for c in range(piece.ncols) if c not in piece.pivots]
-        assert Q.shape == (piece.ncols, len(free))
+        width = piece.matrix.shape[1]
+        free = [c for c in range(width) if c not in piece.pivots]
+        assert Q.shape == (width, len(free))
         # the rows of (J_f)_{T+1} project to zero ...
         product = field.reduce(piece.matrix.astype(object) @ Q.astype(object))
         assert not np.any(product != 0)

@@ -9,10 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from macaulay import new_generator_count, syzygy_kernel
 
-from jacmod import jacobian, linalg, resolution
+from jacmod import linalg, resolution
 from jacmod.fields import Field, prime_field, rational_field
 from jacmod.jacobian import CurveJacobian, NotReducedError
-from jacmod.linalg import rref
+from jacmod.linalg import kernel_basis, rref
 from jacmod.poly import TernaryForm, monomial_basis, parse_form
 from jacmod.resolution import (
     IncompleteResolutionError,
@@ -183,6 +183,16 @@ class TestResolve:
         assert prof.epsilons == (1, 1)
         assert prof.sigma == 2
 
+    @pytest.mark.parametrize("text", ["(x*z - y^2) * (y*z - x^2)", LADDER_OCTIC])
+    def test_resolving_twice_gives_the_same_profile(self, text):
+        # the sweep's batches are read, not consumed
+        j = jac(text)
+        first = resolve(j)
+        kept = [batch.copy() for batch in j.batches]
+        assert resolve(j) == first
+        assert len(j.batches) == len(kept)
+        assert all(np.array_equal(a, b) for a, b in zip(j.batches, kept))
+
     def test_nearly_free_quartic(self):
         prof = resolve(jac("y^4 + x*z^3"))
         assert prof.exponents == (1, 3, 3)
@@ -289,7 +299,7 @@ class TestGeneratorsFromXFreeParts:
             assert [basis[t][2] for t in free] == list(range(k + 1))
             columns = [block * len(basis) + t for block in range(3) for t in free]
             expected = rref(syzygy_kernel(j, k)[:, columns], field)
-            parts = j.x_free_syzygies(k)
+            parts = kernel_basis(j.batches[k].T, field)
             dim = syzygy_dimension(milnor, k) - syzygy_dimension(milnor, k - 1)
             assert parts.shape == (dim, 3 * (k + 1))
             got = rref(parts, field)
@@ -314,7 +324,7 @@ class TestGeneratorsFromXFreeParts:
             return recorded
 
         monkeypatch.setattr(resolution, "row_rank", recorder(resolution.row_rank))
-        monkeypatch.setattr(jacobian, "kernel_basis", recorder(jacobian.kernel_basis))
+        monkeypatch.setattr(resolution, "kernel_basis", recorder(resolution.kernel_basis))
         prof = resolve(j)
         # every scanned degree k is at most the last generator's
         assert widths
