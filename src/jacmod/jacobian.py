@@ -51,8 +51,11 @@ Stillman, Invent. Math. 87, 1987): dim Sat_k = dim S_k - rank Phi_k,
 Phi_k(g) = [l^(T+1-k) g] in S_{T+1} / (J_f)_{T+1}, of dimension tau,
 so n_k = dim Sat_k - dim (J_f)_k = m_k - rank Phi_k.
 For l = x + a y + b z, S_{k+1} = l S_k + <x-free monomials>, so the
-images nest, and one GrowingRref fed the k+1 x-free rows of each Phi_k,
-k = 0..T, gives every rank.  A line is accepted only if rank Phi_T =
+images nest: Phi_k has the image of Phi_(k-1) plus that of its k+1
+x-free rows.  Stacked for k = 0..T, those rows are dim S_T rows, and
+rank Phi_k is the rank of the first dim S_k of them: the number of
+pivots below dim S_k of one rref of the stack's transpose, one
+elimination per line.  A line is accepted only if rank Phi_T =
 tau: if l meets Sigma, (J_f : l)_T contains the degree-T ideal of the
 residual scheme, of length below tau.  The lines tried are
 x + a y + a^2 z for a = 0, 1/2, 1/3, ... (not small integers, which
@@ -79,7 +82,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import Element
-from .linalg import GrowingRref
+from .linalg import GrowingRref, rref
 from .poly import TernaryForm, basis_dimension, basis_position, monomial_basis
 
 
@@ -264,24 +267,27 @@ class CurveJacobian:
     def _image_ranks(self, phi: np.ndarray, a: Element) -> list[int]:
         """rank Phi_k, k = 0..T, for l = x + a y + a^2 z (module
         docstring).  phi = Phi_{T+1} is the quotient projector and
-        Phi_k = Phi_{k+1}(l *), one variable shift each, a prefix for
-        a = 0."""
-        field = self.field
-        square = field.mul(a, a)
-        free_rows = []  # x-free rows of Phi_T, Phi_{T-1}, ..., Phi_0
-        for k in range(self.top, -1, -1):
-            phi, above = phi[: basis_dimension(k)], phi
-            if a:
+        Phi_k = Phi_{k+1}(l *), one variable shift each.  Row block
+        [dim S_(k-1), dim S_k) of the stack holds the x-free rows of
+        Phi_k, so rank Phi_k is the rank of its first dim S_k rows: the
+        pivots of one rref of the stack's transpose below dim S_k.  For
+        a = 0 each Phi_k is a prefix of phi and the stack is phi's first
+        dim S_T rows, with no copy."""
+        field, T = self.field, self.top
+        if not a:
+            stack = phi[: basis_dimension(T)]
+        else:
+            square = field.mul(a, a)
+            stack = field.zeros((basis_dimension(T), phi.shape[1]))
+            for k in range(T, -1, -1):
+                low, high = basis_dimension(k - 1), basis_dimension(k)
+                phi, above = phi[:high], phi
                 b, c = _yz_exponents(k)
                 phi = field.reduce(phi + a * above[basis_position(b + 1, c)])
                 phi = field.reduce(phi + square * above[basis_position(b, c + 1)])
-            free_rows.append(phi[basis_dimension(k - 1) :].copy())
-        image = GrowingRref(field, phi.shape[1])
-        ranks = []
-        for rows in reversed(free_rows):
-            image.add_rows(rows)
-            ranks.append(image.rank)
-        return ranks
+                stack[low:high] = phi[low:]
+        pivots = rref(stack.T, field).pivots
+        return np.searchsorted(pivots, [basis_dimension(k) for k in range(T + 1)]).tolist()
 
     def module_vector(self) -> ModuleVector:
         """n_k = m_k - rank Phi_k for k = 0..T, from the first line that

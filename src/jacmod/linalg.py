@@ -24,9 +24,8 @@ left, which are zero on the peeled columns, and so is their reduced
 form: the unit rows and the reduced rows left, merged by pivot column.
 The reduced form of a row space is unique, so the result is the one
 the column loop alone would give, entry for entry.  Sparse blocks (the
-sweep's remainders, the syzygy kernels, the saturation images) get
-most or all of their pivots this way, and the column loop only sees
-the rows left.
+sweep's remainders, the syzygy kernels) get most or all of their
+pivots this way, and the column loop only sees the rows left.
 
 GrowingRref keeps a reduced form of a row space that grows by rows
 and by columns (the graded pieces of an ideal, degree after degree)
@@ -35,19 +34,17 @@ normal-form table Q, one row per column: e_c modulo the row space, on
 the free columns.  A free column's row is a unit row and a pivot
 column's row is minus the tail of the kept row pivoting there; Q is
 also the projection onto the quotient.  A batch of new rows N reduces
-to N @ Q.  add_rows computes that as a sparse combination of the rows
-of Q at N's nonzeros on pivot columns; a caller whose rows are sums of
-shifted monomials (the Jacobian sweep) instead adds scaled contiguous
-slices of Q with Field.add_combination, and hands the result to
-add_reduced.  The remainder goes through rref with its columns
-reversed; each new pivot turns its unit row into minus its reduced
-row, updates the other pivot rows as Q - Q[:, cols] @ rows and drops
-its column.  Pivoting on the newest column first pays when the kept
-rows are zero on the columns just added (x-multiples of a lower degree
-on the x-free monomials): Q is zero there, so a new pivot there updates
-no kept row, and its column is a trailing one, dropped without moving
-the others.  Q lives in a buffer with room to grow, so adding columns
-copies nothing either.
+to N @ Q; the caller (the Jacobian sweep, whose rows are sums of
+shifted monomials) computes that as scaled contiguous slices of Q with
+Field.add_combination and hands the result to add_reduced.  The
+remainder goes through rref with its columns reversed; each new pivot
+turns its unit row into minus its reduced row, updates the other pivot
+rows as Q - Q[:, cols] @ rows and drops its column.  Pivoting on the
+newest column first pays when the kept rows are zero on the columns
+just added (x-multiples of a lower degree on the x-free monomials): Q
+is zero there, so a new pivot there updates no kept row, and its column
+is a trailing one, dropped without moving the others.  Q lives in a
+buffer with room to grow, so adding columns copies nothing either.
 
 Every sum stays exact in int64 over GF(p).  A sparse combination adds
 reduced products, each below p < 2^31, so a sum of fewer than 2^32 of
@@ -209,16 +206,14 @@ def kernel_basis(M: Matrix, field: Field) -> Matrix:
     return K
 
 
-def _add_combination(
-    A: Matrix, C: Matrix, R: Matrix, field: Field, at: np.ndarray | None = None
-) -> None:
-    """A += C @ R[at] in place (C @ R without at), for a sparse C: each
-    nonzero C[i, t] adds one reduced product C[i, t] * R[at[t]] to row
-    i, and only the rows of A where C has a nonzero are rewritten."""
+def _add_combination(A: Matrix, C: Matrix, R: Matrix, field: Field) -> None:
+    """A += C @ R in place, for a sparse C: each nonzero C[i, t] adds
+    one reduced product C[i, t] * R[t] to row i, and only the rows of A
+    where C has a nonzero are rewritten."""
     rows, terms = np.nonzero(C)
     if rows.size == 0:
         return
-    products = field.reduce(C[rows, terms][:, None] * R[terms if at is None else at[terms]])
+    products = field.reduce(C[rows, terms][:, None] * R[terms])
     new_row = np.empty(rows.size, dtype=bool)
     new_row[0] = True
     np.not_equal(rows[1:], rows[:-1], out=new_row[1:])
@@ -292,18 +287,6 @@ class GrowingRref:
             grown[: self.ncols, : len(self.free)] = self.table
             self._buffer = grown
         return self._buffer
-
-    def add_rows(self, N: Matrix) -> Matrix:
-        """Extend the row space by the rows of N: ncols wide, canonical
-        entries in the field's dtype.  Returns N reduced modulo the kept
-        form, N @ table, on the columns that were free before the call:
-        its left kernel is the combinations of N's rows that lie in the
-        kept row space."""
-        block = N[:, self.free]
-        pivots = np.array(self.pivots, dtype=np.intp)
-        _add_combination(block, N[:, pivots], self.table, self.field, at=pivots)
-        self.add_reduced(block)
-        return block
 
     def add_reduced(self, block: Matrix) -> None:
         """Extend the row space by rows given already reduced modulo the

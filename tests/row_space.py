@@ -31,6 +31,18 @@ def kept_form(grown: GrowingRref) -> RrefResult:
     return RrefResult(M, tuple(pivots.tolist()))
 
 
+def add_rows(grown: GrowingRref, N: Matrix) -> Matrix:
+    """Extend the row space kept by grown by the rows of N (ncols wide,
+    canonical entries) and return N reduced modulo the form kept before
+    the call, N @ table, on the columns free before it: its left kernel
+    is the combinations of N's rows that lie in that row space.  Over
+    GF(p) the product is one int64 matmul, exact for small primes only,
+    so this is for small primes and Q only."""
+    block = grown.field.reduce(N @ grown.table)
+    grown.add_reduced(block)
+    return block
+
+
 def null_space(R: RrefResult, field: Field) -> Matrix:
     """Canonical basis of the right kernel of the matrix reduced to R,
     rows = vectors, with no elimination: one vector per free column j,

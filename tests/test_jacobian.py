@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from jacmod import jacobian
 from jacmod.fields import Field, prime_field, rational_field
 from jacmod.jacobian import (
     CurveJacobian,
@@ -341,6 +342,22 @@ def recorded_passes(monkeypatch) -> list[tuple[np.ndarray, object]]:
     return tried
 
 
+def image_rank_from_definition(j: CurveJacobian, Q: np.ndarray, m: int, k: int) -> int:
+    """rank Phi_k for the m-th line tried, l = x + y/m + z/m^2 (l = x for
+    m = 1): l^(T+1-k) * mono expanded for each mono in basis(k), its
+    coordinates in S_{T+1} / (J_f)_{T+1} read off Q =
+    quotient_projector(j)."""
+    line = "x" if m == 1 else f"x + y/{m} + z/{m * m}"
+    rows = []
+    for e in monomial_basis(k):
+        g = parse_form(f"({line})^{j.top + 1 - k} * x^{e[0]}*y^{e[1]}*z^{e[2]}", j.field)
+        row = j.field.zeros((1, Q.shape[1]))
+        for mono, coeff in g.terms.items():
+            row = j.field.reduce(row + coeff * Q[basis_position(mono[1], mono[2])])
+        rows.append(row)
+    return row_rank(np.concatenate(rows), j.field)
+
+
 # x meets the singular scheme at (0 : 0 : 1); so does x + y/2 + z/4,
 # at (1 : -2 : 0), where the lines z and 2x + y cross
 TWO_LINES_REJECTED = "x*y*z*(2*x + y)"
@@ -403,6 +420,42 @@ class TestSaturation:
         for a in slopes[:rejected]:
             assert image_ranks(j, projector, a)[T] < tau
         assert image_ranks(j, projector, slopes[rejected])[T] == tau
+
+    @pytest.mark.parametrize("field", [GFP, rational_field()], ids=["gfp", "rational"])
+    @pytest.mark.parametrize(
+        "text, lines", [("(x*z - y^2) * (y*z - x^2)", 2), (TWO_LINES_REJECTED, 3)]
+    )
+    def test_every_rank_of_every_line_tried_matches_the_definition(
+        self, text, lines, field, monkeypatch
+    ):
+        # the rejected lines too, at every degree, not only at k = T
+        tried = recorded_passes(monkeypatch)
+        j = jac(text, field)
+        j.module_vector()
+        passes = tried.copy()  # the calls below are recorded too
+        assert len(passes) == lines
+        Q = quotient_projector(j)
+        image_ranks = CurveJacobian._image_ranks
+        for m, (projector, a) in enumerate(passes, start=1):
+            expected = [image_rank_from_definition(j, Q, m, k) for k in range(j.top + 1)]
+            assert image_ranks(j, projector, a) == expected, m
+
+    @pytest.mark.parametrize("text, lines", [(TWO_LINES_REJECTED, 3), (LADDER_OCTIC, 1)])
+    def test_one_elimination_per_line_tried(self, text, lines, monkeypatch):
+        # every rank Phi_k of a line is read off one rref of the
+        # transposed stack of x-free rows, tau x dim S_T
+        j = jac(text)
+        tau = j.milnor_hilbert().tjurina
+        shapes = []
+        eliminate = jacobian.rref
+
+        def recorded(M, field):
+            shapes.append(M.shape)
+            return eliminate(M, field)
+
+        monkeypatch.setattr(jacobian, "rref", recorded)
+        j.module_vector()
+        assert shapes == [(tau, basis_dimension(j.top))] * lines
 
     @pytest.mark.parametrize("field", [GFP, rational_field()], ids=["gfp", "rational"])
     def test_quotient_projector_of_conic_pair(self, field, monkeypatch):

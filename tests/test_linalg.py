@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 from jacmod.fields import prime_field, rational_field
 from jacmod import linalg
 from jacmod.linalg import GrowingRref, kernel_basis, row_rank, rref
-from row_space import in_row_space, kept_form, null_space, reversed_rref, rows_in_row_space
+from row_space import (
+    add_rows,
+    in_row_space,
+    kept_form,
+    null_space,
+    reversed_rref,
+    rows_in_row_space,
+)
 
 GF7 = prime_field(7)
 GF = prime_field(2**31 - 1)
@@ -171,6 +178,37 @@ def test_row_space_membership_of_original_rows(spec):
     assert rows_in_row_space(R, M, GF7)
 
 
+@st.composite
+def stacked_rows(draw, max_dim=6):
+    """Width and rows of a matrix in which some rows are zero and some
+    repeat an earlier row; 0 rows or 0 columns are allowed."""
+    width = draw(st.integers(0, max_dim))
+    rows: list[list[int]] = []
+    for _ in range(draw(st.integers(0, max_dim))):
+        kind = draw(st.sampled_from(["new", "zero", "repeat"]))
+        if kind == "zero":
+            rows.append([0] * width)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            rows.append(draw(st.lists(st.integers(-3, 3), min_size=width, max_size=width)))
+    return width, rows
+
+
+@pytest.mark.parametrize("field", [GF7, GF, QQ], ids=["gf7", "gfp", "rational"])
+@given(spec=stacked_rows())
+@settings(max_examples=60, deadline=None)
+def test_pivots_of_the_transpose_give_the_rank_of_every_row_prefix(field, spec):
+    # column j of M.T is a pivot exactly when row j of M is not in the
+    # span of the rows above it, so the pivots below j count the rank of
+    # the first j rows
+    width, rows = spec
+    M = _build(field, len(rows), width, sum(rows, []))
+    pivots = rref(M.T, field).pivots
+    for j in range(len(rows) + 1):
+        assert sum(c < j for c in pivots) == row_rank(M[:j], field), j
+
+
 def test_two_primes_agree_on_fixed_matrix():
     rows = [[3, 1, 4, 1], [5, 9, 2, 6], [8, 10, 6, 7], [5, 3, 5, 8]]
     p1, p2 = 2**31 - 1, 2**31 - 19
@@ -211,7 +249,7 @@ def test_growing_rref_equals_reversed_rref_of_padded_stack(field, steps):
     for width, rows in steps:
         grown.add_columns(width - grown.ncols)
         stacked = [row + [0] * (width - len(row)) for row in stacked] + rows
-        grown.add_rows(_build(field, len(rows), width, sum(rows, [])))
+        add_rows(grown, _build(field, len(rows), width, sum(rows, [])))
         expected = reversed_rref(_build(field, len(stacked), width, sum(stacked, [])), field)
         got = kept_form(grown)
         assert grown.rank == expected.rank
@@ -231,7 +269,7 @@ def test_growing_rref_returns_rows_reduced_modulo_kept_form(field, steps):
         grown.add_columns(width - grown.ncols)
         kept = kept_form(grown)
         N = _build(field, len(rows), width, sum(rows, []))
-        block = grown.add_rows(N)
+        block = add_rows(grown, N)
         assert block.shape == (len(rows), width - kept.rank)
         relations = kernel_basis(block.T, field)
         assert relations.shape[0] == len(rows) - (grown.rank - kept.rank)
@@ -249,7 +287,7 @@ def test_new_pivots_on_new_columns_leave_kept_rows_alone(field, steps, new, data
     grown = GrowingRref(field, 0)
     for width, rows in steps:
         grown.add_columns(width - grown.ncols)
-        grown.add_rows(_build(field, len(rows), width, sum(rows, [])))
+        add_rows(grown, _build(field, len(rows), width, sum(rows, [])))
     width = grown.ncols
     pivots, free, table = list(grown.pivots), grown.free.copy(), grown.table.copy()
     grown.add_columns(new)
@@ -261,7 +299,7 @@ def test_new_pivots_on_new_columns_leave_kept_rows_alone(field, steps, new, data
     triangle = np.triu(_build(field, new, new, below), 1)
     triangle[np.arange(new), np.arange(new)] = field.one()
     N[:, width:] = triangle
-    grown.add_rows(N)
+    add_rows(grown, N)
     assert grown.rank == len(pivots) + new
     assert grown.pivots[: len(pivots)] == pivots
     assert sorted(grown.pivots[len(pivots) :]) == list(range(width, width + new))
@@ -282,7 +320,7 @@ def test_table_is_null_space_of_reversed_rref(field, steps):
     for width, rows in steps:
         grown.add_columns(width - grown.ncols)
         stacked = [row + [0] * (width - len(row)) for row in stacked] + rows
-        grown.add_rows(_build(field, len(rows), width, sum(rows, [])))
+        add_rows(grown, _build(field, len(rows), width, sum(rows, [])))
         reference = reversed_rref(_build(field, len(stacked), width, sum(stacked, [])), field)
         expected = null_space(reference, field).T
         assert grown.table.dtype == expected.dtype
@@ -431,11 +469,11 @@ def test_blocks_with_no_row_or_no_free_column_start_no_elimination(monkeypatch):
 
     monkeypatch.setattr(linalg, "rref", recorded)
     grown = GrowingRref(GF7, 3)
-    grown.add_rows(GF7.zeros((0, 3)))
+    add_rows(grown, GF7.zeros((0, 3)))
     assert calls == []
-    grown.add_rows(gf7([[1, 2, 0], [0, 1, 1], [1, 0, 1]]))
+    add_rows(grown, gf7([[1, 2, 0], [0, 1, 1], [1, 0, 1]]))
     assert calls == [(3, 3)] and grown.rank == 3 and not grown.free.size
-    block = grown.add_rows(gf7([[1, 2, 3], [4, 5, 6]]))
+    block = add_rows(grown, gf7([[1, 2, 3], [4, 5, 6]]))
     assert block.shape == (2, 0)
     assert calls == [(3, 3)] and grown.rank == 3
 
