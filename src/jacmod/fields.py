@@ -133,20 +133,39 @@ class Field:
         """out += sum_t coeffs[t] * blocks[t] in place, for canonical
         out, coefficients and blocks of out's shape.
 
-        Over GF(p) two unreduced products are added before each
-        reduction: out < p and each product is at most (p-1)^2, so the
-        sum stays below p + 2(p-1)^2 < 2^63 for p < 2^31.  Over Q only
-        the nonzero entries of a block are scaled and added, since
-        arithmetic on a Fraction zero costs as much as on any other."""
+        Over GF(p) each coefficient c enters as its signed
+        representative, c - p when 2c > p, so |c| <= (p-1)/2, and out is
+        reduced only when the next term would push the sum of |c| over
+        the terms added since the last reduction past room = (2^63 - p)
+        // (p - 1).  A reduced out is below p and each product is at
+        most |c|(p-1) in size, so |out| <= (p-1)(1 + room) < 2^63
+        throughout.  For p < 2^31 room is over 2^32: at least four
+        terms per reduction, and small coefficients need only the one
+        at the end.  The reduction is out -= (out // p) * p: numpy
+        divides int64 by a scalar with a multiply and a shift
+        (libdivide) but computes % with hardware division, so on blocks
+        of thousands of entries it costs about half as much.  On blocks
+        of a few dozen entries its three ufunc calls cost more than one
+        %, so Field.reduce, which mostly sees such blocks, keeps %.
+        Over Q only the nonzero entries of a block are scaled and
+        added, since arithmetic on a Fraction zero costs as much as on
+        any other."""
         if self.kind == "gfp":
+            p = self.p
+            room = (2**63 - p) // (p - 1)
             product = np.empty_like(out)
-            for t, (c, block) in enumerate(zip(coeffs, blocks)):
+            pending = 0  # sum of |c| since the last reduction
+            for c, block in zip(coeffs, blocks):
+                if 2 * c > p:
+                    c -= p
+                if pending + abs(c) > room:
+                    _reduce_in_place(out, p, product)
+                    pending = 0
                 np.multiply(block, c, out=product)
                 out += product
-                if t % 2:
-                    out %= self.p
-            if len(coeffs) % 2:
-                out %= self.p
+                pending += abs(c)
+            if pending:
+                _reduce_in_place(out, p, product)
             return
         for c, block in zip(coeffs, blocks):
             nonzero = np.nonzero(block)
@@ -166,6 +185,14 @@ class Field:
 
 
 _to_fraction = np.frompyfunc(Fraction, 1, 1)
+
+
+def _reduce_in_place(out: np.ndarray, p: int, scratch: np.ndarray) -> None:
+    """out %= p for int64 out, as out -= (out // p) * p with scratch (of
+    out's shape) holding the multiple of p."""
+    np.floor_divide(out, p, out=scratch)
+    scratch *= p
+    out -= scratch
 
 
 def rational_field() -> Field:

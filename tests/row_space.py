@@ -35,10 +35,11 @@ def add_rows(grown: GrowingRref, N: Matrix) -> Matrix:
     """Extend the row space kept by grown by the rows of N (ncols wide,
     canonical entries) and return N reduced modulo the form kept before
     the call, N @ table, on the columns free before it: its left kernel
-    is the combinations of N's rows that lie in that row space.  Over
-    GF(p) the product is one int64 matmul, exact for small primes only,
-    so this is for small primes and Q only."""
-    block = grown.field.reduce(N @ grown.table)
+    is the combinations of N's rows that lie in that row space.  The
+    product is taken over Python integers (or Fractions) and then
+    reduced, so it is exact for every prime the int64 engine takes."""
+    field = grown.field
+    block = field.reduce(N.astype(object) @ grown.table.astype(object)).astype(field.dtype)
     grown.add_reduced(block)
     return block
 

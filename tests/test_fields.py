@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jacmod import fields
 from jacmod.fields import (
     BadPrimeError,
     Field,
@@ -158,33 +159,86 @@ def test_embedding_is_ring_hom(m, n):
 
 
 @st.composite
-def combinations(draw):
-    """(coefficients, blocks, start) of one shape, entries canonical mod
-    the largest prime the int64 engine takes, many of them near p - 1."""
-    p = 2**31 - 1
+def combinations(draw, p):
+    """(coefficients, blocks, start, shape) with entries canonical mod p,
+    many of them near p - 1 and the coefficients (p-1)/2 and (p+1)/2,
+    whose signed representatives are the largest in size.  Up to 16
+    terms, and blocks all p - 1 at times: for p = 2^31 - 1 the running
+    sum of |c| passes the bound where add_combination reduces, some
+    times more than once."""
     entry = st.one_of(st.integers(p - 3, p - 1), st.integers(0, p - 1), st.just(0))
-    rows, cols, terms = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(0, 7))
-    coeffs = draw(st.lists(entry, min_size=terms, max_size=terms))
+    coeff = st.one_of(entry, st.sampled_from([(p - 1) // 2, (p + 1) // 2]))
+    rows, cols, terms = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(0, 16))
+    coeffs = draw(st.lists(coeff, min_size=terms, max_size=terms))
     size = (terms + 1) * rows * cols
-    cells = draw(st.lists(entry, min_size=size, max_size=size))
+    if draw(st.booleans()):
+        cells = draw(st.lists(entry, min_size=size, max_size=size))
+    else:
+        cells = [draw(entry)] * rows * cols + [p - 1] * terms * rows * cols
     arrays = [cells[t * rows * cols : (t + 1) * rows * cols] for t in range(terms + 1)]
-    return coeffs, arrays[:-1], arrays[-1], (rows, cols)
+    return coeffs, arrays[1:], arrays[0], (rows, cols)
 
 
-@pytest.mark.parametrize("kind", ["gfp", "rational"])
-@given(combinations())
-@settings(max_examples=100, deadline=None)
-def test_add_combination_equals_exact_sum(kind, spec):
-    # int64 accumulation with a reduction every second product, and the
-    # nonzero-only Fraction accumulation, against exact integer arithmetic
-    coeffs, blocks, start, shape = spec
-    p = 2**31 - 1
-    field = prime_field(p) if kind == "gfp" else rational_field()
+def assert_add_combination_is_exact(field, p, coeffs, blocks, start, shape):
     out = field.array(np.array(start, dtype=object).reshape(shape))
     arrays = [field.array(np.array(b, dtype=object).reshape(shape)) for b in blocks]
     field.add_combination(out, [field.embed_integer(c) for c in coeffs], arrays)
     exact = [s + sum(c * b[i] for c, b in zip(coeffs, blocks)) for i, s in enumerate(start)]
-    if kind == "gfp":
+    if field.kind == "gfp":
         exact = [v % p for v in exact]
     assert out.dtype == field.dtype
     assert out.reshape(-1).tolist() == exact
+
+
+@pytest.mark.parametrize(
+    "kind, p",
+    [("gfp", 2**31 - 1), ("gfp", 7), ("rational", 2**31 - 1)],
+    ids=["gfp", "gf7", "rational"],
+)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_add_combination_equals_exact_sum(kind, p, data):
+    # int64 accumulation of signed products, reduced only before the
+    # running sum of |c| would pass room, and the nonzero-only Fraction
+    # accumulation, against exact integer arithmetic
+    field = prime_field(p) if kind == "gfp" else rational_field()
+    coeffs, blocks, start, shape = data.draw(combinations(p))
+    assert_add_combination_is_exact(field, p, coeffs, blocks, start, shape)
+
+
+P = 2**31 - 1
+ROOM = (2**63 - P) // (P - 1)  # 4 * (P-1)/2 + 7
+BIG = (P - 1) // 2
+
+
+@pytest.mark.parametrize(
+    "coeffs, reductions",
+    [
+        ([BIG] * 4 + [7], 1),  # the running sum is room exactly
+        ([BIG] * 4 + [7, 1], 2),  # and passes it
+        ([P - BIG] * 4 + [P - 7], 1),  # the same, every coefficient negative
+        ([P - BIG] * 4 + [P - 7, P - 1], 2),
+        ([BIG] * 16, 4),
+        ([3, P - 3] * 8, 1),
+    ],
+    ids=["room", "past-room", "room-negative", "past-room-negative", "largest", "small"],
+)
+def test_add_combination_reduces_only_past_room(coeffs, reductions, monkeypatch):
+    # out and every block all p - 1: at room exactly the unreduced
+    # accumulator reaches (p-1)(1 + room) = 2^63 - 8 and stays exact
+    assert ROOM == 4 * BIG + 7
+    calls = []
+    reduce_in_place = fields._reduce_in_place
+
+    def recorded(out, p, scratch):
+        calls.append(int(np.abs(out).max()))
+        reduce_in_place(out, p, scratch)
+
+    monkeypatch.setattr(fields, "_reduce_in_place", recorded)
+    shape = (2, 3)
+    blocks = [[P - 1] * 6] * len(coeffs)
+    assert_add_combination_is_exact(prime_field(P), P, coeffs, blocks, [P - 1] * 6, shape)
+    assert len(calls) == reductions
+    assert max(calls) < 2**63
+    if coeffs[:5] == [BIG] * 4 + [7]:
+        assert calls[0] == 2**63 - 8

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jacmod import jacobian
+from jacmod import jacobian, linalg
 from jacmod.fields import Field, prime_field, rational_field
 from jacmod.jacobian import (
     CurveJacobian,
@@ -195,6 +195,37 @@ class TestDegreeSweep:
         basis = monomial_basis(d)
         terms = {basis[i % len(basis)]: c for i, c in picks}
         assert_sweep_matches_elimination(CurveJacobian(TernaryForm(GFP, d, terms)))
+
+    def test_table_update_skips_pivots_on_the_columns_just_added(self, monkeypatch):
+        # a column added since the last pivot is a unit column of the
+        # table, so a new pivot there changes no other row: each step's
+        # update gets one column per new pivot on an older column, and a
+        # step whose pivots all land on new columns makes no update call
+        add_combination, add_reduced = linalg._add_combination, GrowingRref.add_reduced
+        updates, steps = [], []
+        settled = 0  # columns older than this were there at the last pivot
+
+        def recorded_update(A, C, R, field):
+            updates.append(C.shape[1])
+            add_combination(A, C, R, field)
+
+        def recorded_step(grown, block):
+            nonlocal settled
+            before = grown.rank
+            updates.clear()
+            add_reduced(grown, block)
+            new = grown.pivots[before:]
+            steps.append((sum(c < settled for c in new), len(new), list(updates)))
+            if new:
+                settled = grown.ncols
+
+        monkeypatch.setattr(linalg, "_add_combination", recorded_update)
+        monkeypatch.setattr(GrowingRref, "add_reduced", recorded_step)
+        jac(LADDER_OCTIC).milnor_hilbert()
+        for old, new, calls in steps:
+            assert calls == ([old] if old else [])
+        assert any(new and not old for old, new, _ in steps)
+        assert any(0 < old < new for old, new, _ in steps)
 
     @pytest.mark.parametrize("text", ["(x*z - y^2) * (y*z - x^2)", "x^2*y*z"])
     def test_milnor_builds_no_macaulay_matrix(self, text, monkeypatch):

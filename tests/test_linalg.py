@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jacmod.fields import prime_field, rational_field
@@ -237,7 +237,7 @@ def growth_steps(draw):
     return steps
 
 
-@pytest.mark.parametrize("field", [GF7, QQ], ids=["gf7", "rational"])
+@pytest.mark.parametrize("field", [GF7, GF, QQ], ids=["gf7", "gf2^31-1", "rational"])
 @given(steps=growth_steps())
 @settings(max_examples=60, deadline=None)
 def test_growing_rref_equals_reversed_rref_of_padded_stack(field, steps):
@@ -258,7 +258,7 @@ def test_growing_rref_equals_reversed_rref_of_padded_stack(field, steps):
         assert np.array_equal(got.matrix, expected.matrix)
 
 
-@pytest.mark.parametrize("field", [GF7, QQ], ids=["gf7", "rational"])
+@pytest.mark.parametrize("field", [GF7, GF, QQ], ids=["gf7", "gf2^31-1", "rational"])
 @given(steps=growth_steps())
 @settings(max_examples=60, deadline=None)
 def test_growing_rref_returns_rows_reduced_modulo_kept_form(field, steps):
@@ -277,7 +277,7 @@ def test_growing_rref_returns_rows_reduced_modulo_kept_form(field, steps):
             assert in_row_space(kept, field.reduce(c @ N), field)
 
 
-@pytest.mark.parametrize("field", [GF7, QQ], ids=["gf7", "rational"])
+@pytest.mark.parametrize("field", [GF7, GF, QQ], ids=["gf7", "gf2^31-1", "rational"])
 @given(steps=growth_steps(), new=st.integers(1, 3), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_new_pivots_on_new_columns_leave_kept_rows_alone(field, steps, new, data):
@@ -308,7 +308,7 @@ def test_new_pivots_on_new_columns_leave_kept_rows_alone(field, steps, new, data
     assert np.array_equal(grown.table[:width], table)
 
 
-@pytest.mark.parametrize("field", [GF7, QQ], ids=["gf7", "rational"])
+@pytest.mark.parametrize("field", [GF7, GF, QQ], ids=["gf7", "gf2^31-1", "rational"])
 @given(steps=growth_steps())
 @settings(max_examples=60, deadline=None)
 def test_table_is_null_space_of_reversed_rref(field, steps):
@@ -325,6 +325,60 @@ def test_table_is_null_space_of_reversed_rref(field, steps):
         expected = null_space(reference, field).T
         assert grown.table.dtype == expected.dtype
         assert grown.table.shape == expected.shape == (width, width - grown.rank)
+        assert np.array_equal(grown.table, expected)
+
+
+@st.composite
+def interleaved_steps(draw):
+    """(start, steps): a GrowingRref of start columns, then steps (added,
+    rows) that call add_columns once per count in added (0, 1 or 2
+    calls) and add the integer rows, as wide as every column so far.  A
+    row is random, zero or a copy of an earlier row (zero-padded), so
+    blocks of rank 0 occur; a step that adds no column adds rows right
+    after the last step's; random rows pivot on old and new columns."""
+    start = width = draw(st.integers(0, 3))
+    earlier: list[list[int]] = []
+    steps = []
+    for _ in range(draw(st.integers(1, 6))):
+        added = draw(st.lists(st.integers(0, 2), max_size=2))
+        width += sum(added)
+        rows = []
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(["random", "zero", "copy"]))
+            if kind == "copy" and earlier:
+                row = draw(st.sampled_from(earlier))
+                rows.append(row + [0] * (width - len(row)))
+            elif kind == "zero":
+                rows.append([0] * width)
+            else:
+                rows.append(draw(st.lists(st.integers(-3, 3), min_size=width, max_size=width)))
+        earlier += rows
+        steps.append((added, rows))
+    return start, steps
+
+
+@pytest.mark.parametrize("field", [GF7, GF, QQ], ids=["gf7", "gf2^31-1", "rational"])
+@given(spec=interleaved_steps())
+@example(  # one block pivots on the old free column 0 and on new columns 2, 3
+    spec=(2, [([], [[1, 1]]), ([2], [[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 1, 0]])])
+)
+@settings(max_examples=80, deadline=None)
+def test_table_is_null_space_whatever_the_order_of_columns_and_rows(field, spec):
+    # the update skips the columns added since the last pivot, which are
+    # still unit columns: after every step the table is still exactly the
+    # null-space projector of the padded stack's reference reduced form
+    start, steps = spec
+    grown = GrowingRref(field, start)
+    stacked: list[list[int]] = []
+    for added, rows in steps:
+        for n in added:
+            grown.add_columns(n)
+        width = grown.ncols
+        stacked = [row + [0] * (width - len(row)) for row in stacked] + rows
+        add_rows(grown, _build(field, len(rows), width, sum(rows, [])))
+        reference = reversed_rref(_build(field, len(stacked), width, sum(stacked, [])), field)
+        expected = null_space(reference, field).T
+        assert grown.table.shape == expected.shape
         assert np.array_equal(grown.table, expected)
 
 
