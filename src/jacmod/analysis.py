@@ -664,9 +664,16 @@ def _run_pair(
 ) -> tuple[CurveReport | Exception, CurveReport | Exception]:
     """The runs under p1 (here) and p2 (in a forked child) at the same
     time.  The child pickles its report or exception into a pipe and
-    leaves by os._exit, so it never flushes the inherited stdio buffers."""
+    leaves by os._exit, so it never flushes the inherited stdio buffers.
+    A fork that fails (say EAGAIN) closes the pipe and raises
+    AnalysisError."""
     read_end, write_end = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError as exc:
+        os.close(read_end)
+        os.close(write_end)
+        raise AnalysisError(f"cannot start the gfp:{p2} run: {exc}") from exc
     if pid == 0:
         try:
             os.close(read_end)

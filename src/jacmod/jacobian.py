@@ -27,8 +27,9 @@ c), sit at the j+1 consecutive positions of basis(k) from that of
 y^j m, s(s+1)/2 + c' with s = j + b' + c'.  The reduced rows of f_i
 are therefore sum_m coeff_m * Q_k[start_m : start_m + j + 1], one
 scaled contiguous slice of the table per term.  The sweep records
-m_k = dim (S/J_f)_k and keeps Q_(T+1), the projector onto
-S_(T+1) / (J_f)_(T+1), a dim S_(T+1) x tau matrix.
+m_k = dim (S/J_f)_k and keeps the tau free columns of Q_(T+1), the
+projector onto S_(T+1) / (J_f)_(T+1), and the dim S_(T+1) x tau table
+itself only when the saturation pass needs it (below).
 
 The sweep also keeps each degree's batch of new rows reduced modulo
 x * (J_f)_{k-1}, as the list batches, indexed by j = k - d + 1 and never
@@ -50,19 +51,33 @@ Sat_{T+1} = (J_f)_{T+1}, so Sat_k = (J_f : l^(T+1-k))_k (Bayer and
 Stillman, Invent. Math. 87, 1987): dim Sat_k = dim S_k - rank Phi_k,
 Phi_k(g) = [l^(T+1-k) g] in S_{T+1} / (J_f)_{T+1}, of dimension tau,
 so n_k = dim Sat_k - dim (J_f)_k = m_k - rank Phi_k.
-For l = x + a y + b z, S_{k+1} = l S_k + <x-free monomials>, so the
-images nest: Phi_k has the image of Phi_(k-1) plus that of its k+1
-x-free rows.  Stacked for k = 0..T, those rows are dim S_T rows, and
-rank Phi_k is the rank of the first dim S_k of them: the number of
-pivots below dim S_k of one rref of the stack's transpose, one
-elimination per line.  A line is accepted only if rank Phi_T =
-tau: if l meets Sigma, (J_f : l)_T contains the degree-T ideal of the
-residual scheme, of length below tau.  The lines tried are
-x + a y + a^2 z for a = 0, 1/2, 1/3, ... (not small integers, which
-hand-made curves favour as coordinates of singular points).  A point
-of Sigma lies on at most two of them (a nonzero quadratic in a) and
-Sigma has at most tau points, so 2 tau + 1 distinct slopes always
-yield one; mod p at most p - 1 of these slopes are distinct.
+A line is accepted only if rank Phi_T = tau: if l meets Sigma,
+(J_f : l)_T contains the degree-T ideal of the residual scheme, of
+length below tau.  The lines tried are x + a y + a^2 z for a = 0, 1/2,
+1/3, ... (not small integers, which hand-made curves favour as
+coordinates of singular points).  A point of Sigma lies on at most two
+of them (a nonzero quadratic in a) and Sigma has at most tau points,
+so 2 tau + 1 distinct slopes always yield one; mod p at most p - 1 of
+these slopes are distinct.
+
+For l = x the ranks need no elimination.  x^(T+1-k) basis(k) is the
+first dim S_k monomials of basis(T+1), so the matrix of Phi_k is the
+first dim S_k rows of the table Q_(T+1), and those rows span exactly
+the unit vectors of the free columns below dim S_k:
+  - the row of a free column c is the unit vector of c;
+  - the row of a pivot column c is nonzero only on free columns left
+    of c, so below dim S_k when c is;
+  - so the rows below dim S_k span the units of the free columns there.
+rank Phi_k is therefore the number of free columns of Q_(T+1) below
+dim S_k, and rank Phi_T = tau holds exactly when no free column is at
+or past dim S_T, that is when x misses Sigma.  Another line is tried
+only when x meets Sigma, so only then does the sweep copy Q_(T+1).
+For l = x + a y + a^2 z, a != 0, S_{k+1} = l S_k + <x-free
+monomials>, so the images nest: Phi_k has the image of Phi_(k-1) plus
+that of its k+1 x-free rows.  Stacked for k = 0..T, those rows are
+dim S_T rows, and rank Phi_k is the rank of the first dim S_k of them:
+the number of pivots below dim S_k of one rref of the stack's
+transpose, one elimination per line.
 
 The two layers are tied by n_k = m_k + m_(T-k) - m_s(k) - tau for
 0 <= k <= T, m_s the smooth reference: 0 -> E -> O^3 -> I_Sigma(d-1)
@@ -193,7 +208,8 @@ class CurveJacobian:
     order the pipeline reads it: milnor_hilbert() runs the one degree
     sweep and keeps batches[j], its reduced batch in degree j+d-1, for
     the syzygy layer, and module_vector() runs the one saturation pass
-    on the quotient projector it kept at T+1."""
+    on the free columns of the sweep's table at T+1, and on that table,
+    the quotient projector, when the line x meets Sigma."""
 
     def __init__(self, f: TernaryForm):
         if f.is_zero() or f.degree < 1:
@@ -203,7 +219,7 @@ class CurveJacobian:
         self.degree = f.degree
         self.partials = f.gradient()
         self.batches: list[np.ndarray] = []  # j -> reduced batch in degree j+d-1
-        self._projector: np.ndarray | None = None  # onto S_{T+1} / (J_f)_{T+1}
+        self._free = self._projector = None  # free columns of Q_(T+1); Q_(T+1) if x meets Sigma
         self._milnor: MilnorProfile | None = None
 
     @property
@@ -237,8 +253,10 @@ class CurveJacobian:
         every rank: each step appends the k+1 monomials free of x as
         columns, reduces the 3(j+1) new rows, j = k-d+1, as slice sums
         of the normal-form table and adds them, keeping their reduced
-        batch; the table at T+1, the quotient projector, is kept for
-        the saturation pass.  Computed once."""
+        batch.  For the saturation pass it keeps the free columns at
+        T+1, and the table there, the quotient projector, only when a
+        free column is at or past dim S_T (x meets Sigma).  Computed
+        once."""
         if self._milnor is not None:
             return self._milnor
         d, T = self.degree, self.top
@@ -253,7 +271,9 @@ class CurveJacobian:
             sweep.add_reduced(batches[-1])
             values.append(basis_dimension(k) - sweep.rank)
             if k == T + 1:
-                self._projector = sweep.table.copy()
+                self._free = sweep.free
+                if np.any(self._free >= basis_dimension(T)):  # x meets Sigma
+                    self._projector = sweep.table.copy()
         if values[T + 1] != values[T + 2]:
             raise NotReducedError(
                 f"S/J_f keeps growing at degree {T + 2} "
@@ -264,36 +284,36 @@ class CurveJacobian:
         self._milnor = MilnorProfile(d, tuple(values))
         return self._milnor
 
-    def _image_ranks(self, phi: np.ndarray, a: Element) -> list[int]:
+    def _image_ranks(self, a: Element) -> list[int]:
         """rank Phi_k, k = 0..T, for l = x + a y + a^2 z (module
-        docstring).  phi = Phi_{T+1} is the quotient projector and
-        Phi_k = Phi_{k+1}(l *), one variable shift each.  Row block
-        [dim S_(k-1), dim S_k) of the stack holds the x-free rows of
-        Phi_k, so rank Phi_k is the rank of its first dim S_k rows: the
-        pivots of one rref of the stack's transpose below dim S_k.  For
-        a = 0 each Phi_k is a prefix of phi and the stack is phi's first
-        dim S_T rows, with no copy."""
-        field, T = self.field, self.top
+        docstring).  For a = 0, rank Phi_k is the number of free columns
+        of Q_(T+1) below dim S_k.  Otherwise Phi_(T+1) is the projector
+        kept at T+1 and Phi_k = Phi_(k+1)(l *), one variable shift each;
+        row block [dim S_(k-1), dim S_k) of the stack holds the x-free
+        rows of Phi_k, so rank Phi_k is the rank of its first dim S_k
+        rows: the pivots of one rref of the stack's transpose below
+        dim S_k."""
+        dims = [basis_dimension(k) for k in range(self.top + 1)]
         if not a:
-            stack = phi[: basis_dimension(T)]
-        else:
-            square = field.mul(a, a)
-            stack = field.zeros((basis_dimension(T), phi.shape[1]))
-            for k in range(T, -1, -1):
-                low, high = basis_dimension(k - 1), basis_dimension(k)
-                phi, above = phi[:high], phi
-                b, c = _yz_exponents(k)
-                phi = field.reduce(phi + a * above[basis_position(b + 1, c)])
-                phi = field.reduce(phi + square * above[basis_position(b, c + 1)])
-                stack[low:high] = phi[low:]
-        pivots = rref(stack.T, field).pivots
-        return np.searchsorted(pivots, [basis_dimension(k) for k in range(T + 1)]).tolist()
+            return np.searchsorted(self._free, dims).tolist()
+        field, phi, square = self.field, self._projector, self.field.mul(a, a)
+        stack = field.zeros((dims[-1], phi.shape[1]))
+        for k in range(self.top, -1, -1):
+            low, high = basis_dimension(k - 1), dims[k]
+            phi, above = phi[:high], phi
+            b, c = _yz_exponents(k)
+            phi = field.reduce(phi + a * above[basis_position(b + 1, c)])
+            phi = field.reduce(phi + square * above[basis_position(b, c + 1)])
+            stack[low:high] = phi[low:]
+        return np.searchsorted(rref(stack.T, field).pivots, dims).tolist()
 
     def module_vector(self) -> ModuleVector:
         """n_k = m_k - rank Phi_k for k = 0..T, from the first line that
         passes the certificate rank Phi_T = tau (module docstring).
 
-        Phi_(T+1) is the projector the sweep kept.  A vector that breaks
+        For l = x the ranks are counts of the sweep's free columns at
+        T+1; another line is tried only when x meets Sigma, on the
+        projector the sweep kept then.  A vector that breaks
         n_k = m_k + m_(T-k) - m_s(k) - tau (module docstring) raises
         InternalConsistencyError.  Unimodality and the support window
         are not enforced here: the analysis layer reports them as
@@ -303,7 +323,7 @@ class CurveJacobian:
         slopes = 2 * tau + 1 if field.p is None else min(2 * tau + 1, field.p - 1)
         for m in range(1, slopes + 1):
             a = field.inv(field.embed_integer(m)) if m > 1 else field.zero()
-            ranks = self._image_ranks(self._projector, a)
+            ranks = self._image_ranks(a)
             if ranks[self.top] == tau:
                 break
         else:

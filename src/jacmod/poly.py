@@ -390,9 +390,15 @@ class _Parser:
 
 
 def parse_form(text: str, field: Field) -> TernaryForm:
-    """Parse a homogeneous form; raise on syntax or mixed degrees."""
+    """Parse a homogeneous form; raise on syntax or mixed degrees.  An
+    input nested past the interpreter's recursion limit is a ParseError
+    at the token reached."""
     parser = _Parser(text, field)
-    terms = parser.expression()
+    try:
+        terms = parser.expression()
+    except RecursionError:
+        pos = parser.tokens[min(parser.i, len(parser.tokens) - 1)].pos
+        raise ParseError("parentheses nested too deeply", pos) from None
     parser.expect("end")
     if not terms:
         raise PolynomialError("polynomial expanded to zero")

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 
 import pytest
 
@@ -36,6 +38,41 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", "x^3 + + y^3")
         assert code == 2
         assert "error" in err
+
+    def test_deeply_nested_input_exit_two(self, capsys):
+        # nesting past the recursion limit is a parse error, not a crash
+        curve = "(" * 3000 + "x*y*z" + ")" * 3000
+        code, out, err = run(capsys, "analyze", curve)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: parentheses nested too deeply (at position ")
+        assert err.count("\n") == 1
+
+    def test_failed_fork_exit_two_with_the_pipe_closed(self, capsys, monkeypatch):
+        # a second-prime run that cannot start is an error of the run, not
+        # a failed formula check; both ends of its pipe are closed
+        pipes = []
+        pipe = os.pipe
+
+        def recorded_pipe():
+            pipes.append(pipe())
+            return pipes[-1]
+
+        def no_fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "pipe", recorded_pipe)
+        monkeypatch.setattr(os, "fork", no_fork)
+        code, out, err = run(capsys, "analyze", "x*y*z")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot start the gfp:")
+        assert err.endswith(" run: [Errno 11] Resource temporarily unavailable\n")
+        assert err.count("\n") == 1
+        assert len(pipes) == 1
+        for fd in pipes[0]:
+            with pytest.raises(OSError, match="Bad file descriptor"):
+                os.fstat(fd)
 
     def test_non_reduced_exit_two(self, capsys):
         code, out, err = run(capsys, "analyze", "x^2*y*z")
@@ -124,8 +161,8 @@ class TestAnalyze:
         # an explicit prime, which is never replaced
         exact = CurveJacobian._image_ranks
 
-        def skewed(self, projector, a):
-            ranks = exact(self, projector, a)
+        def skewed(self, a):
+            ranks = exact(self, a)
             ranks[3] -= 1
             return ranks
 

@@ -18,7 +18,7 @@ from jacmod.jacobian import (
     _yz_exponents,
     smooth_reference,
 )
-from jacmod.linalg import GrowingRref, kernel_basis, row_rank, rref
+from jacmod.linalg import GrowingRref, RrefResult, kernel_basis, row_rank, rref
 from jacmod.poly import TernaryForm, basis_dimension, basis_position, monomial_basis, parse_form
 from macaulay import macaulay_matrix, new_rows
 from row_space import in_row_space, null_space, reversed_rref
@@ -92,13 +92,19 @@ class TestJacobianPieces:
         assert basis_dimension(3) - jac("x*y*z").milnor_hilbert().values[3] == 7
 
     def test_piece_rows_multiples_of_partials(self):
-        # every m * f_i of degree T+1 maps to zero under the kept
-        # projector onto S_(T+1) / (J_f)_(T+1) (tau = 0 for the Fermat
-        # cubic, 4 for the conic pair)
-        for text in ("x^3 + y^3 + z^3", "(x*z - y^2) * (y*z - x^2)"):
+        # the sweep keeps the free columns of the reversed rref of the
+        # multiples m * f_i of degree T+1, and the projector onto
+        # S_(T+1) / (J_f)_(T+1) only when x meets Sigma (tau = 0 for the
+        # Fermat cubic; 4 for the conic pair, where x meets Sigma); every
+        # m * f_i maps to zero under that projector
+        for text, meets in (("x^3 + y^3 + z^3", False), ("(x*z - y^2) * (y*z - x^2)", True)):
             j = jac(text)
             tau = j.milnor_hilbert().tjurina
             multiples = macaulay_matrix(j, j.top + 2 - j.degree)
+            assert j._free.tolist() == free_columns(reversed_rref(multiples, GFP))
+            if not meets:
+                assert j._projector is None
+                continue
             assert j._projector.shape == (basis_dimension(j.top + 1), tau)
             product = GFP.reduce(multiples.astype(object) @ j._projector.astype(object))
             assert not np.any(product != 0)
@@ -114,13 +120,20 @@ SWEEP_CURVES = (
 )
 
 
+def free_columns(reference: RrefResult) -> list[int]:
+    """The columns of a reduced form that hold no pivot."""
+    return [c for c in range(reference.matrix.shape[1]) if c not in reference.pivots]
+
+
 def assert_sweep_matches_elimination(j: CurveJacobian) -> None:
     """Each Milnor value m_k, k <= T+2, is dim S_k minus the rank of an
-    independent elimination of the Macaulay matrix in degree k - d + 1,
-    and the projector kept at T+1 is the null-space projector of that
-    matrix's rref with the columns in reverse order (the pivot rule of
-    the sweep).  A curve the sweep rejects as non-reduced has
-    m_(T+1) != m_(T+2) there too."""
+    independent elimination of the Macaulay matrix in degree k - d + 1.
+    The free columns kept at T+1 are those of that matrix's rref with
+    the columns in reverse order (the pivot rule of the sweep).  The
+    projector is kept exactly when x meets Sigma, that is when the first
+    dim S_T rows of the null-space projector of that rref have rank
+    below tau, and then equals it.  A curve the sweep rejects as
+    non-reduced has m_(T+1) != m_(T+2) there too."""
     T = j.top
     expected = [
         basis_dimension(k) - row_rank(macaulay_matrix(j, k - j.degree + 1), j.field)
@@ -135,6 +148,10 @@ def assert_sweep_matches_elimination(j: CurveJacobian) -> None:
     reference = reversed_rref(macaulay_matrix(j, T + 2 - j.degree), j.field)
     projector = null_space(reference, j.field).T
     assert reference.matrix.shape[1] - reference.rank == values[T + 1]
+    assert j._free.tolist() == free_columns(reference)
+    if row_rank(projector[: basis_dimension(T)], j.field) == values[T + 1]:
+        assert j._projector is None
+        return
     assert j._projector.dtype == projector.dtype
     assert j._projector.shape == projector.shape
     assert np.array_equal(j._projector, projector)
@@ -360,14 +377,15 @@ def assert_saturation_matches_membership(j: CurveJacobian) -> None:
     assert list(vec.values) == expected
 
 
-def recorded_passes(monkeypatch) -> list[tuple[np.ndarray, object]]:
-    """The (projector, slope) of every saturation pass tried from now on."""
+def recorded_passes(monkeypatch) -> list[tuple[np.ndarray | None, object]]:
+    """The (projector kept, slope) of every saturation pass tried from
+    now on."""
     tried = []
     image_ranks = CurveJacobian._image_ranks
 
-    def recorded(self, projector, a):
-        tried.append((projector, a))
-        return image_ranks(self, projector, a)
+    def recorded(self, a):
+        tried.append((self._projector, a))
+        return image_ranks(self, a)
 
     monkeypatch.setattr(CurveJacobian, "_image_ranks", recorded)
     return tried
@@ -449,12 +467,19 @@ class TestSaturation:
         assert all(p is projector for p, _ in tried)  # built once
         image_ranks = CurveJacobian._image_ranks
         for a in slopes[:rejected]:
-            assert image_ranks(j, projector, a)[T] < tau
-        assert image_ranks(j, projector, slopes[rejected])[T] == tau
+            assert image_ranks(j, a)[T] < tau
+        assert image_ranks(j, slopes[rejected])[T] == tau
 
     @pytest.mark.parametrize("field", [GFP, rational_field()], ids=["gfp", "rational"])
     @pytest.mark.parametrize(
-        "text, lines", [("(x*z - y^2) * (y*z - x^2)", 2), (TWO_LINES_REJECTED, 3)]
+        "text, lines",
+        [
+            ("(x*z - y^2) * (y*z - x^2)", 2),
+            (TWO_LINES_REJECTED, 3),
+            (LADDER_OCTIC, 1),
+            ("x^5 + y^5 + z^5", 1),
+            ("y^4 + x*z^3", 1),
+        ],
     )
     def test_every_rank_of_every_line_tried_matches_the_definition(
         self, text, lines, field, monkeypatch
@@ -467,14 +492,43 @@ class TestSaturation:
         assert len(passes) == lines
         Q = quotient_projector(j)
         image_ranks = CurveJacobian._image_ranks
-        for m, (projector, a) in enumerate(passes, start=1):
+        for m, (_, a) in enumerate(passes, start=1):
             expected = [image_rank_from_definition(j, Q, m, k) for k in range(j.top + 1)]
-            assert image_ranks(j, projector, a) == expected, m
+            assert image_ranks(j, a) == expected, m
 
-    @pytest.mark.parametrize("text, lines", [(TWO_LINES_REJECTED, 3), (LADDER_OCTIC, 1)])
+    @pytest.mark.parametrize(
+        "field", [prime_field(7), GFP, rational_field()], ids=["gf7", "gf2^31-1", "rational"]
+    )
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_ranks_for_x_count_the_free_columns_below_each_degree(self, field, data):
+        # rows [0, dim S_k) of the sweep's table at T+1 span the unit
+        # vectors of its free columns there, so for l = x each rank
+        # Phi_k is a count; the table is kept exactly when x fails the
+        # certificate rank Phi_T = tau
+        d = data.draw(st.integers(2, 5))
+        basis = monomial_basis(d)
+        picks = data.draw(
+            st.lists(st.tuples(st.integers(0, 20), st.integers(-6, 6)), min_size=2, max_size=10)
+        )
+        terms = {basis[i % len(basis)]: field.embed_integer(c) for i, c in picks}
+        terms = {m: c for m, c in terms.items() if c}
+        assume(terms)
+        j = CurveJacobian(TernaryForm(field, d, terms))
+        try:
+            tau = j.milnor_hilbert().tjurina
+        except NotReducedError:
+            assume(False)
+        Q = quotient_projector(j)
+        ranks = j._image_ranks(field.zero())
+        assert ranks == [row_rank(Q[: basis_dimension(k)], field) for k in range(j.top + 1)]
+        assert (j._projector is None) == (ranks[j.top] == tau)
+
+    @pytest.mark.parametrize("text, lines", [(TWO_LINES_REJECTED, 2), (LADDER_OCTIC, 0)])
     def test_one_elimination_per_line_tried(self, text, lines, monkeypatch):
-        # every rank Phi_k of a line is read off one rref of the
-        # transposed stack of x-free rows, tau x dim S_T
+        # the ranks for l = x are counts of free columns, with no
+        # elimination; every rank Phi_k of another line is read off one
+        # rref of the transposed stack of x-free rows, tau x dim S_T
         j = jac(text)
         tau = j.milnor_hilbert().tjurina
         shapes = []
@@ -523,8 +577,8 @@ class TestSaturation:
     def test_negative_value_is_an_internal_error(self, monkeypatch):
         exact = CurveJacobian._image_ranks
 
-        def inflated(self, projector, a):
-            ranks = exact(self, projector, a)
+        def inflated(self, a):
+            ranks = exact(self, a)
             ranks[0] += 2  # rank Phi_0 above m_0 = 1
             return ranks
 
@@ -538,8 +592,8 @@ class TestSaturation:
         # Milnor ranks; one rank off by one at degree k breaks it there
         exact = CurveJacobian._image_ranks
 
-        def skewed(self, projector, a):
-            ranks = exact(self, projector, a)
+        def skewed(self, a):
+            ranks = exact(self, a)
             ranks[k] -= 1
             return ranks
 
