@@ -665,9 +665,12 @@ def _run_pair(
     """The runs under p1 (here) and p2 (in a forked child) at the same
     time.  The child pickles its report or exception into a pipe and
     leaves by os._exit, so it never flushes the inherited stdio buffers.
-    A fork that fails (say EAGAIN) closes the pipe and raises
-    AnalysisError."""
-    read_end, write_end = os.pipe()
+    A pipe or a fork that fails (say EMFILE or EAGAIN) closes whatever
+    it opened and raises AnalysisError."""
+    try:
+        read_end, write_end = os.pipe()
+    except OSError as exc:
+        raise AnalysisError(f"cannot start the gfp:{p2} run: {exc}") from exc
     try:
         pid = os.fork()
     except OSError as exc:

@@ -12,11 +12,12 @@ this order: one degree sweep gives the Milnor values and what the
 syzygy layer needs, and one saturation pass gives N(f).  No degree is
 served on demand.
 
-The pieces (J_f)_k come from one sweep over k = d-1, ..., T+2 instead
-of one elimination per degree.  basis_position does not depend on the
-x exponent, so x * basis(k) is exactly the first dim S_k positions of
-basis(k + 1), and (J_f)_{k+1} is x * (J_f)_k, the same vectors
-zero-padded, plus the multiples y^b z^c * f_i with b + c = k + 2 - d.
+The pieces (J_f)_k come from one sweep over k = d-1, ..., at most
+T+2, instead of one elimination per degree.  basis_position does not
+depend on the x exponent, so x * basis(k) is exactly the first dim S_k
+positions of basis(k + 1), and (J_f)_{k+1} is x * (J_f)_k, the same
+vectors zero-padded, plus the multiples y^b z^c * f_i with
+b + c = k + 2 - d.
 The sweep keeps the reduced form of (J_f)_k as its normal-form table
 Q_k (linalg.GrowingRref): row t of Q_k is the t-th monomial of degree
 k modulo (J_f)_k, on the quotient's basis monomials.  It adds only
@@ -27,23 +28,43 @@ c), sit at the j+1 consecutive positions of basis(k) from that of
 y^j m, s(s+1)/2 + c' with s = j + b' + c'.  The reduced rows of f_i
 are therefore sum_m coeff_m * Q_k[start_m : start_m + j + 1], one
 scaled contiguous slice of the table per term.  The sweep records
-m_k = dim (S/J_f)_k and keeps the tau free columns of Q_(T+1), the
-projector onto S_(T+1) / (J_f)_(T+1), and the dim S_(T+1) x tau table
-itself only when the saturation pass needs it (below).
+m_k = dim (S/J_f)_k and keeps the tau free columns where it stopped
+(below), and the dim S_(T+1) x tau table Q_(T+1), the projector onto
+S_(T+1) / (J_f)_(T+1), only when the saturation pass needs it (below).
 
 The sweep also keeps each degree's batch of new rows reduced modulo
-x * (J_f)_{k-1}, as the list batches, indexed by j = k - d + 1 and never
-changed once the sweep is done.  A combination sum c_(i,m) m f_i of its
-rows (m x-free of degree j) lies in x * (J_f)_{k-1} exactly when c is
-the x-free part of a degree-j syzygy (if sum c_i f_i = x sum a_i f_i,
-c - x a is one).  So P_j, the x-free parts of Syz_j, is the left kernel
-of batch j; the syzygy layer (resolution.py) owns P_j and computes it
-from the batches, only for the degrees it reads.
+x * (J_f)_{k-1}, as the list batches, indexed by j = k - d + 1 up to
+the degree where the sweep stopped, and never changed once it is done.
+A combination sum c_(i,m) m f_i of its rows (m x-free of degree j)
+lies in x * (J_f)_{k-1} exactly when c is the x-free part of a degree-j
+syzygy (if sum c_i f_i = x sum a_i f_i, c - x a is one).  So P_j, the
+x-free parts of Syz_j, is the left kernel of batch j; the syzygy layer
+(resolution.py) owns P_j and computes it from the batches, only for
+the degrees it reads.
 
 Degrees are capped at T + 2 with T = 3(d - 2): the Hilbert function
 of S/J_f is constant equal to the global Tjurina number tau from T + 1
 on when f is reduced, and failure of m(T+1) = m(T+2) is exactly the
-non-reduced signal.
+non-reduced signal.  The sweep stops earlier, after step k+1, at the
+first k >= d-1 where J_f is certified k-regular.  J_f is generated in
+degree d-1 <= k, so by the criterion of Bayer and Stillman ("A
+criterion for detecting m-regularity", Invent. Math. 87, 1987) two
+facts suffice:
+  - (J_f, x)_k = S_k: after step k no x-free column of degree k, at or
+    past dim S_(k-1), is free;
+  - (J_f : x)_k = (J_f)_k: step k+1 makes no new pivot on the first
+    dim S_k columns, the x-multiples.
+Then x maps (S/J_f)_k' onto (S/J_f)_(k'+1) bijectively for every
+k' >= k (Eisenbud, The Geometry of Syzygies, ch. 4): m_k' = tau, f is
+reduced, and the free columns never change again.  The test after step
+k+1 is two integer comparisons: m_(k+1) = m_k, and no free column is at
+or past dim S_(k-1).  Free columns only ever become pivots, and
+free_(k+1) lies in free_k plus the columns added at k+1; the bound
+rules out those and the x-free columns of degree k, and the equal count
+then makes free_(k+1) = free_k, which is both facts.  The values from
+k+2 to T+2 are m_(k+1).  The first fact says that x misses Sigma, so a
+reduced curve whose line x meets Sigma never passes, nor does a
+non-reduced one, whose m keeps growing: both sweep to T+2.
 
 Saturation is one pass over nested images.  If a line l misses every
 point of the Jacobian scheme Sigma, l is a nonzerodivisor on S/Sat and
@@ -63,15 +84,18 @@ these slopes are distinct.
 For l = x the ranks need no elimination.  x^(T+1-k) basis(k) is the
 first dim S_k monomials of basis(T+1), so the matrix of Phi_k is the
 first dim S_k rows of the table Q_(T+1), and those rows span exactly
-the unit vectors of the free columns below dim S_k:
+the unit vectors of the free columns below dim S_k (the free columns
+where the sweep stopped, which are those of Q_(T+1)):
   - the row of a free column c is the unit vector of c;
   - the row of a pivot column c is nonzero only on free columns left
     of c, so below dim S_k when c is;
   - so the rows below dim S_k span the units of the free columns there.
-rank Phi_k is therefore the number of free columns of Q_(T+1) below
-dim S_k, and rank Phi_T = tau holds exactly when no free column is at
-or past dim S_T, that is when x misses Sigma.  Another line is tried
-only when x meets Sigma, so only then does the sweep copy Q_(T+1).
+rank Phi_k is therefore the number of free columns where the sweep
+stopped below dim S_k, and rank Phi_T = tau holds exactly when no free
+column is at or past dim S_T, that is when x misses Sigma.  Another
+line is tried only when x meets Sigma, which only a sweep that reaches
+T+1 with no certificate allows, so only then does the sweep copy
+Q_(T+1).
 For l = x + a y + a^2 z, a != 0, S_{k+1} = l S_k + <x-free
 monomials>, so the images nest: Phi_k has the image of Phi_(k-1) plus
 that of its k+1 x-free rows.  Stacked for k = 0..T, those rows are
@@ -206,10 +230,11 @@ def _yz_exponents(k: int) -> tuple[np.ndarray, np.ndarray]:
 class CurveJacobian:
     """The oracle's graded data of one curve over one field, in the
     order the pipeline reads it: milnor_hilbert() runs the one degree
-    sweep and keeps batches[j], its reduced batch in degree j+d-1, for
-    the syzygy layer, and module_vector() runs the one saturation pass
-    on the free columns of the sweep's table at T+1, and on that table,
-    the quotient projector, when the line x meets Sigma."""
+    sweep, up to its certified regularity degree or T+2, and keeps
+    batches[j], its reduced batch in degree j+d-1, for the syzygy
+    layer, and module_vector() runs the one saturation pass on the free
+    columns of the sweep's table where it stopped, and on its table at
+    T+1, the quotient projector, when the line x meets Sigma."""
 
     def __init__(self, f: TernaryForm):
         if f.is_zero() or f.degree < 1:
@@ -218,8 +243,9 @@ class CurveJacobian:
         self.field = f.field
         self.degree = f.degree
         self.partials = f.gradient()
-        self.batches: list[np.ndarray] = []  # j -> reduced batch in degree j+d-1
-        self._free = self._projector = None  # free columns of Q_(T+1); Q_(T+1) if x meets Sigma
+        # j -> reduced batch in degree j+d-1, up to where the sweep stopped
+        self.batches: list[np.ndarray] = []
+        self._free = self._projector = None  # free columns at the stop; Q_(T+1) if needed
         self._milnor: MilnorProfile | None = None
 
     @property
@@ -249,14 +275,16 @@ class CurveJacobian:
         """Hilbert function of S/J_f on 0..T+2; rejects non-reduced f.
 
         For k < d-1 the value is dim S_k (the ideal has no elements
-        below the partials' degree).  From d-1 to T+2 one sweep gives
-        every rank: each step appends the k+1 monomials free of x as
-        columns, reduces the 3(j+1) new rows, j = k-d+1, as slice sums
-        of the normal-form table and adds them, keeping their reduced
-        batch.  For the saturation pass it keeps the free columns at
-        T+1, and the table there, the quotient projector, only when a
-        free column is at or past dim S_T (x meets Sigma).  Computed
-        once."""
+        below the partials' degree).  From d-1 one sweep gives every
+        rank: each step appends the k+1 monomials free of x as columns,
+        reduces the 3(j+1) new rows, j = k-d+1, as slice sums of the
+        normal-form table and adds them, keeping their reduced batch.
+        It stops after step k+1 once J_f is certified k-regular (module
+        docstring), with every value above k+1 equal to m_(k+1), or
+        else after step T+2.  For the saturation pass it keeps the free
+        columns where it stopped, or at T+1, and the table at T+1, the
+        quotient projector, only when a free column is at or past
+        dim S_T (x meets Sigma).  Computed once."""
         if self._milnor is not None:
             return self._milnor
         d, T = self.degree, self.top
@@ -265,14 +293,23 @@ class CurveJacobian:
         sweep = GrowingRref(self.field, basis_dimension(d - 2))
         values = [basis_dimension(k) for k in range(d - 1)]
         batches = []
+        kept = None  # m_(k-1), the number of free columns after step k-1
         for k in range(d - 1, T + 3):
             sweep.add_columns(k + 1)
             batches.append(self._reduced_batch(sweep.table, k - d + 1))
             sweep.add_reduced(batches[-1])
             values.append(basis_dimension(k) - sweep.rank)
+            free = sweep.free
+            if values[k] == kept and (not kept or free[-1] < basis_dimension(k - 2)):
+                # J_f is (k-1)-regular: m is constant from k-1 on and the
+                # free columns never change again (module docstring)
+                values += values[k:] * (T + 2 - k)
+                self._free = free
+                break
+            kept = values[k]
             if k == T + 1:
-                self._free = sweep.free
-                if np.any(self._free >= basis_dimension(T)):  # x meets Sigma
+                self._free = free
+                if np.any(free >= basis_dimension(T)):  # x meets Sigma
                     self._projector = sweep.table.copy()
         if values[T + 1] != values[T + 2]:
             raise NotReducedError(
@@ -287,12 +324,12 @@ class CurveJacobian:
     def _image_ranks(self, a: Element) -> list[int]:
         """rank Phi_k, k = 0..T, for l = x + a y + a^2 z (module
         docstring).  For a = 0, rank Phi_k is the number of free columns
-        of Q_(T+1) below dim S_k.  Otherwise Phi_(T+1) is the projector
-        kept at T+1 and Phi_k = Phi_(k+1)(l *), one variable shift each;
-        row block [dim S_(k-1), dim S_k) of the stack holds the x-free
-        rows of Phi_k, so rank Phi_k is the rank of its first dim S_k
-        rows: the pivots of one rref of the stack's transpose below
-        dim S_k."""
+        below dim S_k where the sweep stopped.  Otherwise Phi_(T+1) is
+        the projector kept at T+1 and Phi_k = Phi_(k+1)(l *), one
+        variable shift each; row block [dim S_(k-1), dim S_k) of the
+        stack holds the x-free rows of Phi_k, so rank Phi_k is the rank
+        of its first dim S_k rows: the pivots of one rref of the stack's
+        transpose below dim S_k."""
         dims = [basis_dimension(k) for k in range(self.top + 1)]
         if not a:
             return np.searchsorted(self._free, dims).tolist()
@@ -311,8 +348,8 @@ class CurveJacobian:
         """n_k = m_k - rank Phi_k for k = 0..T, from the first line that
         passes the certificate rank Phi_T = tau (module docstring).
 
-        For l = x the ranks are counts of the sweep's free columns at
-        T+1; another line is tried only when x meets Sigma, on the
+        For l = x the ranks are counts of the sweep's free columns where
+        it stopped; another line is tried only when x meets Sigma, on the
         projector the sweep kept then.  A vector that breaks
         n_k = m_k + m_(T-k) - m_s(k) - tau (module docstring) raises
         InternalConsistencyError.  Unimodality and the support window

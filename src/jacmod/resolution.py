@@ -39,6 +39,14 @@ d_m <= e_{m-2} - d = 2d-3-sigma <= 2d-4.
 A search that has not balanced by then is wrong, not incomplete, and
 raises IncompleteResolutionError: the Milnor values it reads stop at
 degree max(2d-2, 3d-5) <= T+2, which the Milnor sweep already holds.
+
+The sweep holds batches only up to where it stopped: one degree past
+the first r at which J_f is certified r-regular, or T+2.  At degree i
+the scan reads the batch in degree i+d-2, for i up to d_m, the last
+generator, and d+d_m-2 <= reg(J_f) <= r (a generator of Syz in degree
+d_m is a first syzygy of J_f in degree d-1+d_m), so every batch it
+needs is held.  Only an unlucky prime can make it ask for one past the
+stop, and that raises IncompleteResolutionError too.
 """
 
 from __future__ import annotations
@@ -206,6 +214,11 @@ def resolve(jac: CurveJacobian) -> ResolutionProfile:
     for k in range(r, window_end + 1):
         image_rank = 0
         if x_free_dimension(k - 1):
+            if k > len(jac.batches):
+                raise IncompleteResolutionError(
+                    f"degree {k} needs the sweep's batch in degree {k + d - 2}, "
+                    f"past its certified stop at {len(jac.batches) + d - 2} (bad prime?)"
+                )
             parts = kernel_basis(jac.batches[k - 1].T, field)  # P_(k-1)
             image_rank = row_rank(_y_z_shifts(parts, k - 1, field), field)
         new = x_free_dimension(k) - image_rank

@@ -74,6 +74,23 @@ class TestAnalyze:
             with pytest.raises(OSError, match="Bad file descriptor"):
                 os.fstat(fd)
 
+    def test_failed_pipe_exit_two_with_no_fd_leaked(self, capsys, monkeypatch):
+        # a pipe that cannot be opened (too many open files) is an error of
+        # the run as well: one stderr line, no fork, no descriptor left open
+        def no_pipe():
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        monkeypatch.setattr(os, "pipe", no_pipe)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked without a pipe"))
+        before = sorted(os.listdir("/dev/fd"))
+        code, out, err = run(capsys, "analyze", "x*y*z")
+        assert sorted(os.listdir("/dev/fd")) == before
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot start the gfp:")
+        assert err.endswith(" run: [Errno 24] Too many open files\n")
+        assert err.count("\n") == 1
+
     def test_non_reduced_exit_two(self, capsys):
         code, out, err = run(capsys, "analyze", "x^2*y*z")
         assert code == 2

@@ -111,12 +111,20 @@ class TestJacobianPieces:
 
 
 LADDER_OCTIC = "(x+1*y)^2*(x-1*y)^2*(x+2*y)^2*(x-2*y)^2 + z^8"
+
+
+def lines_curve(d: int) -> str:
+    """The d lines x + i*y + i^2*z: nodal, and no node lies on the line x."""
+    return "*".join(f"(x+{i}*y+{i * i}*z)" for i in range(1, d + 1))
+
+
 SWEEP_CURVES = (
     "(x*z - y^2) * (y*z - x^2)",
     "y^4 + x*z^3",
     "x^5 + y^5 + z^5",
     "x*y*z",
     LADDER_OCTIC,
+    lines_curve(5),
 )
 
 
@@ -283,9 +291,10 @@ class TestDegreeSweep:
             j = CurveJacobian(TernaryForm(field, d, terms))
             try:
                 j.milnor_hilbert()
+                kept = len(j.batches)  # the sweep may stop before T+2
             except NotReducedError:
-                pass
-        assert [deg for deg, _, _ in batches] == list(range(2 * d - 2))
+                kept = 2 * d - 2  # a non-reduced curve sweeps to T+2
+        assert [deg for deg, _, _ in batches] == list(range(kept))
         for deg, table, batch in batches:
             assert_batch_is_new_rows_times_table(j, deg, table, batch)
 
@@ -307,6 +316,121 @@ class TestDegreeSweep:
                 assert np.array_equal(
                     big[i * n1 + n0 : (i + 1) * n1], new[i * (deg + 2) : (i + 1) * (deg + 2)]
                 )
+
+
+def x_multiples(field: Field, k: int) -> np.ndarray:
+    """The unit rows of the monomials of degree k divisible by x, over
+    basis(k): a basis of x * S_(k-1)."""
+    basis = monomial_basis(k)
+    columns = [t for t, m in enumerate(basis) if m[0] > 0]
+    rows = field.zeros((len(columns), len(basis)))
+    rows[np.arange(len(columns)), columns] = field.one()
+    return rows
+
+
+def regularity_facts(j: CurveJacobian, k: int) -> tuple[bool, bool]:
+    """(J_f, x)_k = S_k and (J_f : x)_k = (J_f)_k, from ranks of Macaulay
+    matrices and of unit rows, with no use of the sweep.  x S_k has
+    dim S_k - dim (J_f : x)_k dimensions modulo (J_f)_(k+1)."""
+    field, n = j.field, basis_dimension(k)
+    ideal = macaulay_matrix(j, k - j.degree + 1)
+    above = macaulay_matrix(j, k - j.degree + 2)
+    with_x = row_rank(np.concatenate([ideal, x_multiples(field, k)]), field)
+    image = row_rank(np.concatenate([above, x_multiples(field, k + 1)]), field)
+    colon = n - (image - row_rank(above, field))
+    return with_x == n, colon == row_rank(ideal, field)
+
+
+def certified_degree(j: CurveJacobian) -> int | None:
+    """The first k in [d-1, T+1] at which both regularity facts hold."""
+    return next(
+        (k for k in range(j.degree - 1, j.top + 2) if all(regularity_facts(j, k))), None
+    )
+
+
+def swept_degrees(j: CurveJacobian, monkeypatch) -> list[int]:
+    """The degrees k of the sweep's steps, non-reduced curves included."""
+    batches = record_batches(monkeypatch)
+    try:
+        j.milnor_hilbert()
+    except NotReducedError:
+        pass
+    return [deg + j.degree - 1 for deg, _, _ in batches]
+
+
+class TestRegularityCut:
+    @pytest.mark.parametrize("field", [GFP, rational_field()], ids=["gfp", "rational"])
+    @pytest.mark.parametrize(
+        "text, certified",
+        [
+            (LADDER_OCTIC, 15),  # T + 1 = 19
+            (lines_curve(6), 8),  # T + 1 = 13
+            ("(x*z - y^2) * (y*z - x^2)", None),  # x meets Sigma
+            ("x^5 + y^5 + z^5", 10),  # T + 1: no degree saved
+            ("y^4 + x*z^3", 5),  # T + 1 = 7
+        ],
+    )
+    def test_sweep_stops_one_degree_after_the_certificate(
+        self, text, certified, field, monkeypatch
+    ):
+        # by Bayer and Stillman the two facts at k make J_f k-regular, so
+        # the sweep's last step is k+1; with no certificate by T+1 it
+        # steps to T+2.  The free columns kept are those where it stopped,
+        # or at T+1 (the same ones once the certificate holds)
+        j = jac(text, field)
+        d, T = j.degree, j.top
+        assert certified_degree(j) == certified
+        steps = swept_degrees(j, monkeypatch)
+        stop = T + 2 if certified is None else certified + 1
+        assert steps == list(range(d - 1, stop + 1))
+        assert len(j.batches) == stop - d + 2
+        reference = reversed_rref(macaulay_matrix(j, min(stop, T + 1) - d + 1), field)
+        assert j._free.tolist() == free_columns(reference)
+        if certified is not None:
+            assert j._projector is None
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x*y*z",  # x meets Sigma: the curve is reduced
+            "(x*z - y^2) * (y*z - x^2)",
+            "x^2*y*z + y^4",
+            "x^2*y*z",  # not reduced
+            "x^2",
+            "(x*z - y^2)^2 * y",
+        ],
+    )
+    def test_no_cut_where_x_meets_sigma_or_f_is_not_reduced(self, text, monkeypatch):
+        j = jac(text)
+        assert certified_degree(j) is None
+        assert swept_degrees(j, monkeypatch) == list(range(j.degree - 1, j.top + 3))
+        if j.batches:  # reduced
+            assert len(j.batches) == j.top + 4 - j.degree
+
+    @pytest.mark.parametrize(
+        "field", [prime_field(7), GFP, rational_field()], ids=["gf7", "gf2^31-1", "rational"]
+    )
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_cut_on_random_curves(self, field, data):
+        # the sweep stops one degree after the certificate, which implies
+        # that x misses Sigma: no projector is kept then
+        d = data.draw(st.integers(2, 5))
+        basis = monomial_basis(d)
+        picks = data.draw(
+            st.lists(st.tuples(st.integers(0, 20), st.integers(-6, 6)), min_size=2, max_size=10)
+        )
+        terms = {basis[i % len(basis)]: field.embed_integer(c) for i, c in picks}
+        terms = {m: c for m, c in terms.items() if c}
+        assume(terms)
+        j = CurveJacobian(TernaryForm(field, d, terms))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            steps = swept_degrees(j, monkeypatch)
+        assume(j.batches)  # reduced
+        certified = certified_degree(j)
+        assert steps[-1] == (j.top + 2 if certified is None else certified + 1)
+        if certified is not None:
+            assert j._projector is None
 
 
 class TestModuleVector:

@@ -263,6 +263,15 @@ class TestProvenWindow:
         with pytest.raises(IncompleteResolutionError):
             resolve(jac(text))
 
+    def test_a_read_past_the_kept_batches_is_incomplete(self):
+        # only an unlucky prime can make the scan need a batch past the
+        # sweep's certified stop: refused, never an IndexError
+        j = jac(LADDER_OCTIC)
+        r = mdr(j.milnor_hilbert())
+        j.batches = j.batches[:r]  # P_(r-1) = 0 is never read; P_r is
+        with pytest.raises(IncompleteResolutionError, match="past its certified stop"):
+            resolve(j)
+
 
 def assert_counts_match_definition(j: CurveJacobian, prof: ResolutionProfile) -> None:
     """For every degree resolve() scanned, from mdr to the last
@@ -290,9 +299,21 @@ class TestGeneratorsFromXFreeParts:
     @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
     @pytest.mark.parametrize("text", ["(x*z - y^2) * (y*z - x^2)", "y^4 + x*z^3", LADDER_OCTIC])
     def test_x_free_parts_span_the_projected_kernel(self, text, field):
+        # on every batch the sweep kept before its cut; resolve() reads
+        # none past them
         j = jac(text, field)
         milnor = j.milnor_hilbert()
-        for k in range(2 * j.degree - 3):
+        read = []
+
+        class Recorded(list):
+            def __getitem__(self, k):
+                read.append(k)
+                return super().__getitem__(k)
+
+        j.batches = Recorded(j.batches)
+        resolve(j)
+        assert read and max(read) < len(j.batches)
+        for k in range(min(2 * j.degree - 3, len(j.batches))):
             basis = monomial_basis(k)
             free = [t for t, m in enumerate(basis) if m[0] == 0]
             # the x-free monomials come in the order of their z exponent
