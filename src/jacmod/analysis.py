@@ -7,14 +7,19 @@ every closed-form prediction that applies, and records each comparison
 as pass / fail / n-a.  Over a random prime field the whole pipeline is
 executed under two independent primes and the integer outputs must
 agree, which makes an unlucky prime detectable.  The two runs go at
-the same time: the second prime's in a forked child process (POSIX).
+the same time: the second prime's in a helper process (POSIX), forked
+at the first two-prime analysis of a process and reused by every later
+one, since a fork per analysis costs more than a small analysis.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
 import pickle
 import signal
+import struct
+import threading
 import time
 import traceback
 from collections.abc import Sequence
@@ -662,50 +667,164 @@ def _outcome(text: str, p: int, nodal: NodalData | None) -> CurveReport | Except
 def _run_pair(
     text: str, p1: int, p2: int, nodal: NodalData | None
 ) -> tuple[CurveReport | Exception, CurveReport | Exception]:
-    """The runs under p1 (here) and p2 (in a forked child) at the same
-    time.  The child pickles its report or exception into a pipe and
-    leaves by os._exit, so it never flushes the inherited stdio buffers.
+    """The runs under p1 (here) and p2 (in this process's helper) at the
+    same time.  The first pair forks the helper; later pairs reuse it.
     A pipe or a fork that fails (say EMFILE or EAGAIN) closes whatever
-    it opened and raises AnalysisError."""
-    try:
-        read_end, write_end = os.pipe()
-    except OSError as exc:
-        raise AnalysisError(f"cannot start the gfp:{p2} run: {exc}") from exc
-    try:
-        pid = os.fork()
-    except OSError as exc:
-        os.close(read_end)
-        os.close(write_end)
-        raise AnalysisError(f"cannot start the gfp:{p2} run: {exc}") from exc
-    if pid == 0:
-        try:
-            os.close(read_end)
-            outcome = _outcome(text, p2, nodal)
+    it opened and raises AnalysisError.  Any exception here, or a helper
+    that ends without sending a result, kills and reaps the helper, so
+    the next pair forks a fresh one.  Threads take turns: a reply is
+    read by the thread that sent its request."""
+    global _helper
+    request = pickle.dumps((text, p2, nodal))
+    with _lock:
+        if _helper is None:
             try:
-                data = pickle.dumps(outcome)
-                pickle.loads(data)
-            except Exception as exc:
-                data = pickle.dumps(
-                    f"the gfp:{p2} run ended in {outcome!r}, which cannot be sent back: {exc}"
-                )
-            with os.fdopen(write_end, "wb") as pipe:
-                pipe.write(data)
-        finally:
-            os._exit(0)
-    try:
-        os.close(write_end)
-        with os.fdopen(read_end, "rb") as pipe:
-            first = _outcome(text, p1, nodal)
-            data = pipe.read()
-    finally:
-        os.kill(pid, signal.SIGKILL)  # a no-op once the child has exited
-        _, status = os.waitpid(pid, 0)
-    if not data:
-        raise InternalConsistencyError(
-            f"the gfp:{p2} run ended without sending a result "
-            f"(exit status {os.waitstatus_to_exitcode(status)})"
-        )
-    second = pickle.loads(data)
+                _helper = _Helper.fork()
+            except OSError as exc:
+                raise AnalysisError(f"cannot start the gfp:{p2} run: {exc}") from exc
+        try:
+            try:
+                _send(_helper.requests, request)
+            except BrokenPipeError:  # the helper has died since the last pair
+                reply = None
+            else:
+                first = _outcome(text, p1, nodal)
+                reply = _receive(_helper.replies)
+        except BaseException:
+            _retire_helper()
+            raise
+        if reply is None:
+            raise InternalConsistencyError(
+                f"the gfp:{p2} run ended without sending a result "
+                f"(exit status {_retire_helper()})"
+            )
+    second = pickle.loads(reply)
     if isinstance(second, str):
         raise InternalConsistencyError(second)
     return first, second
+
+
+# ---------------------------------------------------------------------------
+# the second prime's helper process
+# ---------------------------------------------------------------------------
+
+# messages on the helper's pipes: a little-endian length, then a pickle
+_LENGTH = struct.Struct("<Q")
+
+
+def _send(fd: int, data: bytes) -> None:
+    view = memoryview(_LENGTH.pack(len(data)) + data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _read(fd: int, size: int) -> bytes | None:
+    """size bytes from fd, or None at EOF."""
+    data = bytearray()
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            return None
+        data += chunk
+    return bytes(data)
+
+
+def _receive(fd: int) -> bytes | None:
+    """The next message on fd, or None once its writer has gone."""
+    header = _read(fd, _LENGTH.size)
+    return None if header is None else _read(fd, _LENGTH.unpack(header)[0])
+
+
+def _serve(requests: int, replies: int) -> None:
+    """The helper's loop: one run per (text, prime, nodal) request, each
+    answered with the pickled report or exception, until EOF."""
+    while (request := _receive(requests)) is not None:
+        text, p, nodal = pickle.loads(request)
+        outcome = _outcome(text, p, nodal)
+        try:
+            data = pickle.dumps(outcome)
+            pickle.loads(data)
+        except Exception as exc:
+            data = pickle.dumps(
+                f"the gfp:{p} run ended in {outcome!r}, which cannot be sent back: {exc}"
+            )
+        _send(replies, data)
+
+
+@dataclass(frozen=True)
+class _Helper:
+    """A forked child that runs second-prime analyses for its parent:
+    the parent writes requests and reads replies."""
+
+    pid: int
+    requests: int
+    replies: int
+
+    @classmethod
+    def fork(cls) -> _Helper:
+        """The child leaves by os._exit, so it never flushes the stdio
+        buffers it inherits.  It exits at EOF of its requests, which
+        also covers a parent that was killed."""
+        fds: list[int] = []
+        try:
+            fds.extend(os.pipe())
+            fds.extend(os.pipe())
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        requests_in, requests_out, replies_in, replies_out = fds
+        if pid == 0:
+            try:
+                os.close(requests_out)
+                os.close(replies_in)
+                # Ctrl-C reaches the whole process group; the parent
+                # decides whether the helper goes
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                _serve(requests_in, replies_out)
+            finally:
+                os._exit(0)
+        os.close(requests_in)
+        os.close(replies_out)
+        return cls(pid, requests_out, replies_in)
+
+    def close_pipes(self) -> None:
+        os.close(self.requests)
+        os.close(self.replies)
+
+    def kill(self) -> int:
+        """Kill and reap the helper; its exit status."""
+        os.kill(self.pid, signal.SIGKILL)  # a no-op once the helper has exited
+        _, status = os.waitpid(self.pid, 0)
+        self.close_pipes()
+        return os.waitstatus_to_exitcode(status)
+
+
+_helper: _Helper | None = None
+_lock = threading.Lock()  # one pair at a time per helper
+
+
+def _retire_helper() -> int | None:
+    """Kill and reap this process's helper, if it has one; its exit
+    status.  Runs at interpreter exit."""
+    global _helper
+    helper, _helper = _helper, None
+    return None if helper is None else helper.kill()
+
+
+def _drop_inherited_helper() -> None:
+    """In a forked child: the parent's helper is not this process's
+    child.  Closing its pipes keeps this process from writing into it
+    or holding off its EOF; the child forks a helper of its own.  The
+    lock is new, since one held by another thread at the fork would
+    stay held here."""
+    global _helper, _lock
+    _lock = threading.Lock()
+    helper, _helper = _helper, None
+    if helper is not None:
+        helper.close_pipes()
+
+
+atexit.register(_retire_helper)
+os.register_at_fork(after_in_child=_drop_inherited_helper)

@@ -8,7 +8,8 @@ Two subcommands:
 
 Exit codes: 0 all checks pass, 1 at least one formula check failed,
 2 invalid input (parse error, bad flags, inconsistent metadata,
-non-reduced curve) or an internal consistency failure.  Data goes to
+non-reduced curve), an internal consistency failure, or output that
+cannot be written (a closed pipe, a full disk).  Data goes to
 stdout, diagnostics to stderr.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Sequence
 
@@ -256,7 +258,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(output)
+    try:
+        print(output)
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe, a full disk
+        # what is left in the buffer goes to devnull, so the
+        # interpreter's final flush stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return 2
     return 0 if report.passed else 1
 
 

@@ -6,10 +6,20 @@ import contextlib
 
 import pytest
 
+from jacmod.analysis import _retire_helper
 from jacmod.fields import prime_field, rational_field
 
 # criterion number -> (label, status); filled by the acceptance fixture
 _acceptance_results: dict[int, tuple[str, str]] = {}
+
+
+@pytest.fixture(autouse=True)
+def fresh_helper():
+    """Retire the second-prime helper after each test, as interpreter
+    exit does, so that the next test's patches reach the helper it
+    forks."""
+    yield
+    _retire_helper()
 
 
 @pytest.fixture(scope="session")

@@ -5,17 +5,23 @@ from __future__ import annotations
 
 import json
 import os
+import signal
+import subprocess
+import sys
+import threading
 import time
 from dataclasses import replace
 
 import pytest
 
+from jacmod import analysis
 from jacmod.analysis import (
     FAIL,
     NA,
     PASS,
     AnalysisError,
     AnalysisOptions,
+    CurveReport,
     NodalData,
     _analyze_over_field,
     _comparable,
@@ -341,7 +347,8 @@ class TestReportSerialization:
 
 
 # ---------------------------------------------------------------------------
-# the default prime pair: one run here, one in a forked child
+# the default prime pair: one run here, one in this process's helper,
+# forked at the first pair and reused by every later one
 # ---------------------------------------------------------------------------
 
 FERMAT_CUBIC = "x^3 + y^3 + z^3"
@@ -400,6 +407,14 @@ def _count_forks(monkeypatch) -> list[int]:
 
 
 def assert_no_child_left():
+    """No child is left but the helper: once it is retired, none."""
+    analysis._retire_helper()
+    assert_helper_reaped()
+
+
+def assert_helper_reaped():
+    """The helper is gone and reaped, and no other child is left."""
+    assert analysis._helper is None
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -434,7 +449,16 @@ class TestPrimePair:
         q1, q2 = prime_pair(7919, max_degree=3)
         assert report.field_labels == (f"gfp:{q1}", f"gfp:{q2}")
         assert report.passed
-        assert forks == [1, 1]
+        assert forks == [1]  # the re-drawn pair reuses the helper
+        assert_no_child_left()
+
+    def test_two_analyses_fork_once(self, monkeypatch):
+        forks = _count_forks(monkeypatch)
+        first = analyze_text(FERMAT_CUBIC)
+        second = analyze_text(CONIC_PAIR)
+        assert first.passed and second.passed
+        assert second.vector == (0, 0, 2, 3, 2, 0, 0)
+        assert forks == [1]
         assert_no_child_left()
 
     def test_internal_error_in_child_redraws(self, monkeypatch):
@@ -506,15 +530,44 @@ class TestPrimePair:
     def test_child_without_result_is_internal(self, monkeypatch):
         _, p2 = prime_pair(0, max_degree=3)
         _fail_under(monkeypatch, p2, lambda: os._exit(3))
+        forks = _count_forks(monkeypatch)
         with pytest.raises(InternalConsistencyError, match=r"without sending .*exit status 3"):
             analyze_text(FERMAT_CUBIC)
+        assert_helper_reaped()
+        # the next analysis forks a fresh helper; p2 is not in its pair
+        assert p2 not in prime_pair(1, max_degree=3)
+        assert analyze_text(FERMAT_CUBIC, AnalysisOptions(seed=1)).passed
+        assert forks == [1, 1]
+        assert_no_child_left()
+
+    def test_helper_killed_between_analyses(self, monkeypatch):
+        # the next pair finds the request pipe broken: an error of the
+        # run that keeps the helper's exit status; the pair after it
+        # forks a fresh helper
+        forks = _count_forks(monkeypatch)
+        analyze_text(FERMAT_CUBIC)
+        pid = analysis._helper.pid
+        os.kill(pid, signal.SIGKILL)
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, not reaped
+        with pytest.raises(InternalConsistencyError, match=r"without sending .*exit status -9"):
+            analyze_text(FERMAT_CUBIC)
+        assert_helper_reaped()
+        assert analyze_text(FERMAT_CUBIC).passed
+        assert forks == [1, 1]
         assert_no_child_left()
 
     def test_child_does_not_flush_inherited_buffers(self, tmp_path):
+        # the helper leaves at EOF of its requests, as when its parent
+        # is killed, and never flushes what it inherited
         path = tmp_path / "out.txt"
         with open(path, "w") as out:
             out.write("written once")  # still buffered when the child forks
             analyze_text(FERMAT_CUBIC)
+            helper, analysis._helper = analysis._helper, None
+            os.close(helper.requests)
+            _, status = os.waitpid(helper.pid, 0)
+            os.close(helper.replies)
+        assert os.waitstatus_to_exitcode(status) == 0
         assert path.read_text() == "written once"
 
     def test_interrupt_kills_and_reaps_the_child(self, monkeypatch):
@@ -533,4 +586,94 @@ class TestPrimePair:
         with pytest.raises(KeyboardInterrupt):
             analyze_text(FERMAT_CUBIC)
         assert time.perf_counter() - start < 30
+        assert_helper_reaped()
+
+    def test_helper_outlives_ctrl_c_between_analyses(self, monkeypatch):
+        # Ctrl-C reaches the whole process group; a parent that goes on
+        # keeps its helper
+        forks = _count_forks(monkeypatch)
+        analyze_text(FERMAT_CUBIC)
+        os.kill(analysis._helper.pid, signal.SIGINT)
+        assert analyze_text(CONIC_PAIR).passed
+        assert forks == [1]
+        assert_no_child_left()
+
+    def test_threads_take_turns_with_the_helper(self, monkeypatch):
+        # a reply read by the wrong thread would pair one curve's p1 run
+        # with another curve's p2 run, which never agree
+        curves = (FERMAT_CUBIC, CONIC_PAIR, "x*y*z", "y^4 + x*z^3", PLUS_ONE_QUINTIC)
+        one_prime = AnalysisOptions(field="gfp:2147483647")
+        expected = {c: _comparable(analyze_text(c, one_prime)) for c in curves}
+        forks = _count_forks(monkeypatch)
+        results: list[tuple[str, CurveReport | Exception]] = []
+
+        def work(curve: str) -> None:
+            for _ in range(3):
+                try:
+                    results.append((curve, _comparable(analyze_text(curve))))
+                except Exception as exc:
+                    results.append((curve, exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(c,)) for c in curves]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 3 * len(curves)
+        for curve, got in results:
+            assert got == expected[curve], curve
+        assert forks == [1]
+        assert_no_child_left()
+
+    def test_helper_reaped_at_exit(self):
+        script = (
+            "from jacmod import analysis\n"
+            "analysis.analyze_text('x*y*z')\n"
+            "print(analysis._helper.pid)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        with pytest.raises(ProcessLookupError):  # reaped, not a zombie
+            os.kill(int(proc.stdout), 0)
+
+    def test_grandchild_forks_its_own_helper(self, monkeypatch):
+        # a process forked while a helper is live drops the parent's
+        # helper pipes and runs its pairs through a helper of its own
+        forks = _count_forks(monkeypatch)
+        expected = analyze_text(CONIC_PAIR)
+        parent_helper = analysis._helper
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                for fd in (parent_helper.requests, parent_helper.replies):
+                    try:
+                        os.fstat(fd)
+                    except OSError:
+                        pass
+                    else:
+                        raise AssertionError(f"the parent's helper fd {fd} is open")
+                report = analyze_text(CONIC_PAIR)
+                own = analysis._helper
+                if own is not None and own.pid != parent_helper.pid and forks == [1, 1, 1]:
+                    code = 0 if _comparable(report) == _comparable(expected) else 2
+                analysis._retire_helper()
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert analysis._helper is parent_helper
+        again = analyze_text(CONIC_PAIR)
+        assert _comparable(again) == _comparable(expected)
+        assert again.field_labels == expected.field_labels
+        assert forks == [1, 1]  # the helper, then the grandchild
         assert_no_child_left()

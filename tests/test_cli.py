@@ -5,6 +5,9 @@ from __future__ import annotations
 import errno
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def jacmod(*argv: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """`python -m jacmod ARGV` in a process of its own, with the
+    package from this checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    return subprocess.run(
+        [sys.executable, "-m", "jacmod", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        timeout=120,
+    )
 
 
 class TestAnalyze:
@@ -69,8 +88,8 @@ class TestAnalyze:
         assert err.startswith("error: cannot start the gfp:")
         assert err.endswith(" run: [Errno 11] Resource temporarily unavailable\n")
         assert err.count("\n") == 1
-        assert len(pipes) == 1
-        for fd in pipes[0]:
+        assert len(pipes) == 2  # the helper's requests and replies
+        for fd in pipes[0] + pipes[1]:
             with pytest.raises(OSError, match="Bad file descriptor"):
                 os.fstat(fd)
 
@@ -90,6 +109,25 @@ class TestAnalyze:
         assert err.startswith("error: cannot start the gfp:")
         assert err.endswith(" run: [Errno 24] Too many open files\n")
         assert err.count("\n") == 1
+
+    def test_failed_second_pipe_closes_the_first(self, capsys, monkeypatch):
+        pipes = []
+        pipe = os.pipe
+
+        def one_pipe():
+            if pipes:
+                raise OSError(errno.EMFILE, "Too many open files")
+            pipes.append(pipe())
+            return pipes[-1]
+
+        monkeypatch.setattr(os, "pipe", one_pipe)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked without a pipe"))
+        code, out, err = run(capsys, "analyze", "x*y*z")
+        assert code == 2
+        assert err.endswith(" run: [Errno 24] Too many open files\n")
+        for fd in pipes[0]:
+            with pytest.raises(OSError, match="Bad file descriptor"):
+                os.fstat(fd)
 
     def test_non_reduced_exit_two(self, capsys):
         code, out, err = run(capsys, "analyze", "x^2*y*z")
@@ -245,6 +283,35 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", "x*y")
         assert code == 0
         assert "pencil-of-lines" in out
+
+
+class TestProcess:
+    def test_exit_zero_and_stdout_closed_at_exit(self):
+        # stdout reaches EOF only once no process holds it, the
+        # second-prime helper included
+        proc = jacmod("analyze", "x*y*z", "--json")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["classification"]["tag"] == "free"
+
+    def test_closed_pipe_exit_two(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = jacmod("analyze", "x*y*z", stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write the output: [Errno 32] Broken pipe\n"
+
+    def test_full_disk_exit_two(self):
+        # /dev/full refuses every write with ENOSPC
+        with open("/dev/full", "w") as full:
+            proc = jacmod("analyze", "x*y*z", stdout=full)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: cannot write the output: [Errno 28] No space left on device\n"
+        )
 
 
 class TestPlotData:
