@@ -53,7 +53,7 @@ from .jacobian import (
     ModuleVector,
     smooth_reference,
 )
-from .poly import PolynomialError, basis_dimension, parse_form
+from .poly import PolynomialError, TernaryForm, basis_dimension, parse_form, reduce_form
 from .resolution import IncompleteResolutionError, PencilOfLinesError, ResolutionProfile, resolve
 
 PASS = "pass"
@@ -61,6 +61,10 @@ FAIL = "fail"
 NA = "n/a"
 
 SCHEMA = "jacmod-report/1"
+
+# the largest degree formula-only mode evaluates: its vectors have
+# 3(d-2)+1 entries, built as lists
+FORMULA_MAX_DEGREE = 10_000
 
 
 @dataclass(frozen=True)
@@ -437,14 +441,15 @@ def _field_label(field: Field) -> str:
 
 
 def _analyze_over_field(
-    text: str, field: Field, nodal: NodalData | None
+    text: str, f: TernaryForm, nodal: NodalData | None
 ) -> CurveReport:
+    """The oracle's report of the curve f, parsed from text, over its
+    field."""
     timings: list[tuple[str, float]] = []
     t0 = time.perf_counter()
-    f = parse_form(text, field)
     jac = CurveJacobian(f)
     d = jac.degree
-    labels = (_field_label(field),)
+    labels = (_field_label(f.field),)
 
     if d == 1:
         return CurveReport(
@@ -506,6 +511,11 @@ def _formula_report(
     text: str, d: int, exponents: tuple[int, ...], tau: int | None
 ) -> CurveReport:
     t0 = time.perf_counter()
+    if d > FORMULA_MAX_DEGREE:
+        raise AnalysisError(
+            f"degree {d} is above {FORMULA_MAX_DEGREE}, the largest degree "
+            "formula-only mode evaluates"
+        )
     exps = tuple(sorted(exponents))
     if len(exps) < 2 or exps[0] < 1:
         raise AnalysisError("exponents must be at least two positive integers")
@@ -574,12 +584,6 @@ def _formula_report(
 # ---------------------------------------------------------------------------
 
 
-def _parse_degree(text: str) -> int:
-    """Degree of the input over the rationals (cheap, exact, and
-    independent of any prime choice)."""
-    return parse_form(text, rational_field()).degree
-
-
 def analyze_text(text: str, options: AnalysisOptions = AnalysisOptions()) -> CurveReport:
     """Full analysis honoring the field/seed/oracle options.
 
@@ -589,9 +593,11 @@ def analyze_text(text: str, options: AnalysisOptions = AnalysisOptions()) -> Cur
     or an error under one prime only trigger a deterministic re-draw,
     so a structurally unlucky prime cannot silently corrupt a report.
     When both runs raise the same error class, the first prime's error
-    is raised.
+    is raised.  The text is parsed once, over Q (exact, and independent
+    of any prime choice); each prime's run reduces that form mod p.
     """
-    d = _parse_degree(text)
+    form = parse_form(text, rational_field())
+    d = form.degree
 
     oracle = not options.skip_oracle and d <= options.max_degree_cap
     if not oracle:
@@ -613,14 +619,14 @@ def analyze_text(text: str, options: AnalysisOptions = AnalysisOptions()) -> Cur
         )
 
     if options.field == "rational":
-        return _analyze_over_field(text, rational_field(), options.nodal)
+        return _analyze_over_field(text, form, options.nodal)
     if options.field.startswith("gfp:"):
         try:
             p = int(options.field.split(":", 1)[1])
         except ValueError:
             raise AnalysisError(f"{options.field!r}: the prime must be an integer") from None
         validate_prime_for_degree(p, d)
-        return _analyze_over_field(text, prime_field(p), options.nodal)
+        return _analyze_over_field(text, reduce_form(form, prime_field(p)), options.nodal)
     if options.field != "gfp":
         raise AnalysisError(f"unknown field {options.field!r}")
 
@@ -628,13 +634,13 @@ def analyze_text(text: str, options: AnalysisOptions = AnalysisOptions()) -> Cur
     for attempt in range(3):
         p1, p2 = prime_pair(options.seed + attempt * 7919, max_degree=d)
         last_pair = (p1, p2)
-        first, second = _run_pair(text, p1, p2, options.nodal)
+        first, second = _run_pair(text, form, p1, p2, options.nodal)
         if (
             isinstance(first, _PRIME_ERRORS)
             or isinstance(second, _PRIME_ERRORS)
             or type(first) is not type(second)
         ):
-            # the text parsed over the rationals, so this pair is unlucky
+            # the form is fine over the rationals, so this pair is unlucky
             # (a divisor vanished, an identity broke, or only one prime
             # saw the failure): draw again
             continue
@@ -654,9 +660,12 @@ def analyze_text(text: str, options: AnalysisOptions = AnalysisOptions()) -> Cur
 _PRIME_ERRORS = (PolynomialError, InternalConsistencyError, IncompleteResolutionError)
 
 
-def _outcome(text: str, p: int, nodal: NodalData | None) -> CurveReport | Exception:
+def _outcome(
+    text: str, form: TernaryForm, p: int, nodal: NodalData | None
+) -> CurveReport | Exception:
+    """The run of the form over Q reduced mod p, or its error."""
     try:
-        return _analyze_over_field(text, prime_field(p), nodal)
+        return _analyze_over_field(text, reduce_form(form, prime_field(p)), nodal)
     except Exception as exc:
         # the caller keeps exc; without their locals, the frames it
         # references do not keep this run's matrices alive
@@ -665,7 +674,7 @@ def _outcome(text: str, p: int, nodal: NodalData | None) -> CurveReport | Except
 
 
 def _run_pair(
-    text: str, p1: int, p2: int, nodal: NodalData | None
+    text: str, form: TernaryForm, p1: int, p2: int, nodal: NodalData | None
 ) -> tuple[CurveReport | Exception, CurveReport | Exception]:
     """The runs under p1 (here) and p2 (in this process's helper) at the
     same time.  The first pair forks the helper; later pairs reuse it.
@@ -675,7 +684,7 @@ def _run_pair(
     the next pair forks a fresh one.  Threads take turns: a reply is
     read by the thread that sent its request."""
     global _helper
-    request = pickle.dumps((text, p2, nodal))
+    request = pickle.dumps((text, form, p2, nodal))
     with _lock:
         if _helper is None:
             try:
@@ -688,7 +697,7 @@ def _run_pair(
             except BrokenPipeError:  # the helper has died since the last pair
                 reply = None
             else:
-                first = _outcome(text, p1, nodal)
+                first = _outcome(text, form, p1, nodal)
                 reply = _receive(_helper.replies)
         except BaseException:
             _retire_helper()
@@ -736,11 +745,12 @@ def _receive(fd: int) -> bytes | None:
 
 
 def _serve(requests: int, replies: int) -> None:
-    """The helper's loop: one run per (text, prime, nodal) request, each
-    answered with the pickled report or exception, until EOF."""
+    """The helper's loop: one run per (text, form over Q, prime, nodal)
+    request, each answered with the pickled report or exception, until
+    EOF."""
     while (request := _receive(requests)) is not None:
-        text, p, nodal = pickle.loads(request)
-        outcome = _outcome(text, p, nodal)
+        text, form, p, nodal = pickle.loads(request)
+        outcome = _outcome(text, form, p, nodal)
         try:
             data = pickle.dumps(outcome)
             pickle.loads(data)

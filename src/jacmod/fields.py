@@ -1,11 +1,17 @@
 """Exact coefficient fields: prime fields GF(p) and the rationals.
 
 Elements are kept as plain Python values (canonical int in [0, p) for
-GF(p), fractions.Fraction for the rationals); a Field object supplies
-the arithmetic.  This keeps hot loops cheap and lets matrix code store
-coefficients directly in numpy arrays: int64 residues for GF(p),
-Fraction objects for the rationals.  The Field is the only place that
-knows which; matrix code works through array() and reduce().
+GF(p); an int or a fractions.Fraction for the rationals); a Field object
+supplies the arithmetic.  A rational with an integer value may stay an
+int: zero(), one() and embed_integer give ints, and sums and products
+of ints are ints, so parsing a form with integer coefficients over Q
+does no Fraction arithmetic.  Field.inv is the one true division on
+elements, and it gives a Fraction, never a float.  This keeps hot loops
+cheap and lets matrix code store coefficients directly in numpy arrays:
+int64 residues for GF(p), Fraction objects only for the rationals
+(entry() and zeros() give those), so that an entry has one type
+whichever elimination step wrote it.  The Field is the only place that
+knows which; matrix code works through array(), entry() and reduce().
 """
 
 from __future__ import annotations
@@ -68,10 +74,10 @@ class Field:
     # -- constants ---------------------------------------------------
 
     def zero(self) -> Element:
-        return 0 if self.kind == "gfp" else Fraction(0)
+        return 0
 
     def one(self) -> Element:
-        return 1 if self.kind == "gfp" else Fraction(1)
+        return 1
 
     # -- ring operations ---------------------------------------------
 
@@ -96,12 +102,27 @@ class Field:
             raise FieldError("inverse of zero")
         if self.kind == "gfp":
             return pow(int(a), -1, self.p)
-        return 1 / a
+        return Fraction(1, a)  # 1 / a is a float for an int a
+
+    def inverses(self, values: np.ndarray) -> np.ndarray:
+        """The inverses of a vector of nonzero matrix entries, as a
+        vector of entries."""
+        if self.kind == "gfp":
+            p = self.p
+            return np.array([pow(a, -1, p) for a in values.tolist()], dtype=np.int64)
+        return np.array([self.inv(a) for a in values], dtype=object)
 
     def is_zero(self, a: Element) -> bool:
         return a == 0
 
     # -- arrays -------------------------------------------------------
+
+    def entry(self, n: int) -> Element:
+        """The integer n as a matrix entry: an int64 residue for GF(p), a
+        Fraction for the rationals."""
+        if self.kind == "gfp":
+            return n % self.p
+        return Fraction(n)
 
     def zeros(self, shape: tuple[int, int]) -> np.ndarray:
         """A zero matrix in self.dtype."""
@@ -176,7 +197,7 @@ class Field:
     def embed_integer(self, n: int) -> Element:
         if self.kind == "gfp":
             return n % self.p
-        return Fraction(n)
+        return n
 
     def __repr__(self) -> str:
         if self.kind == "gfp":

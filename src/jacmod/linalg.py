@@ -23,9 +23,25 @@ The row space is then the span of the unit rows plus that of the rows
 left, which are zero on the peeled columns, and so is their reduced
 form: the unit rows and the reduced rows left, merged by pivot column.
 The reduced form of a row space is unique, so the result is the one
-the column loop alone would give, entry for entry.  Sparse blocks (the
-sweep's remainders, the syzygy kernels) get most or all of their
-pivots this way, and the column loop only sees the rows left.
+the column loop alone would give, entry for entry.
+
+Then the rows whose lead (first nonzero) column holds no other row's
+nonzero are set aside, in one whole-array pass (the matching
+column-singleton step of structured Gaussian elimination; LaMacchia
+and Odlyzko, "Solving large sparse linear systems over finite fields",
+CRYPTO '90).  Only the rows left go through the column loop.  A
+set-aside row r with lead column c keeps c as a pivot of the reduced
+form, and no other row needs clearing there: every other row is zero
+at c, and row operations among them keep it so.  After the loop r is
+cleared at the loop's pivot columns with one product per pivot column
+it touches (each loop row is zero at c and left of its own pivot, so
+this leaves r's lead and the columns left of it alone, and r is zero
+at the other set-aside rows' leads), then divided by its lead.  The
+unit rows, the set-aside rows and the loop's rows, merged by pivot
+column, are then in reduced form, so again the result is the one the
+column loop alone gives.  Sparse blocks (the sweep's remainders, the
+syzygy kernels) get most or all of their pivots from these two steps:
+on the sweep of a ladder curve no row reaches the column loop at all.
 
 GrowingRref keeps a reduced form of a row space that grows by rows
 and by columns (the graded pieces of an ideal, degree after degree)
@@ -134,23 +150,18 @@ def _back_substitute(M: Matrix, pivots: list[int], field: Field) -> None:
             _clear_column(M, above, t, c, field)
 
 
-def _peel(W: Matrix, field: Field) -> tuple[np.ndarray | tuple[()], Matrix]:
+def _peel(W: Matrix, field: Field) -> tuple[np.ndarray, Matrix, np.ndarray]:
     """Peel the one-nonzero rows of W, pass after pass.
 
     A row whose one nonzero is at column c spans e_c, which is its
     reduced row; clearing c from every other row only zeroes that entry,
     and may leave further rows with one nonzero.  Returns the peeled
-    columns, increasing (one unit row each), and the rows of W left
-    nonzero, with those columns cleared: () and W itself if no row has
-    one nonzero."""
-    if not W.size:
-        return (), W
+    columns, increasing (one unit row each), the rows of W left nonzero,
+    with those columns cleared, and where those rows are nonzero."""
     nonzero = W.astype(bool)
     counts = nonzero.sum(axis=1)
-    single = (counts == 1).nonzero()[0]
-    if single.size == 0:
-        return (), W
     owner = np.full(W.shape[1], -1)  # column -> the row peeled there
+    single = (counts == 1).nonzero()[0]
     while single.size:
         cols = nonzero[single].nonzero()[1]  # one per row, in row order
         owner[cols] = single
@@ -159,41 +170,62 @@ def _peel(W: Matrix, field: Field) -> tuple[np.ndarray | tuple[()], Matrix]:
         nonzero[:, cols] = False
         single = (counts == 1).nonzero()[0]
     units = (owner >= 0).nonzero()[0]
-    W = W[counts > 0]
-    W[:, units] = field.zero()
-    return units, W
+    left = counts > 0
+    if not left.all():
+        W, nonzero = W[left], nonzero[left]
+    W[:, units] = field.entry(0)
+    return units, W, nonzero
+
+
+def _split(M: Matrix, field: Field) -> tuple[np.ndarray, Matrix, np.ndarray, Matrix]:
+    """A copy of M in three parts: the columns of its unit rows (peeled),
+    the rows whose lead column no other row touches, with their lead
+    columns (set aside), and the rows left for the column loop.  None of
+    the rows is zero, and every one is zero on the peeled columns."""
+    units, W, nonzero = _peel(field.array(M), field)
+    if not W.size:
+        return units, W, np.zeros(0, dtype=np.intp), W
+    lead = nonzero.argmax(axis=1)  # no row is zero: its first nonzero
+    aside = (nonzero.sum(axis=0) == 1)[lead]
+    if not aside.any():
+        return units, W[:0], lead[:0], W
+    return units, W[aside], lead[aside], W[~aside]
 
 
 def rref(M: Matrix, field: Field) -> RrefResult:
-    """Reduced row echelon form of a copy of M: the unit rows peeled
-    first, the rows left eliminated, the two merged by pivot column."""
+    """Reduced row echelon form of a copy of M: the unit rows peeled and
+    the lone-lead rows set aside first, the rows left eliminated, the
+    set-aside rows cleared at their pivots and scaled, and the three
+    merged by pivot column."""
     ncols = M.shape[1]
-    units, W = _peel(field.array(M), field)
+    units, A, leads, W = _split(M, field)
     found = _forward_eliminate(W, field)
     _back_substitute(W, found, field)
-    rank = len(units) + len(found)
-    if not len(units):
+    rank = len(units) + len(leads) + len(found)
+    if rank == len(found):
         return RrefResult(W[:rank].copy(), tuple(found))
-    out = field.zeros((rank, ncols))
-    if not found:  # every pivot peeled
-        out[np.arange(rank), units] = field.one()
-        return RrefResult(out, tuple(units.tolist()))
+    if len(leads):
+        if found:  # W's rows are zero on the lead columns
+            _add_combination(A, field.reduce(-A[:, found]), W[: len(found)], field)
+        A = field.reduce(A * field.inverses(A[np.arange(len(leads)), leads])[:, None])
     is_pivot = np.zeros(ncols, dtype=bool)
-    is_pivot[units] = True
-    is_pivot[found] = True
+    for cols in (units, leads, found):
+        is_pivot[cols] = True
     pivots = is_pivot.nonzero()[0]
     row = np.empty(ncols, dtype=np.intp)  # pivot column -> its row of the result
     row[pivots] = np.arange(rank)
-    out[row[units], units] = field.one()
+    out = field.zeros((rank, ncols))
+    out[row[units], units] = field.entry(1)
+    out[row[leads]] = A
     out[row[found]] = W[: len(found)]
     return RrefResult(out, tuple(pivots.tolist()))
 
 
 def row_rank(M: Matrix, field: Field) -> int:
-    """Rank via forward elimination only (no back substitution), after
-    peeling the unit rows."""
-    units, W = _peel(field.array(M), field)
-    return len(units) + len(_forward_eliminate(W, field))
+    """Rank via forward elimination only (no back substitution) of the
+    rows neither peeled nor set aside, which each add one."""
+    units, _, leads, W = _split(M, field)
+    return len(units) + len(leads) + len(_forward_eliminate(W, field))
 
 
 def kernel_basis(M: Matrix, field: Field) -> Matrix:
@@ -208,7 +240,7 @@ def kernel_basis(M: Matrix, field: Field) -> Matrix:
     pivots = set(R.pivots)
     free = [j for j in range(ncols) if j not in pivots]
     K = field.zeros((len(free), ncols))
-    K[np.arange(len(free)), free] = field.one()
+    K[np.arange(len(free)), free] = field.entry(1)
     if R.pivots and free:
         K[:, list(R.pivots)] = field.reduce(-R.matrix[:, free].T)
     return K
@@ -257,7 +289,7 @@ class GrowingRref:
         self.free = np.arange(ncols)
         self._fresh = ncols
         self._buffer = field.zeros((ncols, ncols))
-        self._buffer[self.free, self.free] = field.one()
+        self._buffer[self.free, self.free] = field.entry(1)
 
     @property
     def rank(self) -> int:
@@ -278,10 +310,10 @@ class GrowingRref:
         unit rows and n columns of the table."""
         rows, cols = self.ncols, len(self.free)
         buffer = self._reserve(rows + n, cols + n)
-        zero = self.field.zero()
+        zero = self.field.entry(0)
         buffer[:rows, cols : cols + n] = zero
         buffer[rows : rows + n, : cols + n] = zero
-        buffer[rows + np.arange(n), cols + np.arange(n)] = self.field.one()
+        buffer[rows + np.arange(n), cols + np.arange(n)] = self.field.entry(1)
         self.free = np.concatenate([self.free, np.arange(rows, rows + n)])
         self._fresh += n
 
@@ -330,7 +362,7 @@ class GrowingRref:
         old = bisect_left(new.pivots, self._fresh)
         if old < new.rank:  # some pivot is on an older column
             C = table[:, cols[old:]]
-            C[units[old:], np.arange(new.rank - old)] = field.zero()  # overwritten below
+            C[units[old:], np.arange(new.rank - old)] = field.entry(0)  # overwritten below
             _add_combination(table, C, negated[old:], field)
         table[units] = negated
         self.pivots.extend(units.tolist())

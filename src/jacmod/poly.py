@@ -253,11 +253,14 @@ def format_form(f: TernaryForm) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Parser.  Tokens: x y z, integer literals, + - * / ^ ( ).  '^' binds
-# tightest and takes a literal nonnegative integer exponent; there is no
-# implicit multiplication; '/' requires a constant divisor.  Whitespace
-# is ignored.
+# Parser.  Tokens: x y z, integer literals (ASCII digits only), + - * /
+# ^ ( ).  '^' binds tightest and takes a literal nonnegative integer
+# exponent; there is no implicit multiplication; '/' requires a constant
+# divisor.  Whitespace is ignored.
 # ---------------------------------------------------------------------------
+
+
+DIGITS = frozenset("0123456789")
 
 
 class _Token:
@@ -280,9 +283,9 @@ def _tokenize(text: str) -> Iterator[_Token]:
             yield _Token(ch, ch, i)
             i += 1
             continue
-        if ch.isdigit():
+        if ch in DIGITS:  # str.isdigit also takes digits int() refuses
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in DIGITS:
                 j += 1
             yield _Token("int", int(text[i:j]), i)
             i = j
@@ -406,3 +409,22 @@ def parse_form(text: str, field: Field) -> TernaryForm:
     if len(degrees) > 1:
         raise NonHomogeneousError(degrees[0], degrees[1])
     return TernaryForm(field, degrees[0], terms)
+
+
+def reduce_form(form: TernaryForm, field: Field) -> TernaryForm:
+    """A form over Q reduced mod the prime of field, coefficient by
+    coefficient: a/b becomes a * b^-1.  Raises PolynomialError when the
+    prime divides a denominator or every coefficient, so that a caller
+    drawing primes draws again."""
+    p, terms = field.p, {}
+    for m, c in form.terms.items():  # c is an int or a Fraction
+        if c.denominator % p == 0:
+            raise PolynomialError(
+                f"division by zero mod {p}: a coefficient has denominator {c.denominator}"
+            )
+        value = field.mul(field.embed_integer(c.numerator), field.inv(c.denominator % p))
+        if value:
+            terms[m] = value
+    if not terms:
+        raise PolynomialError(f"polynomial vanishes mod {p}")
+    return TernaryForm(field, form.degree, terms)

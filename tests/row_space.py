@@ -26,7 +26,7 @@ def kept_form(grown: GrowingRref) -> RrefResult:
     column."""
     pivots = np.sort(np.array(grown.pivots, dtype=np.intp))
     M = grown.field.zeros((grown.rank, grown.ncols))
-    M[np.arange(grown.rank), pivots] = grown.field.one()
+    M[np.arange(grown.rank), pivots] = grown.field.entry(1)
     M[:, grown.free] = grown.field.reduce(-grown.table[pivots])
     return RrefResult(M, tuple(pivots.tolist()))
 
@@ -52,7 +52,7 @@ def null_space(R: RrefResult, field: Field) -> Matrix:
     ncols = R.matrix.shape[1]
     free = [j for j in range(ncols) if j not in R.pivots]
     K = field.zeros((len(free), ncols))
-    K[np.arange(len(free)), free] = field.one()
+    K[np.arange(len(free)), free] = field.entry(1)
     if R.pivots and free:
         K[:, list(R.pivots)] = field.reduce(-R.matrix[:, free].T)
     return K

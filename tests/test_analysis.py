@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from jacmod import analysis
+from jacmod import analysis, poly
 from jacmod.analysis import (
     FAIL,
     NA,
@@ -35,6 +35,7 @@ from jacmod.jacobian import (
     ModuleVector,
     NotReducedError,
 )
+from jacmod.poly import parse_form
 
 CONIC_PAIR = "(x*z - y^2) * (y*z - x^2)"
 PLUS_ONE_QUINTIC = "3*x^2*y^3 + 4*y^5 + 5*y^3*z^2 + 4*y*z^4"
@@ -424,7 +425,7 @@ class TestPrimePair:
         forks = _count_forks(monkeypatch)
         p1, p2 = prime_pair(0, max_degree=4)
         report = analyze_text(CONIC_PAIR)
-        single = _analyze_over_field(CONIC_PAIR, prime_field(p1), None)
+        single = _analyze_over_field(CONIC_PAIR, parse_form(CONIC_PAIR, prime_field(p1)), None)
         assert _comparable(report) == _comparable(single)
         assert report == replace(
             single, field_labels=(f"gfp:{p1}", f"gfp:{p2}"), timings=report.timings
@@ -440,6 +441,25 @@ class TestPrimePair:
         monkeypatch.setattr(os, "fork", no_fork)
         report = analyze_text("x*y*z", AnalysisOptions(field=field))
         assert report.field_labels == (field,)
+
+    @pytest.mark.parametrize("field", ["gfp", "gfp:2147483647", "rational"])
+    def test_one_parse_over_the_rationals(self, monkeypatch, field):
+        # neither process parses over GF(p): the helper, forked after
+        # the patch, would send back the AssertionError, and the pair
+        # would never agree
+        parsed = []
+        parse = analysis.parse_form
+
+        def rational_only(text, over):
+            assert over.kind == "rational", "parsed over GF(p)"
+            parsed.append(text)
+            return parse(text, over)
+
+        monkeypatch.setattr(analysis, "parse_form", rational_only)
+        monkeypatch.setattr(poly, "parse_form", rational_only)
+        report = analyze_text("x^3/2 + y^3 - 3/4*z^3", AnalysisOptions(field=field))
+        assert report.classification.tag == "smooth"
+        assert parsed == ["x^3/2 + y^3 - 3/4*z^3"]
 
     def test_non_reduced_under_first_prime_only_redraws(self, monkeypatch):
         p1, _ = prime_pair(0, max_degree=3)

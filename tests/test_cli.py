@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from jacmod import cli
+from jacmod.analysis import FORMULA_MAX_DEGREE
 from jacmod.cli import main
 from jacmod.jacobian import CurveJacobian, InternalConsistencyError
 
@@ -264,6 +265,25 @@ class TestAnalyze:
         assert "outside [0, 3367]" in err
         assert out == ""
 
+    def test_formula_mode_degree_limit(self, capsys):
+        d = FORMULA_MAX_DEGREE
+        code, out, err = run(
+            capsys, "plot-data", "--skip-oracle", "--exponents", f"1,{d - 2}",
+            f"x^{d - 1}*y + y^{d}",
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 3 * (d - 2) + 1
+        code, out, err = run(
+            capsys, "analyze", "--skip-oracle", "--exponents", f"1,{d - 1}",
+            f"x^{d}*y + y^{d + 1}",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: degree {d + 1} is above {d}, the largest degree "
+            "formula-only mode evaluates\n"
+        )
+
     def test_skip_oracle_without_exponents(self, capsys):
         code, out, err = run(capsys, "analyze", "--skip-oracle", "x*y*z")
         assert code == 2
@@ -286,6 +306,24 @@ class TestAnalyze:
 
 
 class TestProcess:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # str.isdigit takes the superscript, and int() refuses it
+            ("analyze", "x\u00b3+y^3+z^3"),
+            # 3(d-2)+1 entries would not fit a list
+            ("analyze", "x^100000000000000000000", "--skip-oracle",
+             "--exponents", "1,99999999999999999998"),
+        ],
+        ids=["unicode-digit", "huge-formula-degree"],
+    )
+    def test_input_error_exit_two_with_one_line(self, argv):
+        done = jacmod(*argv)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ")
+        assert len(done.stderr.splitlines()) == 1
+
     def test_exit_zero_and_stdout_closed_at_exit(self):
         # stdout reaches EOF only once no process holds it, the
         # second-prime helper included

@@ -324,7 +324,7 @@ def x_multiples(field: Field, k: int) -> np.ndarray:
     basis = monomial_basis(k)
     columns = [t for t, m in enumerate(basis) if m[0] > 0]
     rows = field.zeros((len(columns), len(basis)))
-    rows[np.arange(len(columns)), columns] = field.one()
+    rows[np.arange(len(columns)), columns] = field.entry(1)
     return rows
 
 

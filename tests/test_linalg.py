@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from jacmod.fields import prime_field, rational_field
 from jacmod import linalg
+from jacmod.jacobian import CurveJacobian
 from jacmod.linalg import GrowingRref, kernel_basis, row_rank, rref
+from jacmod.poly import parse_form
 from row_space import (
     add_rows,
     in_row_space,
@@ -297,7 +299,7 @@ def test_new_pivots_on_new_columns_leave_kept_rows_alone(field, steps, new, data
     N[:, :width] = _build(field, new, width, old)
     # unit upper triangular on the new columns: rank new there
     triangle = np.triu(_build(field, new, new, below), 1)
-    triangle[np.arange(new), np.arange(new)] = field.one()
+    triangle[np.arange(new), np.arange(new)] = field.entry(1)
     N[:, width:] = triangle
     add_rows(grown, N)
     assert grown.rank == len(pivots) + new
@@ -539,3 +541,115 @@ def test_benchmark_tracer_wraps_callables_of_linalg(monkeypatch):
     assert tracer.ELIMINATIONS
     for name in tracer.ELIMINATIONS:
         assert callable(getattr(linalg, name, None)), name
+
+
+# -- the rows set aside: lead column touched by no other row -------------------
+
+
+@st.composite
+def lone_lead_matrices(draw):
+    """Small integer matrices with planted rows whose first nonzero column
+    holds no other row's nonzero, in a drawn row order, among coupled
+    rows (two or more nonzeros on shared columns), one-nonzero rows and
+    zero rows.  Some have no one-nonzero row at all (no row is peeled)
+    and some only one-nonzero rows; shapes include 0 rows and 0
+    columns.  7 vanishes in GF(7), so a planted lead may vanish there."""
+    cols = draw(st.integers(0, 8))
+    entry = st.sampled_from([0, 0, 1, -1, 2, 3, 7])
+    rows = []
+    if cols:
+        leads = draw(st.lists(st.integers(0, cols - 1), max_size=cols, unique=True))
+        for c in leads:
+            row = [0] * cols
+            row[c] = draw(st.sampled_from([1, 2, -3, 5]))
+            for t in range(c + 1, cols):
+                row[t] = draw(entry)
+            rows.append(row)
+        taken = set(leads)
+        for _ in range(draw(st.integers(0, 3))):  # zero on every planted lead
+            rows.append([0 if c in taken else draw(entry) for c in range(cols)])
+        if draw(st.booleans()):
+            c = draw(st.integers(0, cols - 1))
+            rows.append([draw(st.sampled_from([1, 4])) if t == c else 0 for t in range(cols)])
+    rows += [[0] * cols] * draw(st.integers(0, 2))
+    if draw(st.integers(0, 9)) == 0:  # only unit rows
+        rows = [[1 if t == i else 0 for t in range(cols)] for i in range(cols)]
+    order = draw(st.permutations(range(len(rows))))
+    return np.array([rows[i] for i in order], dtype=np.int64).reshape(len(rows), cols)
+
+
+@pytest.mark.parametrize("field", [GF7, GF, QQ], ids=["gf7", "gf2^31-1", "rational"])
+@given(M=lone_lead_matrices())
+@settings(max_examples=200, deadline=None)
+def test_set_aside_rows_give_the_column_loop_result(field, M):
+    expected = unpeeled_rref(M, field)
+    got = rref(M, field)
+    assert (got.pivots, got.rank) == (expected.pivots, expected.rank)
+    assert_identical(got.matrix, expected.matrix)
+    assert row_rank(M, field) == expected.rank
+    assert_identical(kernel_basis(M, field), null_space(expected, field))
+
+
+def record_loop_rows(monkeypatch) -> list[int]:
+    """The number of rows each call of the column loop is handed."""
+    handed = []
+    forward = linalg._forward_eliminate
+
+    def recorded(W, field):
+        handed.append(W.shape[0])
+        return forward(W, field)
+
+    monkeypatch.setattr(linalg, "_forward_eliminate", recorded)
+    return handed
+
+
+@pytest.mark.parametrize("field", [GF7, QQ], ids=["gf7", "rational"])
+def test_zero_row_with_no_row_peeled_is_not_set_aside(monkeypatch, field):
+    # no row has one nonzero, so no row is peeled; the zero row's first
+    # "nonzero" by argmax would be column 0, which only row 1 touches
+    M = gf7([[0, 0, 0, 0], [2, 1, 0, 0], [0, 3, 1, 0], [0, 0, 1, 4]])
+    handed = record_loop_rows(monkeypatch)
+    expected = unpeeled_rref(M, field)
+    handed.clear()
+    got = rref(M, field)
+    assert got.pivots == expected.pivots == (0, 1, 2)
+    assert_identical(got.matrix, expected.matrix)
+    assert handed == [2]  # row 1 set aside, the zero row dropped
+    assert row_rank(M, field) == 3
+
+
+@pytest.mark.parametrize("field", [GF7, QQ], ids=["gf7", "rational"])
+def test_set_aside_rows_with_no_unit_row(monkeypatch, field):
+    # no unit row, so the peeled columns are none; row 0's lead column 0
+    # and row 2's lead column 3 hold no other nonzero; row 0 is cleared
+    # at the loop's pivot column 1 and both are scaled to a unit lead
+    M = gf7([[3, 1, 2, 0, 0], [0, 2, 1, 0, 1], [0, 0, 0, 5, 1], [0, 1, 3, 0, 2]])
+    handed = record_loop_rows(monkeypatch)
+    expected = unpeeled_rref(M, field)
+    handed.clear()
+    got = rref(M, field)
+    assert got.pivots == expected.pivots
+    assert_identical(got.matrix, expected.matrix)
+    assert handed == [2]
+    assert row_rank(M, field) == expected.rank
+    assert_identical(kernel_basis(M, field), null_space(expected, field))
+
+
+@pytest.mark.parametrize("d", [12, 16])
+def test_ladder_sweep_sends_no_row_to_the_column_loop(monkeypatch, d):
+    # every remainder row of a ladder curve's sweep is peeled or has a
+    # lead column no other row touches
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    ladder_curve = importlib.import_module("workloads").ladder_curve
+    handed = record_loop_rows(monkeypatch)
+    milnor = CurveJacobian(parse_form(ladder_curve(d), GF)).milnor_hilbert()
+    assert milnor.tjurina > 0 and handed
+    assert sum(handed) == 0
+
+
+def test_rational_results_hold_no_float():
+    M = np.array([[2, 3, 0, 1], [0, 6, 4, 0], [4, 0, 5, 7], [0, 0, 3, 0]], dtype=np.int64)
+    for result in (rref(M, QQ).matrix, kernel_basis(M, QQ), rref(M[:, ::-1], QQ).matrix):
+        assert all(type(x) is Fraction for x in result.flat)
+    assert type(QQ.inv(3)) is Fraction and QQ.inv(3) == Fraction(1, 3)
+    assert type(QQ.inv(Fraction(2, 3))) is Fraction

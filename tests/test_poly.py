@@ -16,6 +16,7 @@ from jacmod.poly import (
     format_form,
     monomial_basis,
     parse_form,
+    reduce_form,
 )
 
 GF = prime_field(2**31 - 1)
@@ -128,6 +129,17 @@ def test_parse_cancellation_to_zero_rejected():
         parse_form("x-x", GF)
 
 
+@pytest.mark.parametrize("digit", ["\u00b3", "\u0663", "\uff13", "\u2083"])
+def test_only_ascii_digits_are_numbers(digit):
+    # str.isdigit takes each of these, and int() refuses some of them
+    for field in (GF, QQ):
+        with pytest.raises(ParseError) as caught:
+            parse_form(f"x{digit}+y^3+z^3", field)
+        assert caught.value.pos == 1
+        with pytest.raises(ParseError):
+            parse_form(f"x^{digit}", field)
+
+
 def test_whitespace_ignored():
     assert parse_form(" x ^ 2 + y^2 ", GF) == parse_form("x^2+y^2", GF)
 
@@ -221,3 +233,59 @@ def test_product_degree_and_derivative_leibniz(f, g):
 def test_addition_requires_matching_degree():
     with pytest.raises(NonHomogeneousError):
         parse_form("x", GF) + parse_form("x^2", GF)
+
+
+# -- one parse over Q, reduced mod each prime ---------------------------------
+
+RATIONAL_TEXTS = (
+    "x^3/2 - 3/4*y^3 + z^3",
+    "(x - y/3)^4 + 5*z^4/7",
+    "-(x+2*y+3*z)^3 + 9*x*y*z",
+    "x^2*y^2*z/5 + y^5",
+    "(x^9+y^4*z^5)^7+x*z^62",
+)
+
+
+@pytest.mark.parametrize("text", RATIONAL_TEXTS)
+@pytest.mark.parametrize("p", [7, 11, 2**31 - 1])
+def test_reduced_form_is_the_parse_over_the_prime(text, p):
+    field = prime_field(p)
+    form = parse_form(text, QQ)
+    try:
+        expected = parse_form(text, field)
+    except PolynomialError:  # a divisor vanished mod p
+        with pytest.raises(PolynomialError):
+            reduce_form(form, field)
+        return
+    assert reduce_form(form, field) == expected
+
+
+@given(random_forms(QQ), st.sampled_from([2, 3, 5, 7, 2**31 - 1]))
+@settings(max_examples=100)
+def test_reduced_form_of_integer_forms(f, p):
+    field = prime_field(p)
+    terms = {m: c % p for m, c in f.terms.items() if c % p}
+    if not terms:
+        with pytest.raises(PolynomialError, match="vanishes"):
+            reduce_form(f, field)
+    else:
+        assert reduce_form(f, field) == TernaryForm(field, f.degree, terms)
+
+
+def test_unlucky_denominator_or_vanishing_form_is_a_polynomial_error():
+    with pytest.raises(PolynomialError, match="division by zero mod 7"):
+        reduce_form(parse_form("x^3/14 + y^3", QQ), prime_field(7))
+    with pytest.raises(PolynomialError, match="vanishes mod 7"):
+        reduce_form(parse_form("7*x^3 - 14*y^3", QQ), prime_field(7))
+    # a denominator cancelled over Q is no division mod p
+    form = reduce_form(parse_form("x^3/7*7 + y^3", QQ), prime_field(7))
+    assert form.terms == {(3, 0, 0): 1, (0, 3, 0): 1}
+
+
+@pytest.mark.parametrize("text", RATIONAL_TEXTS)
+def test_rational_parse_holds_no_float(text):
+    f = parse_form(text, QQ)
+    for form in (f, *f.gradient()):
+        assert all(type(c) in (int, Fraction) for c in form.terms.values())
+    # integer values stay ints, so an integer form parses with no Fraction
+    assert all(type(c) is int for c in parse_form("(x+2*y-z)^5", QQ).terms.values())
