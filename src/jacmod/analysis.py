@@ -53,7 +53,14 @@ from .jacobian import (
     ModuleVector,
     smooth_reference,
 )
-from .poly import PolynomialError, TernaryForm, basis_dimension, parse_form, reduce_form
+from .poly import (
+    DegreeLimitError,
+    PolynomialError,
+    TernaryForm,
+    basis_dimension,
+    parse_form,
+    reduce_form,
+)
 from .resolution import IncompleteResolutionError, PencilOfLinesError, ResolutionProfile, resolve
 
 PASS = "pass"
@@ -511,11 +518,6 @@ def _formula_report(
     text: str, d: int, exponents: tuple[int, ...], tau: int | None
 ) -> CurveReport:
     t0 = time.perf_counter()
-    if d > FORMULA_MAX_DEGREE:
-        raise AnalysisError(
-            f"degree {d} is above {FORMULA_MAX_DEGREE}, the largest degree "
-            "formula-only mode evaluates"
-        )
     exps = tuple(sorted(exponents))
     if len(exps) < 2 or exps[0] < 1:
         raise AnalysisError("exponents must be at least two positive integers")
@@ -595,8 +597,23 @@ def analyze_text(text: str, options: AnalysisOptions = AnalysisOptions()) -> Cur
     When both runs raise the same error class, the first prime's error
     is raised.  The text is parsed once, over Q (exact, and independent
     of any prime choice); each prime's run reduces that form mod p.
+    The parse refuses a product or power past the largest degree the
+    run could take, the oracle's cap or, with the oracle skipped or
+    exponents given, FORMULA_MAX_DEGREE, before expanding it.
     """
-    form = parse_form(text, rational_field())
+    formula = options.skip_oracle or options.exponents is not None
+    limit = FORMULA_MAX_DEGREE if formula else options.max_degree_cap
+    try:
+        form = parse_form(text, rational_field(), max_degree=limit)
+    except DegreeLimitError as exc:
+        if formula:
+            raise AnalysisError(
+                f"degree {exc.degree} is above {limit}, the largest degree "
+                "formula-only mode evaluates"
+            ) from None
+        raise AnalysisError(
+            f"{exc} (the oracle's degree cap); formula-only mode needs --exponents"
+        ) from None
     d = form.degree
 
     oracle = not options.skip_oracle and d <= options.max_degree_cap

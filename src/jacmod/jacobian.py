@@ -311,6 +311,7 @@ class CurveJacobian:
                 self._free = free
                 if np.any(free >= basis_dimension(T)):  # x meets Sigma
                     self._projector = sweep.table.copy()
+        sweep.release()  # the next sweep in this process reuses its buffer
         if values[T + 1] != values[T + 2]:
             raise NotReducedError(
                 f"S/J_f keeps growing at degree {T + 2} "
@@ -339,8 +340,10 @@ class CurveJacobian:
             low, high = basis_dimension(k - 1), dims[k]
             phi, above = phi[:high], phi
             b, c = _yz_exponents(k)
-            phi = field.reduce(phi + a * above[basis_position(b + 1, c)])
-            phi = field.reduce(phi + square * above[basis_position(b, c + 1)])
+            # below p + 2(p-1)^2 < 2^63: one reduction for both shifts
+            phi = field.reduce(
+                phi + a * above[basis_position(b + 1, c)] + square * above[basis_position(b, c + 1)]
+            )
             stack[low:high] = phi[low:]
         return np.searchsorted(rref(stack.T, field).pivots, dims).tolist()
 

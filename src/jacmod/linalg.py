@@ -6,7 +6,11 @@ rationals.  One code path serves both fields: every row operation is a
 whole-array numpy expression, and Field.reduce brings its result back
 to canonical form (mod p over GF(p), nothing to do over Q).  GF(p)
 needs p < 2^31 so that one multiply-subtract on reduced entries stays
-below 2^63.
+below 2^63.  rref, row_rank and kernel_basis take their input in that
+form, as every caller builds it, so they work on a plain copy: reducing
+it again would spend one hardware division per entry on data already
+canonical.  A negation is Field.negate, p - A with zeros kept, again
+with no division.
 
 Elimination is dense row-major with partial pivoting by column order,
 ties broken by lowest row index, so every result (and in particular
@@ -68,6 +72,27 @@ the degrees.  Such a column is also a trailing one, dropped without
 moving the others.  Q lives in a buffer with room to grow, so adding
 columns copies nothing either.
 
+Row t of Q is nonzero only on free columns c <= t: a free column's row
+is its unit row, and a pivot column's row is nonzero only left of its
+pivot.  add_reduced keeps this: a new pivot's row becomes minus a
+reduced row that is nonzero only left of its pivot, and the update adds
+to row t multiples of such rows only for pivots u <= t where row t is
+nonzero.  So the rows above the lowest new pivot column u are zero on
+u and on every free column right of it: the update gathers and adds
+only from row u down, and dropping the pivot columns moves entries only
+on those rows.
+
+A finished GrowingRref hands its buffer back as the spare of its dtype,
+one per process, and the next one takes it when it has room for the
+first table; the buffer keeps its shape.  A sweep in a warm process then
+writes into pages it has written before and grows only past the largest
+table the process has held, where it copies into a new buffer as
+before.  Nothing reads the buffer outside the table: __init__ zeroes
+the first table and add_columns every stripe and row it adds, so what a
+previous sweep left there is never seen.  The spare is taken with
+dict.pop and put back with one assignment, so no two threads hold one
+buffer; a forked process inherits it copy-on-write.
+
 Every sum stays exact in int64 over GF(p).  A sparse combination adds
 reduced products, each below p < 2^31, so a sum of fewer than 2^32 of
 them is exact.  A slice sum (Field.add_combination) adds products of
@@ -85,6 +110,10 @@ import numpy as np
 from .fields import Field
 
 Matrix = np.ndarray
+
+# dtype -> the table buffer a finished GrowingRref handed back, for the
+# next one in this process to take (module docstring)
+_spare: dict[np.dtype, Matrix] = {}
 
 
 @dataclass(frozen=True)
@@ -178,11 +207,12 @@ def _peel(W: Matrix, field: Field) -> tuple[np.ndarray, Matrix, np.ndarray]:
 
 
 def _split(M: Matrix, field: Field) -> tuple[np.ndarray, Matrix, np.ndarray, Matrix]:
-    """A copy of M in three parts: the columns of its unit rows (peeled),
-    the rows whose lead column no other row touches, with their lead
-    columns (set aside), and the rows left for the column loop.  None of
-    the rows is zero, and every one is zero on the peeled columns."""
-    units, W, nonzero = _peel(field.array(M), field)
+    """A plain copy of M, canonical already, in three parts: the columns
+    of its unit rows (peeled), the rows whose lead column no other row
+    touches, with their lead columns (set aside), and the rows left for
+    the column loop.  None of the rows is zero, and every one is zero on
+    the peeled columns."""
+    units, W, nonzero = _peel(M.copy(), field)
     if not W.size:
         return units, W, np.zeros(0, dtype=np.intp), W
     lead = nonzero.argmax(axis=1)  # no row is zero: its first nonzero
@@ -193,8 +223,9 @@ def _split(M: Matrix, field: Field) -> tuple[np.ndarray, Matrix, np.ndarray, Mat
 
 
 def rref(M: Matrix, field: Field) -> RrefResult:
-    """Reduced row echelon form of a copy of M: the unit rows peeled and
-    the lone-lead rows set aside first, the rows left eliminated, the
+    """Reduced row echelon form of a copy of M, whose entries must be
+    canonical in the field's dtype: the unit rows peeled and the
+    lone-lead rows set aside first, the rows left eliminated, the
     set-aside rows cleared at their pivots and scaled, and the three
     merged by pivot column."""
     ncols = M.shape[1]
@@ -206,7 +237,7 @@ def rref(M: Matrix, field: Field) -> RrefResult:
         return RrefResult(W[:rank].copy(), tuple(found))
     if len(leads):
         if found:  # W's rows are zero on the lead columns
-            _add_combination(A, field.reduce(-A[:, found]), W[: len(found)], field)
+            _add_combination(A, field.negate(A[:, found]), W[: len(found)], field)
         A = field.reduce(A * field.inverses(A[np.arange(len(leads)), leads])[:, None])
     is_pivot = np.zeros(ncols, dtype=bool)
     for cols in (units, leads, found):
@@ -222,15 +253,16 @@ def rref(M: Matrix, field: Field) -> RrefResult:
 
 
 def row_rank(M: Matrix, field: Field) -> int:
-    """Rank via forward elimination only (no back substitution) of the
-    rows neither peeled nor set aside, which each add one."""
+    """Rank of M, with canonical entries in the field's dtype, via
+    forward elimination only (no back substitution) of the rows neither
+    peeled nor set aside, which each add one."""
     units, _, leads, W = _split(M, field)
     return len(units) + len(leads) + len(_forward_eliminate(W, field))
 
 
 def kernel_basis(M: Matrix, field: Field) -> Matrix:
     """Canonical basis of the right kernel {v : M v = 0}, rows = vectors,
-    read off the rref of M.
+    read off the rref of M (canonical entries in the field's dtype).
 
     One vector per free column j, with a 1 in position j and minus the
     reduced column j on the pivot positions.  The result is itself in
@@ -242,7 +274,7 @@ def kernel_basis(M: Matrix, field: Field) -> Matrix:
     K = field.zeros((len(free), ncols))
     K[np.arange(len(free)), free] = field.entry(1)
     if R.pivots and free:
-        K[:, list(R.pivots)] = field.reduce(-R.matrix[:, free].T)
+        K[:, list(R.pivots)] = field.negate(R.matrix[:, free].T)
     return K
 
 
@@ -281,6 +313,12 @@ class GrowingRref:
     _fresh counts the trailing free columns added since the last new
     pivot: those are still unit columns of the table, so add_reduced
     needs no update term for a pivot on one of them.
+
+    The table is the top-left corner of a buffer, the process's spare
+    one when it has room for the first table (module docstring).
+    Correctness needs no zeros outside the table: __init__ zeroes its
+    first table, add_columns zeroes every stripe and row it adds, and
+    nothing reads the rest.  release() hands the buffer back.
     """
 
     def __init__(self, field: Field, ncols: int):
@@ -288,8 +326,13 @@ class GrowingRref:
         self.pivots: list[int] = []
         self.free = np.arange(ncols)
         self._fresh = ncols
-        self._buffer = field.zeros((ncols, ncols))
-        self._buffer[self.free, self.free] = field.entry(1)
+        buffer = _spare.pop(np.dtype(field.dtype), None)
+        if buffer is None or min(buffer.shape) < ncols:
+            buffer = field.zeros((ncols, ncols))
+        else:
+            buffer[:ncols, :ncols] = field.entry(0)
+        buffer[self.free, self.free] = field.entry(1)
+        self._buffer = buffer
 
     @property
     def rank(self) -> int:
@@ -304,6 +347,16 @@ class GrowingRref:
         """The normal-form table, ncols x len(free): a view, changed by
         the next add_columns or add_reduced."""
         return self._buffer[: self.ncols, : len(self.free)]
+
+    def release(self) -> None:
+        """Hand the buffer back as the process's spare for its dtype,
+        unless the spare there is larger; the form is unusable after.
+        Two threads releasing at once may keep the smaller buffer, but
+        never hand one buffer to two sweeps."""
+        buffer, self._buffer = self._buffer, None
+        spare = _spare.get(buffer.dtype)
+        if spare is None or spare.size < buffer.size:
+            _spare[buffer.dtype] = buffer
 
     def add_columns(self, n: int) -> None:
         """Append n columns on the right, zero on every kept row: n
@@ -321,7 +374,9 @@ class GrowingRref:
         """The buffer, reallocated if it has fewer than rows rows or
         cols columns.  Rows grow by half and columns by an eighth: every
         written row is as wide as the buffer, so spare columns cost
-        memory on every row."""
+        memory on every row.  The table is copied over and the old
+        buffer dropped, so a buffer taken from the spare is reallocated
+        only past the largest table this process has held."""
         have_rows, have_cols = self._buffer.shape
         if rows > have_rows or cols > have_cols:
             grown = self.field.zeros(
@@ -357,21 +412,23 @@ class GrowingRref:
         cols = [width - 1 - c for c in new.pivots]  # positions in self.free, decreasing
         units = self.free[cols]
         table = self.table
-        negated = field.reduce(-new.matrix[:, ::-1])
+        negated = field.negate(new.matrix[:, ::-1])
         # the reversed block's first _fresh columns are the fresh ones
         old = bisect_left(new.pivots, self._fresh)
+        # rows above the lowest new pivot column are zero from its
+        # position on (module docstring): units decrease
+        low, first = units[-1], cols[-1]
         if old < new.rank:  # some pivot is on an older column
-            C = table[:, cols[old:]]
-            C[units[old:], np.arange(new.rank - old)] = field.entry(0)  # overwritten below
-            _add_combination(table, C, negated[old:], field)
+            C = table[low:, cols[old:]]
+            C[units[old:] - low, np.arange(new.rank - old)] = field.entry(0)  # overwritten below
+            _add_combination(table[low:], C, negated[old:], field)
         table[units] = negated
         self.pivots.extend(units.tolist())
         self._fresh = 0
-        first = cols[-1]
         if first == width - new.rank:  # only trailing columns drop
             self.free = self.free[:first]
             return
         keep = np.ones(width, dtype=bool)
         keep[cols] = False
-        table[:, first : width - new.rank] = table[:, first:][:, keep[first:]]
+        table[low:, first : width - new.rank] = table[low:, first:][:, keep[first:]]
         self.free = self.free[keep]

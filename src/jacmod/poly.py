@@ -50,6 +50,18 @@ class NonHomogeneousError(PolynomialError):
         return type(self), self.degrees
 
 
+class DegreeLimitError(PolynomialError):
+    """The input would expand past the degree limit given to
+    parse_form; the product or power that reaches it is not computed."""
+
+    def __init__(self, degree: int, limit: int, pos: int):
+        super().__init__(
+            f"the input reaches degree {degree} (at position {pos}), above the limit {limit}"
+        )
+        self.degree = degree
+        self.limit = limit
+
+
 def monomial_degree(m: Monomial) -> int:
     return m[0] + m[1] + m[2]
 
@@ -299,8 +311,9 @@ def _tokenize(text: str) -> Iterator[_Token]:
 
 
 class _Parser:
-    def __init__(self, text: str, field: Field):
+    def __init__(self, text: str, field: Field, max_degree: int | None):
         self.field = field
+        self.max_degree = max_degree
         self.tokens = list(_tokenize(text))
         self.i = 0
 
@@ -340,6 +353,7 @@ class _Parser:
             op = self.take()
             rhs = self.power()
             if op.kind == "*":
+                self._check_degree(_degree(value) + _degree(rhs), op.pos)
                 value = _mul_terms(self.field, value, rhs)
             else:
                 value = self._divide(value, rhs, op.pos)
@@ -353,6 +367,7 @@ class _Parser:
             tok = self.expect("int")
             if tok.value < 0:
                 raise ParseError("negative exponent", tok.pos)
+            self._check_degree(_degree(value) * tok.value, tok.pos)
             value = self._power(value, tok.value)
         return value
 
@@ -374,6 +389,13 @@ class _Parser:
 
     # -- accumulator arithmetic (field-exact, inhomogeneous) -----------
 
+    def _check_degree(self, degree: int, pos: int) -> None:
+        """Refuse a product or power of this degree before expanding
+        it.  Over a field deg(gh) = deg g + deg h and deg(g^e) = e deg g
+        exactly, so the degree is the one the expansion would reach."""
+        if self.max_degree is not None and degree > self.max_degree:
+            raise DegreeLimitError(degree, self.max_degree, pos)
+
     def _divide(self, a: Terms, b: Terms, pos: int) -> Terms:
         if list(b) not in ([], [(0, 0, 0)]):
             raise ParseError("division is only allowed by a nonzero constant", pos)
@@ -392,11 +414,18 @@ class _Parser:
         return result
 
 
-def parse_form(text: str, field: Field) -> TernaryForm:
+def _degree(terms: Terms) -> int:
+    """The largest total degree of the terms; 0 for none."""
+    return max(map(monomial_degree, terms), default=0)
+
+
+def parse_form(text: str, field: Field, max_degree: int | None = None) -> TernaryForm:
     """Parse a homogeneous form; raise on syntax or mixed degrees.  An
     input nested past the interpreter's recursion limit is a ParseError
-    at the token reached."""
-    parser = _Parser(text, field)
+    at the token reached.  With max_degree, a product or power whose
+    degree would pass it raises DegreeLimitError before it is expanded,
+    even if a later term would cancel it."""
+    parser = _Parser(text, field, max_degree)
     try:
         terms = parser.expression()
     except RecursionError:

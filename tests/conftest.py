@@ -6,6 +6,7 @@ import contextlib
 
 import pytest
 
+from jacmod import linalg
 from jacmod.analysis import _retire_helper
 from jacmod.fields import prime_field, rational_field
 
@@ -20,6 +21,15 @@ def fresh_helper():
     forks."""
     yield
     _retire_helper()
+
+
+@pytest.fixture(autouse=True)
+def no_spare_table():
+    """Drop the process's spare table buffer after each test, so that no
+    test inherits another test's buffer; a test that needs a dirty spare
+    plants one itself."""
+    yield
+    linalg._spare.clear()
 
 
 @pytest.fixture(scope="session")

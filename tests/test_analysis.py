@@ -218,6 +218,15 @@ class TestFormulaMode:
         with pytest.raises(AnalysisError):
             analyze_text("(x^9+y^4*z^5)^7+x*z^62", AnalysisOptions(max_degree_cap=20))
 
+    def test_expansion_past_the_cap_is_refused_before_it_is_computed(self):
+        # the limit holds at every product and power, so an input that
+        # would cancel back below the cap is refused too
+        cancelling = "(x+y)^30 - (x+y)^30 + x^3 + y^3 + z^3"
+        for text, reached in [(cancelling, 30), ("(x+y+z)^300", 300)]:
+            with pytest.raises(AnalysisError, match=f"degree {reached} "):
+                analyze_text(text, AnalysisOptions(max_degree_cap=20))
+        assert analyze_text(cancelling, AnalysisOptions(max_degree_cap=30)).degree == 3
+
     def test_free_exponents(self):
         report = analyze_text(
             "x*y*z", AnalysisOptions(skip_oracle=True, exponents=(1, 1))
@@ -450,10 +459,10 @@ class TestPrimePair:
         parsed = []
         parse = analysis.parse_form
 
-        def rational_only(text, over):
+        def rational_only(text, over, **limit):
             assert over.kind == "rational", "parsed over GF(p)"
             parsed.append(text)
-            return parse(text, over)
+            return parse(text, over, **limit)
 
         monkeypatch.setattr(analysis, "parse_form", rational_only)
         monkeypatch.setattr(poly, "parse_form", rational_only)

@@ -25,7 +25,7 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def jacmod(*argv: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+def jacmod(*argv: str, stdout=subprocess.PIPE, timeout=120) -> subprocess.CompletedProcess:
     """`python -m jacmod ARGV` in a process of its own, with the
     package from this checkout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -37,7 +37,7 @@ def jacmod(*argv: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
         stderr=subprocess.PIPE,
         text=True,
         env=env,
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -129,6 +129,15 @@ class TestAnalyze:
         for fd in pipes[0]:
             with pytest.raises(OSError, match="Bad file descriptor"):
                 os.fstat(fd)
+
+    def test_degree_past_the_cap_exits_two_before_expanding(self):
+        # expanding (x+y+z)^160 over Q takes about a minute; the parse
+        # refuses the power at once, naming the degree it would reach
+        done = jacmod("analyze", "(x+y+z)^160", timeout=10)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: the input reaches degree 160 ")
+        assert done.stderr.count("\n") == 1
 
     def test_non_reduced_exit_two(self, capsys):
         code, out, err = run(capsys, "analyze", "x^2*y*z")

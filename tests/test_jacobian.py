@@ -3,6 +3,11 @@ vector of N(f) on small curves with independently known answers."""
 
 from __future__ import annotations
 
+import importlib
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -431,6 +436,141 @@ class TestRegularityCut:
         assert steps[-1] == (j.top + 2 if certified is None else certified + 1)
         if certified is not None:
             assert j._projector is None
+
+
+def sweep_data(text: str, field: Field) -> tuple:
+    """What one sweep leaves: the Milnor values, the batches, the free
+    columns and the projector, or the class of the error it raised."""
+    j = jac(text, field)
+    try:
+        values = j.milnor_hilbert().values
+    except NotReducedError:
+        return (NotReducedError,)
+    return values, j.batches, j._free, j._projector
+
+
+def assert_same_sweep(got: tuple, expected: tuple) -> None:
+    assert len(got) == len(expected)
+    if len(got) == 1:
+        assert got == expected
+        return
+    (values, batches, free, projector), (values0, batches0, free0, projector0) = got, expected
+    assert values == values0
+    assert len(batches) == len(batches0)
+    for batch, batch0 in zip(batches, batches0):
+        assert batch.dtype == batch0.dtype
+        assert batch.shape == batch0.shape and np.array_equal(batch, batch0)
+    assert np.array_equal(free, free0)
+    assert (projector is None) == (projector0 is None)
+    if projector is not None:
+        assert projector.dtype == projector0.dtype
+        assert projector.shape == projector0.shape and np.array_equal(projector, projector0)
+
+
+def plant_spare(field: Field, shape: tuple[int, int]) -> np.ndarray:
+    """A spare table buffer of this shape with every entry p - 1 (-1
+    over Q), where a sweep that read past its table would see it."""
+    spare = np.full(shape, field.entry(-1), dtype=field.dtype)
+    linalg._spare[np.dtype(field.dtype)] = spare
+    return spare
+
+
+class TestSpareTable:
+    """A sweep takes the process's spare table buffer when it is large
+    enough and hands its own back when it ends (linalg docstring)."""
+
+    @pytest.mark.parametrize(
+        "field", [prime_field(7), GFP, rational_field()], ids=["gf7", "gfp", "rational"]
+    )
+    @pytest.mark.parametrize("text", SWEEP_CURVES)
+    @pytest.mark.parametrize("room", ["tight", "roomy"])
+    def test_dirty_spare_changes_no_output(self, text, field, room):
+        # a tight spare has the sweep's first width in both dimensions,
+        # so the sweep grows out of it; a roomy one holds every degree
+        expected = sweep_data(text, field)
+        linalg._spare.clear()
+        d = parse_form(text, field).degree
+        size = basis_dimension(d - 2) if room == "tight" else basis_dimension(3 * d)
+        spare = plant_spare(field, (size, size))
+        assert_same_sweep(sweep_data(text, field), expected)
+        assert (linalg._spare[np.dtype(field.dtype)] is spare) == (room == "roomy")
+
+    def test_second_sweep_allocates_no_table(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        ladder_curve = importlib.import_module("workloads").ladder_curve
+        jac(ladder_curve(12)).milnor_hilbert()
+        spare = linalg._spare[np.dtype(np.int64)]
+        released = []
+        release = GrowingRref.release
+
+        def recorded(grown):
+            released.append(grown._buffer)
+            release(grown)
+
+        monkeypatch.setattr(GrowingRref, "release", recorded)
+        jac(ladder_curve(12)).milnor_hilbert()
+        assert len(released) == 1 and released[0] is spare
+        assert linalg._spare[np.dtype(np.int64)] is spare
+
+    @pytest.mark.parametrize("field", [GFP, rational_field()], ids=["gfp", "rational"])
+    def test_non_reduced_sweep_hands_its_buffer_back(self, field):
+        spare = plant_spare(field, (100, 100))
+        with pytest.raises(NotReducedError):
+            jac("x^2*y*z", field).milnor_hilbert()
+        assert linalg._spare[np.dtype(field.dtype)] is spare
+
+    def test_spare_keeps_the_larger_buffer(self):
+        small, large = GrowingRref(GFP, 3), GrowingRref(GFP, 5)
+        large.release()
+        small.release()
+        assert linalg._spare[np.dtype(np.int64)].shape == (5, 5)
+
+    def test_threads_share_no_buffer(self):
+        # 4 threads sweep 3 curves each, switching as often as the
+        # interpreter allows; each result equals the one-thread sweep
+        curves = [SWEEP_CURVES[i % len(SWEEP_CURVES)] for i in range(12)]
+        expected = {text: sweep_data(text, GFP) for text in set(curves)}
+        results: dict[int, tuple] = {}
+
+        def work(first: int) -> None:
+            for i in range(first, len(curves), 4):
+                results[i] = sweep_data(curves[i], GFP)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results) == list(range(len(curves)))
+        for i, text in enumerate(curves):
+            assert_same_sweep(results[i], expected[text])
+
+    @pytest.mark.parametrize("field", [GFP, rational_field()], ids=["gfp", "rational"])
+    @pytest.mark.parametrize("text", SWEEP_CURVES)
+    def test_table_rows_are_zero_past_their_own_column(self, text, field, monkeypatch):
+        # row t of the table is nonzero only on free columns c <= t, the
+        # bound the update and the column drop start from
+        add_reduced, steps = GrowingRref.add_reduced, []
+
+        def checked(grown, block):
+            add_reduced(grown, block)
+            table = grown.table
+            past = grown.free[None, :] > np.arange(table.shape[0])[:, None]
+            assert not np.any(table[past] != 0)
+            steps.append(grown.rank)
+
+        monkeypatch.setattr(GrowingRref, "add_reduced", checked)
+        try:
+            jac(text, field).milnor_hilbert()
+        except NotReducedError:
+            pass
+        assert steps and steps[-1] > 0
 
 
 class TestModuleVector:

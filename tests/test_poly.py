@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from jacmod.fields import prime_field, rational_field
 from jacmod.poly import (
+    DegreeLimitError,
     NonHomogeneousError,
     ParseError,
     PolynomialError,
@@ -69,6 +70,29 @@ def test_parse_degree_63_sparse():
     assert f.terms[(1, 0, 62)] == 1
     # middle binomial coefficient C(7,3) = 35 on x^36 y^12 z^15
     assert f.terms[(36, 12, 15)] == 35
+
+
+@pytest.mark.parametrize(
+    "text, degree, pos",
+    [
+        ("(x+y+z)^300", 300, 8),  # refused at the exponent, not expanded
+        ("x^9*y^3 + z^12", 12, 3),  # at the product, before the sum
+        ("(x+y)^30 - (x+y)^30 + x^3", 30, 6),  # even though it cancels
+        ("(x^2+y^2)^5*(x+z)^2", 12, 11),
+    ],
+)
+def test_parse_refuses_expansion_past_the_degree_limit(text, degree, pos):
+    with pytest.raises(DegreeLimitError) as err:
+        parse_form(text, QQ, max_degree=10)
+    assert (err.value.degree, err.value.limit) == (degree, 10)
+    assert f"degree {degree} (at position {pos})" in str(err.value)
+    assert isinstance(err.value, PolynomialError)
+
+
+def test_parse_takes_forms_up_to_the_degree_limit():
+    assert parse_form("(x^2+y*z)^3*(x+y)^4", QQ, max_degree=10).degree == 10
+    assert parse_form("(x^9+y^4*z^5)^7+x*z^62", QQ, max_degree=63).degree == 63
+    assert parse_form("(x+y+z)^30", QQ).degree == 30  # no limit
 
 
 def test_parse_rejects_mixed_degrees():
