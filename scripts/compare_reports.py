@@ -26,8 +26,11 @@ primes 13 and 17, and five formula-only (`--skip-oracle`) runs: two
 free curves, the plus-one quintic, a three-syzygy septic and a maximal
 Tjurina quintic, each with the exponents (and tau) the oracle finds.
 On two of the small-prime curves the line x passes through a singular
-point, so the saturation pass falls back to another line while the
-field has few values to draw it from.
+point, so the sweep runs in other coordinates while the field has few
+values to draw them from.  The six lines x*y*z*(2x+y)*(2x+z)*(4x+2y+z),
+under the default `gfp` and under `--field rational`, are the lines of
+the first six coordinate changes jacobian.py tries, so each of those
+meets a singular point and the search goes on after a first sweep.
 """
 
 from __future__ import annotations
@@ -84,6 +87,9 @@ ACCEPTANCE = (
 SMALL_PRIME_CURVES = (CONIC_PAIR, "x*y*z*(x+y+z)", "y^4 + x*z^3")
 SMALL_PRIMES = (13, 17)
 
+# its components are the lines x of the first six candidate coordinates
+SIX_CANDIDATE_LINES = "x*y*z*(2*x+y)*(2*x+z)*(4*x+2*y+z)"
+
 FORMULA = (
     ["x*y*z", "--exponents", "1,1"],
     ["(x^3-y^3)*(y^3-z^3)*(x^3-z^3)", "--exponents", "4,4"],
@@ -109,6 +115,7 @@ def inputs() -> list[list[str]]:
     out += [[ladder_curve(d), "--max-degree-cap", str(d)] for d in (24, 28)]
     out.append(LINES)
     out += [[curve, "--field", f"gfp:{p}"] for curve in SMALL_PRIME_CURVES for p in SMALL_PRIMES]
+    out += [[SIX_CANDIDATE_LINES], [SIX_CANDIDATE_LINES, "--field", "rational"]]
     out += [[args[0], "--skip-oracle", *args[1:]] for args in FORMULA]
     return out
 

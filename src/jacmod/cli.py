@@ -73,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--skip-oracle",
         action="store_true",
-        help="skip the linear-algebra oracle; requires --exponents",
+        help="skip the linear-algebra oracle; requires --exponents, taken on trust: "
+        "nothing checks that the curve is reduced or that they are its own",
     )
     common.add_argument(
         "--exponents",

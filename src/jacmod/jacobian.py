@@ -8,9 +8,9 @@ matrices; no closed-form results enter, so these values can serve as
 the independent reference for the formula layer.
 
 The oracle is two straight-line computations, each run once and in
-this order: one degree sweep gives the Milnor values and what the
-syzygy layer needs, and one saturation pass gives N(f).  No degree is
-served on demand.
+this order, in coordinates where the line x misses the Jacobian scheme
+Sigma (below): one degree sweep gives the Milnor values and what the
+syzygy layer needs, and one count of its free columns gives N(f).
 
 The pieces (J_f)_k come from one sweep over k = d-1, ..., at most
 T+2, instead of one elimination per degree.  basis_position does not
@@ -29,8 +29,7 @@ y^j m, s(s+1)/2 + c' with s = j + b' + c'.  The reduced rows of f_i
 are therefore sum_m coeff_m * Q_k[start_m : start_m + j + 1], one
 scaled contiguous slice of the table per term.  The sweep records
 m_k = dim (S/J_f)_k and keeps the tau free columns where it stopped
-(below), and the dim S_(T+1) x tau table Q_(T+1), the projector onto
-S_(T+1) / (J_f)_(T+1), only when the saturation pass needs it (below).
+(below).
 
 The sweep also keeps each degree's batch of new rows reduced modulo
 x * (J_f)_{k-1}, as the list batches, indexed by j = k - d + 1 up to
@@ -62,55 +61,41 @@ or past dim S_(k-1).  Free columns only ever become pivots, and
 free_(k+1) lies in free_k plus the columns added at k+1; the bound
 rules out those and the x-free columns of degree k, and the equal count
 then makes free_(k+1) = free_k, which is both facts.  The values from
-k+2 to T+2 are m_(k+1).  The first fact says that x misses Sigma, so a
-reduced curve whose line x meets Sigma never passes, nor does a
-non-reduced one, whose m keeps growing: both sweep to T+2.
+k+2 to T+2 are m_(k+1).  The first fact says that x misses Sigma; when
+it does and f is reduced, (J_f)_k = Sat_k from T+1 on (below), both
+facts hold at T+1, and the sweep stops by T+2.
 
-Saturation is one pass over nested images.  If a line l misses every
-point of the Jacobian scheme Sigma, l is a nonzerodivisor on S/Sat and
-Sat_{T+1} = (J_f)_{T+1}, so Sat_k = (J_f : l^(T+1-k))_k (Bayer and
-Stillman, Invent. Math. 87, 1987): dim Sat_k = dim S_k - rank Phi_k,
-Phi_k(g) = [l^(T+1-k) g] in S_{T+1} / (J_f)_{T+1}, of dimension tau,
-so n_k = dim Sat_k - dim (J_f)_k = m_k - rank Phi_k.
-A line is accepted only if rank Phi_T = tau: if l meets Sigma,
-(J_f : l)_T contains the degree-T ideal of the residual scheme, of
-length below tau.  The lines tried are x + a y + a^2 z for a = 0, 1/2,
-1/3, ... (not small integers, which hand-made curves favour as
-coordinates of singular points).  A point of Sigma lies on at most two
-of them (a nonzero quadratic in a) and Sigma has at most tau points,
-so 2 tau + 1 distinct slopes always yield one; mod p at most p - 1 of
-these slopes are distinct.
-
-For l = x the ranks need no elimination.  x^(T+1-k) basis(k) is the
+Where x misses Sigma it is a nonzerodivisor on S/Sat and Sat_{T+1} =
+(J_f)_{T+1}, so Sat_k = (J_f : x^(T+1-k))_k (Bayer and Stillman):
+n_k = dim Sat_k - dim (J_f)_k = m_k - rank Phi_k, with Phi_k(g) =
+[x^(T+1-k) g] in S_{T+1} / (J_f)_{T+1}.  x^(T+1-k) basis(k) is the
 first dim S_k monomials of basis(T+1), so the matrix of Phi_k is the
-first dim S_k rows of the table Q_(T+1), and those rows span exactly
-the unit vectors of the free columns below dim S_k (the free columns
-where the sweep stopped, which are those of Q_(T+1)):
-  - the row of a free column c is the unit vector of c;
-  - the row of a pivot column c is nonzero only on free columns left
-    of c, so below dim S_k when c is;
-  - so the rows below dim S_k span the units of the free columns there.
-rank Phi_k is therefore the number of free columns where the sweep
-stopped below dim S_k, and rank Phi_T = tau holds exactly when no free
-column is at or past dim S_T, that is when x misses Sigma.  Another
-line is tried only when x meets Sigma, which only a sweep that reaches
-T+1 with no certificate allows, so only then does the sweep copy
-Q_(T+1).
-For l = x + a y + a^2 z, a != 0, S_{k+1} = l S_k + <x-free
-monomials>, so the images nest: Phi_k has the image of Phi_(k-1) plus
-that of its k+1 x-free rows.  Stacked for k = 0..T, those rows are
-dim S_T rows, and rank Phi_k is the rank of the first dim S_k of them:
-the number of pivots below dim S_k of one rref of the stack's
-transpose, one elimination per line.
+first dim S_k rows of the table Q_(T+1), whose free columns are those
+where the sweep stopped.  The row of a free column is its unit vector
+and the row of a pivot column c is nonzero only on free columns left
+of c, so rank Phi_k is the number of free columns below dim S_k.
+
+The Milnor values, tau, the exponents and N(f) do not change under a
+linear change of coordinates.  Those tried, in order, are the
+identity, x <-> y, x <-> z, x -> x - y/2, x -> x - z/2, then
+x -> x - a y - a^2 z for a = 1/2, 1/3, ... (not small integers, which
+hand-made curves favour as coordinates of singular points).  The new
+line x, the old y, z, 2x + y, 2x + z or x + a y + a^2 z, misses Sigma
+exactly when f's partials restricted to it have no common zero on P^1.
+Each of the at most tau points of Sigma lies on at most two lines
+x + a y + a^2 z, so 2 tau + 1 slopes always yield one.  That needs tau, and a non-reduced f fails
+every line, so f itself is swept (refusing it if non-reduced) when
+none of the first six changes passes, before the search goes on and
+a second sweep, whose Milnor values must equal the first's.
 
 The two layers are tied by n_k = m_k + m_(T-k) - m_s(k) - tau for
 0 <= k <= T, m_s the smooth reference: 0 -> E -> O^3 -> I_Sigma(d-1)
 -> 0 gives n_k = h^1(E(k-d+1)), and h^1 = h^0 + h^2 - chi, Serre
 duality with E^dual = E(d-1) and the Gorenstein symmetry of m_s give
 the rest.  module_vector checks it as a guard, at O(T) cost: a vector
-that breaks it (an unlucky prime, a wrongly accepted line) is refused,
-never reported.  N(f) is not computed from it, which would make its
-symmetry and support window tautologies.
+that breaks it (an unlucky prime) is refused, never reported.  N(f) is
+not computed from it, which would make its symmetry and support window
+tautologies.
 """
 
 from __future__ import annotations
@@ -120,9 +105,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import Element
-from .linalg import GrowingRref, rref
-from .poly import TernaryForm, basis_dimension, basis_position, monomial_basis
+from .fields import Element, Field
+from .linalg import GrowingRref
+from .poly import Terms, TernaryForm, _add_terms, _mul_terms, basis_dimension, basis_position
 
 
 class AnalysisError(ValueError):
@@ -217,24 +202,82 @@ def smooth_reference(d: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _yz_exponents(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exponents of y and of z over basis(k)."""
-    basis = monomial_basis(k)
-    return (
-        np.array([m[1] for m in basis], dtype=np.intp),
-        np.array([m[2] for m in basis], dtype=np.intp),
-    )
+Change = tuple[tuple[int, int, int], Element, Element]
+
+
+def _change(field: Field, n: int) -> Change:
+    """The n-th change tried (module docstring) as (order, b, c): f goes to
+    f(u[order[0]], u[order[1]], u[order[2]]), u = (x + b y + c z, y, z)."""
+    zero, half = field.zero(), field.neg(field.inv(field.embed_integer(2)))
+    if n >= 5:
+        a = field.neg(field.inv(field.embed_integer(n - 3)))  # -a, a = 1/(n - 3)
+        return (0, 1, 2), a, field.neg(field.mul(a, a))
+    orders = ((0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 1, 2), (0, 1, 2))
+    return orders[n], half if n == 3 else zero, half if n == 4 else zero
+
+
+def _substitute(field: Field, terms: Terms, change: Change) -> Terms:
+    """A form's terms after the change: grouped by the exponent of the
+    variable sent to x + b y + c z, by Horner's rule in that form."""
+    order, b, c = change
+    shear = {m: e for m, e in (((1, 0, 0), field.one()), ((0, 1, 0), b), ((0, 0, 1), c)) if e}
+    groups: dict[int, Terms] = {}
+    for m, coeff in terms.items():
+        image = [0, 0, 0]
+        for i, k in enumerate(order):
+            image[k] = m[i]
+        groups.setdefault(image[0], {})[(0, image[1], image[2])] = coeff
+    out: Terms = {}
+    for e in range(max(groups), -1, -1):
+        out = _add_terms(field, _mul_terms(field, out, shear), groups.get(e, {}))
+    return out
+
+
+def _remainder(field: Field, a: list, b: list) -> list:
+    """a mod b; coefficient lists, constant term first, b's last nonzero."""
+    add, mul, is_zero = field.add, field.mul, field.is_zero
+    a, lead = list(a), field.neg(field.inv(b[-1]))
+    while len(a) >= len(b):
+        q = mul(a.pop(), lead)
+        for i, c in enumerate(b[:-1], start=len(a) + 1 - len(b)):
+            a[i] = add(a[i], mul(q, c))
+        while a and is_zero(a[-1]):
+            a.pop()
+    return a
+
+
+def _misses_sigma(field: Field, partials, change: Change) -> bool:
+    """Whether the change's line x misses Sigma: f's partials on it (the
+    variables sent to x + b y + c z, y and z at b s + c, s and 1) have
+    gcd 1 in s, and one keeps the degree d-1, so (1 : 0) is no zero."""
+    (order, b, c), zero = change, field.zero()
+    add, mul, is_zero = field.add, field.mul, field.is_zero
+    moved, along = order.index(0), order.index(1)
+    powers, gcd, finite = [[field.one()]], [], False  # powers of b s + c
+    for partial in partials:
+        poly = [zero] * (partial.degree + 1)
+        for m, coeff in partial.terms.items():
+            if m[moved] and not (b or c):  # (b s + c)^e = 0
+                continue
+            while len(powers) <= m[moved]:
+                last = powers[-1]
+                powers.append([add(mul(c, u), mul(b, v)) for u, v in zip(last + [zero], [zero] + last)])
+            for i, q in enumerate(powers[m[moved]], start=m[along]):
+                poly[i] = add(poly[i], mul(coeff, q))
+        finite = finite or not is_zero(poly[-1])
+        while poly and is_zero(poly[-1]):
+            poly.pop()
+        while poly and len(gcd) != 1:
+            gcd, poly = poly, _remainder(field, gcd, poly)
+    return finite and len(gcd) == 1
 
 
 class CurveJacobian:
     """The oracle's graded data of one curve over one field, in the
-    order the pipeline reads it: milnor_hilbert() runs the one degree
-    sweep, up to its certified regularity degree or T+2, and keeps
-    batches[j], its reduced batch in degree j+d-1, for the syzygy
-    layer, and module_vector() runs the one saturation pass on the free
-    columns of the sweep's table where it stopped, and on its table at
-    T+1, the quotient projector, when the line x meets Sigma."""
+    order the pipeline reads it: milnor_hilbert() runs the degree sweep,
+    keeping batches[j], its reduced batch in degree j+d-1, for the
+    syzygy layer, and module_vector() counts its free columns.  f stays
+    the input; partials, batches and _free are of the form swept."""
 
     def __init__(self, f: TernaryForm):
         if f.is_zero() or f.degree < 1:
@@ -245,7 +288,7 @@ class CurveJacobian:
         self.partials = f.gradient()
         # j -> reduced batch in degree j+d-1, up to where the sweep stopped
         self.batches: list[np.ndarray] = []
-        self._free = self._projector = None  # free columns at the stop; Q_(T+1) if needed
+        self._free: np.ndarray | None = None  # free columns where the sweep stopped
         self._milnor: MilnorProfile | None = None
 
     @property
@@ -271,46 +314,28 @@ class CurveJacobian:
             )
         return batch
 
-    def milnor_hilbert(self) -> MilnorProfile:
-        """Hilbert function of S/J_f on 0..T+2; rejects non-reduced f.
-
-        For k < d-1 the value is dim S_k (the ideal has no elements
-        below the partials' degree).  From d-1 one sweep gives every
-        rank: each step appends the k+1 monomials free of x as columns,
-        reduces the 3(j+1) new rows, j = k-d+1, as slice sums of the
-        normal-form table and adds them, keeping their reduced batch.
-        It stops after step k+1 once J_f is certified k-regular (module
-        docstring), with every value above k+1 equal to m_(k+1), or
-        else after step T+2.  For the saturation pass it keeps the free
-        columns where it stopped, or at T+1, and the table at T+1, the
-        quotient projector, only when a free column is at or past
-        dim S_T (x meets Sigma).  Computed once."""
-        if self._milnor is not None:
-            return self._milnor
+    def _sweep(self) -> tuple[list[int], list[np.ndarray], np.ndarray | None]:
+        """The Milnor values on 0..T+2 of the form with these partials
+        (dim S_k below d-1), its batches, and its free columns where it
+        stopped, None with no certificate (module docstring); rejects a
+        non-reduced form."""
         d, T = self.degree, self.top
-        if d < 2:
-            raise AnalysisError("Milnor data needs degree >= 2")
         sweep = GrowingRref(self.field, basis_dimension(d - 2))
         values = [basis_dimension(k) for k in range(d - 1)]
-        batches = []
+        batches, free = [], None
         kept = None  # m_(k-1), the number of free columns after step k-1
         for k in range(d - 1, T + 3):
             sweep.add_columns(k + 1)
             batches.append(self._reduced_batch(sweep.table, k - d + 1))
             sweep.add_reduced(batches[-1])
             values.append(basis_dimension(k) - sweep.rank)
-            free = sweep.free
-            if values[k] == kept and (not kept or free[-1] < basis_dimension(k - 2)):
+            if values[k] == kept and (not kept or sweep.free[-1] < basis_dimension(k - 2)):
                 # J_f is (k-1)-regular: m is constant from k-1 on and the
                 # free columns never change again (module docstring)
                 values += values[k:] * (T + 2 - k)
-                self._free = free
+                free = sweep.free
                 break
             kept = values[k]
-            if k == T + 1:
-                self._free = free
-                if np.any(free >= basis_dimension(T)):  # x meets Sigma
-                    self._projector = sweep.table.copy()
         sweep.release()  # the next sweep in this process reuses its buffer
         if values[T + 1] != values[T + 2]:
             raise NotReducedError(
@@ -318,58 +343,51 @@ class CurveJacobian:
                 f"({values[T + 1]} -> {values[T + 2]}): "
                 "the curve has a repeated component"
             )
-        self.batches = batches
+        return values, batches, free
+
+    def _first_change(self, candidates: range) -> Change | None:
+        """The first of these changes whose line x misses Sigma."""
+        changes = (_change(self.field, n) for n in candidates)
+        return next((c for c in changes if _misses_sigma(self.field, self.partials, c)), None)
+
+    def milnor_hilbert(self) -> MilnorProfile:
+        """Hilbert function of S/J_f on 0..T+2, computed once; rejects
+        non-reduced f.  Swept where x misses Sigma (module docstring); a
+        sweep there that does not certify, or two that disagree, raise
+        InternalConsistencyError."""
+        if self._milnor is not None:
+            return self._milnor
+        d, T, field = self.degree, self.top, self.field
+        if d < 2:
+            raise AnalysisError("Milnor data needs degree >= 2")
+        first = None  # f's own values, swept if none of the first six changes passes
+        chosen = self._first_change(range(6))
+        if chosen is None:
+            first = self._sweep()[0]
+            slopes = 2 * first[T + 1] + 1  # mod p only p - 1 are distinct
+            slopes = min(slopes, field.p - 1) if field.p else slopes
+            chosen = self._first_change(range(6, slopes + 4))  # a = 1/3, ..., 1/slopes
+            if chosen is None:
+                raise InternalConsistencyError("every line tried meets the singular scheme")
+        if chosen != _change(field, 0):
+            self.partials = TernaryForm(field, d, _substitute(field, self.f.terms, chosen)).gradient()
+        values, self.batches, self._free = self._sweep()
+        if first is not None and values != first:
+            raise InternalConsistencyError("the Milnor values changed with the coordinates")
+        if self._free is None:
+            raise InternalConsistencyError("no regularity certificate where x misses Sigma")
         self._milnor = MilnorProfile(d, tuple(values))
         return self._milnor
 
-    def _image_ranks(self, a: Element) -> list[int]:
-        """rank Phi_k, k = 0..T, for l = x + a y + a^2 z (module
-        docstring).  For a = 0, rank Phi_k is the number of free columns
-        below dim S_k where the sweep stopped.  Otherwise Phi_(T+1) is
-        the projector kept at T+1 and Phi_k = Phi_(k+1)(l *), one
-        variable shift each; row block [dim S_(k-1), dim S_k) of the
-        stack holds the x-free rows of Phi_k, so rank Phi_k is the rank
-        of its first dim S_k rows: the pivots of one rref of the stack's
-        transpose below dim S_k."""
-        dims = [basis_dimension(k) for k in range(self.top + 1)]
-        if not a:
-            return np.searchsorted(self._free, dims).tolist()
-        field, phi, square = self.field, self._projector, self.field.mul(a, a)
-        stack = field.zeros((dims[-1], phi.shape[1]))
-        for k in range(self.top, -1, -1):
-            low, high = basis_dimension(k - 1), dims[k]
-            phi, above = phi[:high], phi
-            b, c = _yz_exponents(k)
-            # below p + 2(p-1)^2 < 2^63: one reduction for both shifts
-            phi = field.reduce(
-                phi + a * above[basis_position(b + 1, c)] + square * above[basis_position(b, c + 1)]
-            )
-            stack[low:high] = phi[low:]
-        return np.searchsorted(rref(stack.T, field).pivots, dims).tolist()
-
     def module_vector(self) -> ModuleVector:
-        """n_k = m_k - rank Phi_k for k = 0..T, from the first line that
-        passes the certificate rank Phi_T = tau (module docstring).
-
-        For l = x the ranks are counts of the sweep's free columns where
-        it stopped; another line is tried only when x meets Sigma, on the
-        projector the sweep kept then.  A vector that breaks
-        n_k = m_k + m_(T-k) - m_s(k) - tau (module docstring) raises
-        InternalConsistencyError.  Unimodality and the support window
-        are not enforced here: the analysis layer reports them as
-        checks."""
+        """n_k = m_k - rank Phi_k for k = 0..T, rank Phi_k the number of
+        the sweep's free columns below dim S_k; a vector that breaks
+        n_k = m_k + m_(T-k) - m_s(k) - tau raises InternalConsistencyError
+        (module docstring).  The analysis layer checks the rest."""
         milnor = self.milnor_hilbert()  # certifies reducedness
-        field, tau = self.field, milnor.tjurina
-        slopes = 2 * tau + 1 if field.p is None else min(2 * tau + 1, field.p - 1)
-        for m in range(1, slopes + 1):
-            a = field.inv(field.embed_integer(m)) if m > 1 else field.zero()
-            ranks = self._image_ranks(a)
-            if ranks[self.top] == tau:
-                break
-        else:
-            raise InternalConsistencyError("every line tried meets the singular scheme")
-        m, T = milnor.values, self.top
-        values = tuple(m_k - r for m_k, r in zip(m, ranks))
+        m, T, tau = milnor.values, self.top, milnor.tjurina
+        ranks = np.searchsorted(self._free, [basis_dimension(k) for k in range(T + 1)])
+        values = tuple(m_k - int(r) for m_k, r in zip(m, ranks))
         negative = [k for k, n_k in enumerate(values) if n_k < 0]
         if negative:
             raise InternalConsistencyError(

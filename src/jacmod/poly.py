@@ -93,8 +93,9 @@ def basis_dimension(k: int) -> int:
     return (k + 2) * (k + 1) // 2
 
 
-# Term-dict arithmetic shared by TernaryForm and the parser: exact field
-# operations, zero coefficients dropped, no degree bookkeeping.
+# Term-dict arithmetic shared by the parser and jacobian.py's changes of
+# coordinates: exact field operations, zero coefficients dropped, no
+# degree bookkeeping.
 
 
 def _add_terms(f: Field, a: Terms, b: Terms) -> Terms:
@@ -146,12 +147,6 @@ class TernaryForm:
         self.degree = degree
         self.terms = dict(terms)
 
-    # -- constructors --------------------------------------------------
-
-    @classmethod
-    def zero(cls, field: Field, degree: int) -> "TernaryForm":
-        return cls(field, degree, {})
-
     # -- structure ------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -172,23 +167,7 @@ class TernaryForm:
     def sorted_terms(self) -> list[tuple[Monomial, Element]]:
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
 
-    # -- arithmetic ------------------------------------------------------
-
-    def __add__(self, other: "TernaryForm") -> "TernaryForm":
-        if other.degree != self.degree:
-            raise NonHomogeneousError(self.degree, other.degree)
-        terms = _add_terms(self.field, self.terms, other.terms)
-        return TernaryForm(self.field, self.degree, terms)
-
-    def __neg__(self) -> "TernaryForm":
-        return TernaryForm(self.field, self.degree, _neg_terms(self.field, self.terms))
-
-    def __sub__(self, other: "TernaryForm") -> "TernaryForm":
-        return self + (-other)
-
-    def __mul__(self, other: "TernaryForm") -> "TernaryForm":
-        terms = _mul_terms(self.field, self.terms, other.terms)
-        return TernaryForm(self.field, self.degree + other.degree, terms)
+    # -- calculus ---------------------------------------------------------
 
     def partial(self, var: int) -> "TernaryForm":
         """Partial derivative with respect to variable index 0, 1 or 2.
@@ -265,14 +244,15 @@ def format_form(f: TernaryForm) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Parser.  Tokens: x y z, integer literals (ASCII digits only), + - * /
-# ^ ( ).  '^' binds tightest and takes a literal nonnegative integer
-# exponent; there is no implicit multiplication; '/' requires a constant
-# divisor.  Whitespace is ignored.
+# Parser.  Tokens: x y z, integer literals (ASCII digits only, at most
+# MAX_DIGITS of them), + - * / ^ ( ).  '^' binds tightest and takes a
+# literal nonnegative integer exponent; there is no implicit
+# multiplication; '/' requires a constant divisor.  Whitespace is ignored.
 # ---------------------------------------------------------------------------
 
 
 DIGITS = frozenset("0123456789")
+MAX_DIGITS = 4300  # the most int() converts from text by default
 
 
 class _Token:
@@ -299,6 +279,8 @@ def _tokenize(text: str) -> Iterator[_Token]:
             j = i
             while j < n and text[j] in DIGITS:
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise ParseError(f"integer literal of more than {MAX_DIGITS} digits", i)
             yield _Token("int", int(text[i:j]), i)
             i = j
             continue
@@ -368,6 +350,11 @@ class _Parser:
             if tok.value < 0:
                 raise ParseError("negative exponent", tok.pos)
             self._check_degree(_degree(value) * tok.value, tok.pos)
+            if self.field.p is None and value:  # over Q, refuse a coefficient past
+                c = value[max(value)]  # MAX_DIGITS digits: the leading one is c^e
+                bits = abs(c.numerator).bit_length() + c.denominator.bit_length() - 2
+                if tok.value * bits * 30103 > MAX_DIGITS * 100000:  # log10(2) = 0.30103
+                    raise ParseError(f"a power with a coefficient past {MAX_DIGITS} digits", tok.pos)
             value = self._power(value, tok.value)
         return value
 

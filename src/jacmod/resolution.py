@@ -41,7 +41,7 @@ raises IncompleteResolutionError: the Milnor values it reads stop at
 degree max(2d-2, 3d-5) <= T+2, which the Milnor sweep already holds.
 
 The sweep holds batches only up to where it stopped: one degree past
-the first r at which J_f is certified r-regular, or T+2.  At degree i
+the first r at which J_f is certified r-regular (jacobian.py).  At degree i
 the scan reads the batch in degree i+d-2, for i up to d_m, the last
 generator, and d+d_m-2 <= reg(J_f) <= r (a generator of Syz in degree
 d_m is a first syzygy of J_f in degree d-1+d_m), so every batch it

@@ -1,6 +1,9 @@
 """The Macaulay matrix of the gradient and the syzygies it defines, built
 from the definitions with no use of the degree sweep: an independent
-reference for tests of the Jacobian pieces and of the resolution."""
+reference for tests of the Jacobian pieces and of the resolution.
+
+The gradient is j.partials: f's own until j.milnor_hilbert() has run,
+then that of the coordinates the sweep ran in (jacobian.py)."""
 
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ def macaulay_matrix(j: CurveJacobian, k: int) -> np.ndarray:
     source = monomial_basis(k)
     target = {m: t for t, m in enumerate(monomial_basis(k + j.degree - 1))}
     M = j.field.zeros((3 * len(source), len(target)))
-    for i, partial in enumerate(j.f.gradient()):
+    for i, partial in enumerate(j.partials):
         for r, m in enumerate(source):
             for mono, coeff in partial.terms.items():
                 M[i * len(source) + r, target[tuple(a + b for a, b in zip(m, mono))]] = coeff
@@ -34,7 +37,7 @@ def new_rows(j: CurveJacobian, deg: int) -> np.ndarray:
     source = monomial_basis(deg)[basis_dimension(deg - 1) :]
     target = {m: t for t, m in enumerate(monomial_basis(deg + j.degree - 1))}
     M = j.field.zeros((3 * len(source), len(target)))
-    for i, partial in enumerate(j.f.gradient()):
+    for i, partial in enumerate(j.partials):
         for r, m in enumerate(source):
             for mono, coeff in partial.terms.items():
                 M[i * len(source) + r, target[tuple(a + b for a, b in zip(m, mono))]] = coeff

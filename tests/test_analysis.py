@@ -12,6 +12,7 @@ import threading
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from jacmod import analysis, poly
@@ -35,7 +36,7 @@ from jacmod.jacobian import (
     ModuleVector,
     NotReducedError,
 )
-from jacmod.poly import parse_form
+from jacmod.poly import basis_dimension, parse_form
 
 CONIC_PAIR = "(x*z - y^2) * (y*z - x^2)"
 PLUS_ONE_QUINTIC = "3*x^2*y^3 + 4*y^5 + 5*y^3*z^2 + 4*y*z^4"
@@ -163,8 +164,8 @@ class TestOracleReports:
             analyze_text("x^2*y*z")
 
     def test_broken_milnor_identity_under_explicit_prime_raises(self, monkeypatch):
-        _skew_image_rank(monkeypatch, 3, lambda p: True)
-        with pytest.raises(InternalConsistencyError, match="at degree 3"):
+        _skew_image_rank(monkeypatch, 2, lambda p: True)
+        with pytest.raises(InternalConsistencyError, match="at degree 2"):
             analyze_text(CONIC_PAIR, AnalysisOptions(field="gfp:2147483647"))
 
     def test_explicit_prime(self):
@@ -384,17 +385,20 @@ def _fail_under(monkeypatch, modulus: int, fail) -> None:
 
 
 def _skew_image_rank(monkeypatch, k: int, under) -> None:
-    """rank Phi_k comes out one short in every saturation pass run under
-    a modulus p with under(p)."""
-    exact = CurveJacobian._image_ranks
+    """rank Phi_i comes out one short for i >= k in every saturation
+    pass run under a modulus p with under(p): the first of the sweep's
+    free columns of degree k is dropped before the count."""
+    exact = CurveJacobian.module_vector
 
-    def skewed(self, a):
-        ranks = exact(self, a)
+    def skewed(self):
+        self.milnor_hilbert()
         if under(self.field.p):
-            ranks[k] -= 1
-        return ranks
+            free = self._free
+            inside = np.flatnonzero((free >= basis_dimension(k - 1)) & (free < basis_dimension(k)))
+            self._free = np.delete(free, inside[:1])
+        return exact(self)
 
-    monkeypatch.setattr(CurveJacobian, "_image_ranks", skewed)
+    monkeypatch.setattr(CurveJacobian, "module_vector", skewed)
 
 
 def _raise(exc: BaseException):
@@ -516,12 +520,12 @@ class TestPrimePair:
 
     @pytest.mark.parametrize("under", [(0,), (0, 1)], ids=["first", "both"])
     def test_broken_milnor_identity_redraws(self, monkeypatch, under):
-        # rank Phi_3 one short under primes of the first pair: the
+        # rank Phi_2 one short under primes of the first pair: the
         # cross-layer guard raises there and the pair is re-drawn, even
         # when both primes would agree on the wrong vector
         pair = prime_pair(0, max_degree=4)
         unlucky = {pair[i] for i in under}
-        _skew_image_rank(monkeypatch, 3, lambda p: p in unlucky)
+        _skew_image_rank(monkeypatch, 2, lambda p: p in unlucky)
         report = analyze_text(CONIC_PAIR)
         q1, q2 = prime_pair(7919, max_degree=4)
         assert report.field_labels == (f"gfp:{q1}", f"gfp:{q2}")

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import errno
+import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, event, given, settings
+from hypothesis import strategies as st
 
 from jacmod import cli
 from jacmod.analysis import FORMULA_MAX_DEGREE
@@ -222,21 +227,23 @@ class TestAnalyze:
         assert out == ""
 
     def test_broken_milnor_identity_exit_two(self, capsys, monkeypatch):
-        # rank Phi_3 one short: the cross-layer guard refuses the run under
-        # an explicit prime, which is never replaced
-        exact = CurveJacobian._image_ranks
+        # one free column of degree 2 missing, so rank Phi_k is one short
+        # from k = 2 on: the cross-layer guard refuses the run under an
+        # explicit prime, which is never replaced
+        exact = CurveJacobian.module_vector
 
-        def skewed(self, a):
-            ranks = exact(self, a)
-            ranks[3] -= 1
-            return ranks
+        def skewed(self):
+            self.milnor_hilbert()
+            degree_two = self._free[self._free >= 3]  # at or past dim S_1 = 3
+            self._free = self._free[self._free != degree_two[0]]
+            return exact(self)
 
-        monkeypatch.setattr(CurveJacobian, "_image_ranks", skewed)
+        monkeypatch.setattr(CurveJacobian, "module_vector", skewed)
         curve = "(x*z - y^2) * (y*z - x^2)"
         code, out, err = run(capsys, "analyze", "--field", "gfp:2147483647", curve)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: saturation and Milnor ranks disagree at degree 3")
+        assert err.startswith("error: saturation and Milnor ranks disagree at degree 2")
 
     def test_unlucky_prime_redrawn_at_parse_time(self, capsys):
         # 1277389331 is the first prime drawn at seed 0: dividing by it is
@@ -323,8 +330,12 @@ class TestProcess:
             # 3(d-2)+1 entries would not fit a list
             ("analyze", "x^100000000000000000000", "--skip-oracle",
              "--exponents", "1,99999999999999999998"),
+            # int() refuses more than 4300 digits
+            ("analyze", "7" * 4301 + "*x^3 + y^3 + z^3"),
+            # a coefficient of 10^19 digits would never be computed
+            ("analyze", "2^100000000000000000000*x^3 + y^3 + z^3"),
         ],
-        ids=["unicode-digit", "huge-formula-degree"],
+        ids=["unicode-digit", "huge-formula-degree", "long-literal", "huge-constant-power"],
     )
     def test_input_error_exit_two_with_one_line(self, argv):
         done = jacmod(*argv)
@@ -392,3 +403,131 @@ class TestPlotData:
         code, out, err = run(capsys, "plot-data", "x*y")
         assert code == 2
         assert "no Hilbert vector" in err
+
+
+# digits str.isdigit takes: int() refuses the superscript, and reads the
+# Arabic-Indic and Devanagari ones as 3 and 1
+UNICODE_DIGITS = "³٣१"
+HUGE = 10**20
+
+
+@st.composite
+def grammar_texts(draw, depth: int = 3) -> tuple[str, int]:
+    """A text of the parser's grammar and its syntactic degree, a bound on
+    the degree its expansion reaches (a product adds the degrees of its
+    two sides, a power multiplies)."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        if draw(st.booleans()):
+            return draw(st.sampled_from("xyz")), 1
+        return str(draw(st.one_of(st.integers(0, 99), st.integers(0, 10**40)))), 0
+    a, da = draw(grammar_texts(depth - 1))
+    op = draw(st.sampled_from(["+", "-", "*", "/", "^", "()", "neg"]))
+    if op == "^":
+        e = draw(st.integers(0, 3))
+        return f"({a})^{e}", da * e
+    if op == "()":
+        return f"({a})", da
+    if op == "neg":
+        return f"-({a})", da
+    b, db = draw(grammar_texts(depth - 1))
+    return f"{a}{op}{b}", max(da, db) if op in "+-" else da + db
+
+
+def rarely(draw, options: list) -> object:
+    """The first option three times in four, else one of the others."""
+    return options[0] if draw(st.integers(0, 3)) else draw(st.sampled_from(options[1:]))
+
+
+@st.composite
+def input_texts(draw) -> tuple[str, int]:
+    """Mostly a curve, a product of linear forms plus perhaps a power of
+    x, else a grammar text; then perhaps a Unicode digit in it, a huge
+    exponent or coefficient, or parentheses nested thousands deep."""
+    if rarely(draw, [False, True]):
+        text, degree = draw(grammar_texts())
+    else:
+        line = st.tuples(*[st.integers(-3, 3)] * 3).filter(any)
+        lines = draw(st.lists(line, min_size=1, max_size=6))
+        text, degree = "*".join(f"({a}*x{b:+}*y{c:+}*z)" for a, b, c in lines), len(lines)
+        if draw(st.booleans()):
+            text += f" + {draw(st.integers(1, 5))}*x^{degree}"
+    change = rarely(draw, ["none", "digit", "exponent", "coefficient", "nesting"])
+    if change == "digit":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(UNICODE_DIGITS)) + text[at:]
+    elif change == "exponent":
+        e = draw(st.sampled_from([HUGE, 10**5, 2**63]))
+        text, degree = f"({text})^{e}", degree * e
+    elif change == "coefficient":
+        text = f"{'7' * draw(st.sampled_from([4300, 4301, 20000]))}*({text})"
+    elif change == "nesting":
+        n = draw(st.sampled_from([300, 3000]))
+        text = "(" * n + text + ")" * n
+    return text, degree
+
+
+@st.composite
+def argument_lists(draw) -> list[str]:
+    """analyze --json with a text, a field, a cap, and perhaps
+    --skip-oracle or exponents and tau.  Every list does bounded work:
+    the parse refuses a degree past its limit before expanding it, and
+    below the limit the syntactic degree is at most 8 (4 over Q, where
+    entries grow)."""
+    text, degree = draw(input_texts())
+    field = draw(st.sampled_from(["gfp", "rational", "gfp:2147483647", "gfp:13"]))
+    field = rarely(draw, [field, "gfp:15", "gfp:abc", "gfp:٣١", "gfp:" + "9" * 5000, "gfpx"])
+    cap = rarely(draw, [20, -1, 0, 3, 8, HUGE])
+    argv = ["analyze", "--json", f"--field={field}", f"--max-degree-cap={cap}"]
+    formula = rarely(draw, [False, True])
+    if formula:
+        if draw(st.booleans()):
+            argv.append("--skip-oracle")
+        exponents = draw(st.lists(st.integers(0, HUGE), min_size=1, max_size=4))
+        argv.append("--exponents=" + ",".join(map(str, exponents)))
+        if draw(st.booleans()):
+            argv.append(f"--tau={draw(st.integers(-2, HUGE))}")
+    elif not draw(st.integers(0, 9)):
+        argv.append("--skip-oracle")
+    limit = FORMULA_MAX_DEGREE if formula or "--skip-oracle" in argv else cap
+    assume(degree > limit or degree <= (4 if field == "rational" else 8))
+    return [*argv, "--", text]  # a text may start with '-'
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Raise TimeoutError in the block once it has run for seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestExitCodeContract:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+    )
+    @given(argument_lists())
+    def test_every_argument_list_exits_zero_one_or_two(self, argv):
+        # exit 2 with one stderr line and no traceback; exit 1 only with
+        # a failed check in the report; no exception escapes main()
+        out, err = io.StringIO(), io.StringIO()
+        with time_limit(30), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        event(f"exit {code}")
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err[:300]
+            return
+        assert err == ""
+        report = json.loads(out)
+        failed = [check for check in report["checks"] if check["status"] == "fail"]
+        assert (code, report["passed"]) == ((1, False) if failed else (0, True))

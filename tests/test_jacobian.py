@@ -3,6 +3,7 @@ vector of N(f) on small curves with independently known answers."""
 
 from __future__ import annotations
 
+import copy
 import importlib
 import sys
 import threading
@@ -20,12 +21,15 @@ from jacmod.jacobian import (
     InternalConsistencyError,
     MilnorProfile,
     NotReducedError,
-    _yz_exponents,
+    _change,
+    _misses_sigma,
+    _substitute,
     smooth_reference,
 )
 from jacmod.linalg import GrowingRref, RrefResult, kernel_basis, row_rank, rref
 from jacmod.poly import TernaryForm, basis_dimension, basis_position, monomial_basis, parse_form
-from macaulay import macaulay_matrix, new_rows
+from jacmod.resolution import mdr, resolve
+from macaulay import macaulay_matrix, new_generator_count, new_rows
 from row_space import in_row_space, null_space, reversed_rref
 
 GFP = prime_field(2**31 - 1)
@@ -98,21 +102,15 @@ class TestJacobianPieces:
 
     def test_piece_rows_multiples_of_partials(self):
         # the sweep keeps the free columns of the reversed rref of the
-        # multiples m * f_i of degree T+1, and the projector onto
-        # S_(T+1) / (J_f)_(T+1) only when x meets Sigma (tau = 0 for the
-        # Fermat cubic; 4 for the conic pair, where x meets Sigma); every
-        # m * f_i maps to zero under that projector
-        for text, meets in (("x^3 + y^3 + z^3", False), ("(x*z - y^2) * (y*z - x^2)", True)):
+        # multiples m * f_i of degree T+1, in the coordinates it ran in
+        # (tau = 0 for the Fermat cubic; 4 for the conic pair, swept with
+        # x and z swapped), tau of them
+        for text in ("x^3 + y^3 + z^3", "(x*z - y^2) * (y*z - x^2)"):
             j = jac(text)
             tau = j.milnor_hilbert().tjurina
             multiples = macaulay_matrix(j, j.top + 2 - j.degree)
             assert j._free.tolist() == free_columns(reversed_rref(multiples, GFP))
-            if not meets:
-                assert j._projector is None
-                continue
-            assert j._projector.shape == (basis_dimension(j.top + 1), tau)
-            product = GFP.reduce(multiples.astype(object) @ j._projector.astype(object))
-            assert not np.any(product != 0)
+            assert len(j._free) == tau
 
 
 LADDER_OCTIC = "(x+1*y)^2*(x-1*y)^2*(x+2*y)^2*(x-2*y)^2 + z^8"
@@ -140,13 +138,13 @@ def free_columns(reference: RrefResult) -> list[int]:
 
 def assert_sweep_matches_elimination(j: CurveJacobian) -> None:
     """Each Milnor value m_k, k <= T+2, is dim S_k minus the rank of an
-    independent elimination of the Macaulay matrix in degree k - d + 1.
-    The free columns kept at T+1 are those of that matrix's rref with
-    the columns in reverse order (the pivot rule of the sweep).  The
-    projector is kept exactly when x meets Sigma, that is when the first
-    dim S_T rows of the null-space projector of that rref have rank
-    below tau, and then equals it.  A curve the sweep rejects as
-    non-reduced has m_(T+1) != m_(T+2) there too."""
+    independent elimination of f's Macaulay matrix in degree k - d + 1.
+    The free columns kept are those of the Macaulay matrix at T+1 in the
+    coordinates swept, its rref with the columns in reverse order (the
+    pivot rule of the sweep), and in those coordinates x misses Sigma:
+    the first dim S_T rows of the null-space projector of that rref have
+    rank tau.  A curve the sweep rejects as non-reduced has
+    m_(T+1) != m_(T+2) there too."""
     T = j.top
     expected = [
         basis_dimension(k) - row_rank(macaulay_matrix(j, k - j.degree + 1), j.field)
@@ -162,23 +160,18 @@ def assert_sweep_matches_elimination(j: CurveJacobian) -> None:
     projector = null_space(reference, j.field).T
     assert reference.matrix.shape[1] - reference.rank == values[T + 1]
     assert j._free.tolist() == free_columns(reference)
-    if row_rank(projector[: basis_dimension(T)], j.field) == values[T + 1]:
-        assert j._projector is None
-        return
-    assert j._projector.dtype == projector.dtype
-    assert j._projector.shape == projector.shape
-    assert np.array_equal(j._projector, projector)
+    assert row_rank(projector[: basis_dimension(T)], j.field) == values[T + 1]
 
 
-def record_batches(monkeypatch) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """(j, the table read, the batch built) for every slice-kernel call
-    from now on."""
+def record_batches(monkeypatch) -> list[tuple[int, np.ndarray, np.ndarray, CurveJacobian]]:
+    """(j, the table read, the batch built, a copy of the CurveJacobian
+    with the partials swept) for every slice-kernel call from now on."""
     batches = []
     reduced_batch = CurveJacobian._reduced_batch
 
     def recorded(self, table, j):
         batch = reduced_batch(self, table, j)
-        batches.append((j, table.copy(), batch))
+        batches.append((j, table.copy(), batch, copy.copy(self)))
         return batch
 
     monkeypatch.setattr(CurveJacobian, "_reduced_batch", recorded)
@@ -260,19 +253,22 @@ class TestDegreeSweep:
     @pytest.mark.parametrize("text", ["(x*z - y^2) * (y*z - x^2)", "x^2*y*z"])
     def test_milnor_builds_no_macaulay_matrix(self, text, monkeypatch):
         # the slice kernel builds only the new rows y^b z^c * f_i of each
-        # degree j = 0..2d-3, reduced, once each, never the x-multiples
+        # degree j = 0..2d-3 (the non-reduced curve) or up to the cut,
+        # reduced, once each, never the x-multiples
         batches = record_batches(monkeypatch)
         j = jac(text)
         if text == "x^2*y*z":
             with pytest.raises(NotReducedError):
                 j.milnor_hilbert()
+            kept = 2 * j.degree - 2
         else:
             assert j.milnor_hilbert().values == (1, 3, 6, 7, 6, 4, 4, 4, 4)
-        assert [(deg, batch.shape[0]) for deg, _, batch in batches] == [
-            (k, 3 * (k + 1)) for k in range(2 * j.degree - 2)
+            kept = len(j.batches)
+        assert [(deg, batch.shape[0]) for deg, _, batch, _ in batches] == [
+            (k, 3 * (k + 1)) for k in range(kept)
         ]
-        for deg, table, batch in batches:
-            assert_batch_is_new_rows_times_table(j, deg, table, batch)
+        for deg, table, batch, swept in batches:
+            assert_batch_is_new_rows_times_table(swept, deg, table, batch)
 
     @pytest.mark.parametrize(
         "field, top", [(GFP, 6), (rational_field(), 4)], ids=["gfp", "rational"]
@@ -299,9 +295,11 @@ class TestDegreeSweep:
                 kept = len(j.batches)  # the sweep may stop before T+2
             except NotReducedError:
                 kept = 2 * d - 2  # a non-reduced curve sweeps to T+2
-        assert [deg for deg, _, _ in batches] == list(range(kept))
-        for deg, table, batch in batches:
-            assert_batch_is_new_rows_times_table(j, deg, table, batch)
+        # a curve that reaches the second phase of the search sweeps
+        # twice; the last sweep is the one kept
+        assert [deg for deg, _, _, _ in batches[-kept:]] == list(range(kept))
+        for deg, table, batch, swept in batches:
+            assert_batch_is_new_rows_times_table(swept, deg, table, batch)
 
     @pytest.mark.parametrize("text", ["(x*z - y^2) * (y*z - x^2)", "y^4 + x*z^3"])
     def test_mult_matrix_grows_by_x_shift(self, text):
@@ -360,7 +358,7 @@ def swept_degrees(j: CurveJacobian, monkeypatch) -> list[int]:
         j.milnor_hilbert()
     except NotReducedError:
         pass
-    return [deg + j.degree - 1 for deg, _, _ in batches]
+    return [deg + j.degree - 1 for deg, _, _, _ in batches]
 
 
 class TestRegularityCut:
@@ -370,7 +368,7 @@ class TestRegularityCut:
         [
             (LADDER_OCTIC, 15),  # T + 1 = 19
             (lines_curve(6), 8),  # T + 1 = 13
-            ("(x*z - y^2) * (y*z - x^2)", None),  # x meets Sigma
+            ("(x*z - y^2) * (y*z - x^2)", 5),  # swept with x <-> z; T + 1 = 7
             ("x^5 + y^5 + z^5", 10),  # T + 1: no degree saved
             ("y^4 + x*z^3", 5),  # T + 1 = 7
         ],
@@ -379,38 +377,37 @@ class TestRegularityCut:
         self, text, certified, field, monkeypatch
     ):
         # by Bayer and Stillman the two facts at k make J_f k-regular, so
-        # the sweep's last step is k+1; with no certificate by T+1 it
-        # steps to T+2.  The free columns kept are those where it stopped,
-        # or at T+1 (the same ones once the certificate holds)
+        # the sweep's last step is k+1, in the coordinates it ran in.  The
+        # free columns kept are those where it stopped, the same as at
+        # T+1 once the certificate holds
         j = jac(text, field)
         d, T = j.degree, j.top
-        assert certified_degree(j) == certified
         steps = swept_degrees(j, monkeypatch)
-        stop = T + 2 if certified is None else certified + 1
+        assert certified_degree(j) == certified
+        stop = certified + 1
         assert steps == list(range(d - 1, stop + 1))
         assert len(j.batches) == stop - d + 2
         reference = reversed_rref(macaulay_matrix(j, min(stop, T + 1) - d + 1), field)
         assert j._free.tolist() == free_columns(reference)
-        if certified is not None:
-            assert j._projector is None
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "x*y*z",  # x meets Sigma: the curve is reduced
-            "(x*z - y^2) * (y*z - x^2)",
-            "x^2*y*z + y^4",
-            "x^2*y*z",  # not reduced
-            "x^2",
-            "(x*z - y^2)^2 * y",
-        ],
-    )
-    def test_no_cut_where_x_meets_sigma_or_f_is_not_reduced(self, text, monkeypatch):
+    @pytest.mark.parametrize("text", ["x^2*y*z", "x^2", "(x*z - y^2)^2 * y"])
+    def test_no_cut_where_f_is_not_reduced(self, text, monkeypatch):
         j = jac(text)
         assert certified_degree(j) is None
         assert swept_degrees(j, monkeypatch) == list(range(j.degree - 1, j.top + 3))
-        if j.batches:  # reduced
-            assert len(j.batches) == j.top + 4 - j.degree
+        assert not j.batches
+
+    @pytest.mark.parametrize("text", ["x*y*z", "(x*z - y^2) * (y*z - x^2)", "x^2*y*z + y^4"])
+    def test_reduced_curves_where_x_meets_sigma_are_swept_elsewhere(self, text, monkeypatch):
+        # in f's own coordinates x meets Sigma and no degree is certified;
+        # the one sweep runs where x misses it and stops after the cut
+        j = jac(text)
+        assert certified_degree(j) is None
+        steps = swept_degrees(j, monkeypatch)
+        certified = certified_degree(j)  # in the coordinates swept
+        assert certified is not None
+        assert steps == list(range(j.degree - 1, certified + 2))
+        assert len(j.batches) == certified - j.degree + 3
 
     @pytest.mark.parametrize(
         "field", [prime_field(7), GFP, rational_field()], ids=["gf7", "gf2^31-1", "rational"]
@@ -418,8 +415,8 @@ class TestRegularityCut:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_cut_on_random_curves(self, field, data):
-        # the sweep stops one degree after the certificate, which implies
-        # that x misses Sigma: no projector is kept then
+        # every reduced curve certifies in the coordinates swept, and the
+        # last sweep stops one degree after the certificate
         d = data.draw(st.integers(2, 5))
         basis = monomial_basis(d)
         picks = data.draw(
@@ -433,20 +430,19 @@ class TestRegularityCut:
             steps = swept_degrees(j, monkeypatch)
         assume(j.batches)  # reduced
         certified = certified_degree(j)
-        assert steps[-1] == (j.top + 2 if certified is None else certified + 1)
-        if certified is not None:
-            assert j._projector is None
+        assert certified is not None
+        assert steps[-1] == certified + 1
 
 
 def sweep_data(text: str, field: Field) -> tuple:
-    """What one sweep leaves: the Milnor values, the batches, the free
-    columns and the projector, or the class of the error it raised."""
+    """What one sweep leaves: the Milnor values, the batches and the
+    free columns, or the class of the error it raised."""
     j = jac(text, field)
     try:
         values = j.milnor_hilbert().values
     except NotReducedError:
         return (NotReducedError,)
-    return values, j.batches, j._free, j._projector
+    return values, j.batches, j._free
 
 
 def assert_same_sweep(got: tuple, expected: tuple) -> None:
@@ -454,17 +450,13 @@ def assert_same_sweep(got: tuple, expected: tuple) -> None:
     if len(got) == 1:
         assert got == expected
         return
-    (values, batches, free, projector), (values0, batches0, free0, projector0) = got, expected
+    (values, batches, free), (values0, batches0, free0) = got, expected
     assert values == values0
     assert len(batches) == len(batches0)
     for batch, batch0 in zip(batches, batches0):
         assert batch.dtype == batch0.dtype
         assert batch.shape == batch0.shape and np.array_equal(batch, batch0)
     assert np.array_equal(free, free0)
-    assert (projector is None) == (projector0 is None)
-    if projector is not None:
-        assert projector.dtype == projector0.dtype
-        assert projector.shape == projector0.shape and np.array_equal(projector, projector0)
 
 
 def plant_spare(field: Field, shape: tuple[int, int]) -> np.ndarray:
@@ -625,7 +617,8 @@ def membership_matrix(j: CurveJacobian, k: int, Q: np.ndarray) -> np.ndarray:
     is a left null vector (the definition of the saturation, with
     Sat_{T+1} = (J_f)_{T+1})."""
     N = j.top + 1 - k
-    b, c = _yz_exponents(k)
+    b = np.array([m[1] for m in monomial_basis(k)], dtype=np.intp)
+    c = np.array([m[2] for m in monomial_basis(k)], dtype=np.intp)
     shifts = (basis_position(b, c), basis_position(b + N, c), basis_position(b, c + N))
     return np.concatenate([Q[index] for index in shifts], axis=1)
 
@@ -641,38 +634,17 @@ def assert_saturation_matches_membership(j: CurveJacobian) -> None:
     assert list(vec.values) == expected
 
 
-def recorded_passes(monkeypatch) -> list[tuple[np.ndarray | None, object]]:
-    """The (projector kept, slope) of every saturation pass tried from
-    now on."""
-    tried = []
-    image_ranks = CurveJacobian._image_ranks
-
-    def recorded(self, a):
-        tried.append((self._projector, a))
-        return image_ranks(self, a)
-
-    monkeypatch.setattr(CurveJacobian, "_image_ranks", recorded)
-    return tried
+def drop_free_column(j: CurveJacobian, k: int) -> None:
+    """The first of the sweep's free columns of degree k removed: rank
+    Phi_i one short for every i >= k, so n_i one too large from k on."""
+    free = j._free
+    inside = np.flatnonzero((free >= basis_dimension(k - 1)) & (free < basis_dimension(k)))
+    j._free = np.delete(free, inside[:1])
 
 
-def image_rank_from_definition(j: CurveJacobian, Q: np.ndarray, m: int, k: int) -> int:
-    """rank Phi_k for the m-th line tried, l = x + y/m + z/m^2 (l = x for
-    m = 1): l^(T+1-k) * mono expanded for each mono in basis(k), its
-    coordinates in S_{T+1} / (J_f)_{T+1} read off Q =
-    quotient_projector(j)."""
-    line = "x" if m == 1 else f"x + y/{m} + z/{m * m}"
-    rows = []
-    for e in monomial_basis(k):
-        g = parse_form(f"({line})^{j.top + 1 - k} * x^{e[0]}*y^{e[1]}*z^{e[2]}", j.field)
-        row = j.field.zeros((1, Q.shape[1]))
-        for mono, coeff in g.terms.items():
-            row = j.field.reduce(row + coeff * Q[basis_position(mono[1], mono[2])])
-        rows.append(row)
-    return row_rank(np.concatenate(rows), j.field)
-
-
-# x meets the singular scheme at (0 : 0 : 1); so does x + y/2 + z/4,
-# at (1 : -2 : 0), where the lines z and 2x + y cross
+# x meets the singular scheme at (0 : 0 : 1), and so do the lines of the
+# first six changes: y, z, 2x + y and 2x + z at coordinate points, and
+# 4x + 2y + z at (1 : -2 : 0), where the lines z and 2x + y cross
 TWO_LINES_REJECTED = "x*y*z*(2*x + y)"
 
 
@@ -713,52 +685,26 @@ class TestSaturation:
 
     @pytest.mark.parametrize("field", [GFP, rational_field()], ids=["gfp", "rational"])
     @pytest.mark.parametrize(
-        "text, rejected",
-        [("x*y*z", 1), ("(x*z - y^2) * (y*z - x^2)", 1), (TWO_LINES_REJECTED, 2)],
-    )
-    def test_certificate_rejects_lines_through_singular_points(
-        self, text, rejected, field, monkeypatch
-    ):
-        tried = recorded_passes(monkeypatch)
-        j = jac(text, field)
-        T, tau = j.top, j.milnor_hilbert().tjurina
-        j.module_vector()
-        # x + a y + a^2 z for a = 0, 1/2, 1/3, ...: the first `rejected`
-        # lines fail the certificate and the pass stops at the next one
-        slopes = [field.zero()] + [field.inv(field.embed_integer(m)) for m in range(2, 5)]
-        assert [a for _, a in tried] == slopes[: rejected + 1]
-        projector = tried[0][0]
-        assert all(p is projector for p, _ in tried)  # built once
-        image_ranks = CurveJacobian._image_ranks
-        for a in slopes[:rejected]:
-            assert image_ranks(j, a)[T] < tau
-        assert image_ranks(j, slopes[rejected])[T] == tau
-
-    @pytest.mark.parametrize("field", [GFP, rational_field()], ids=["gfp", "rational"])
-    @pytest.mark.parametrize(
-        "text, lines",
+        "text",
         [
-            ("(x*z - y^2) * (y*z - x^2)", 2),
-            (TWO_LINES_REJECTED, 3),
-            (LADDER_OCTIC, 1),
-            ("x^5 + y^5 + z^5", 1),
-            ("y^4 + x*z^3", 1),
+            "(x*z - y^2) * (y*z - x^2)",
+            TWO_LINES_REJECTED,
+            LADDER_OCTIC,
+            "x^5 + y^5 + z^5",
+            "y^4 + x*z^3",
         ],
     )
-    def test_every_rank_of_every_line_tried_matches_the_definition(
-        self, text, lines, field, monkeypatch
-    ):
-        # the rejected lines too, at every degree, not only at k = T
-        tried = recorded_passes(monkeypatch)
+    def test_every_rank_matches_the_definition(self, text, field):
+        # at every degree, in the coordinates swept: m_k - n_k, the count
+        # of free columns below dim S_k, is rank Phi_k for l = x, whose
+        # images x^(T+1-k) basis(k) are the first dim S_k monomials of
+        # basis(T+1)
         j = jac(text, field)
-        j.module_vector()
-        passes = tried.copy()  # the calls below are recorded too
-        assert len(passes) == lines
+        vec, milnor = j.module_vector(), j.milnor_hilbert()
         Q = quotient_projector(j)
-        image_ranks = CurveJacobian._image_ranks
-        for m, (_, a) in enumerate(passes, start=1):
-            expected = [image_rank_from_definition(j, Q, m, k) for k in range(j.top + 1)]
-            assert image_ranks(j, a) == expected, m
+        for k in range(j.top + 1):
+            rank = row_rank(Q[: basis_dimension(k)], field)
+            assert milnor.values[k] - vec.values[k] == rank, k
 
     @pytest.mark.parametrize(
         "field", [prime_field(7), GFP, rational_field()], ids=["gf7", "gf2^31-1", "rational"]
@@ -768,8 +714,8 @@ class TestSaturation:
     def test_ranks_for_x_count_the_free_columns_below_each_degree(self, field, data):
         # rows [0, dim S_k) of the sweep's table at T+1 span the unit
         # vectors of its free columns there, so for l = x each rank
-        # Phi_k is a count; the table is kept exactly when x fails the
-        # certificate rank Phi_T = tau
+        # Phi_k is a count, and x misses Sigma in the coordinates swept:
+        # rank Phi_T = tau
         d = data.draw(st.integers(2, 5))
         basis = monomial_basis(d)
         picks = data.draw(
@@ -784,43 +730,9 @@ class TestSaturation:
         except NotReducedError:
             assume(False)
         Q = quotient_projector(j)
-        ranks = j._image_ranks(field.zero())
-        assert ranks == [row_rank(Q[: basis_dimension(k)], field) for k in range(j.top + 1)]
-        assert (j._projector is None) == (ranks[j.top] == tau)
-
-    @pytest.mark.parametrize("text, lines", [(TWO_LINES_REJECTED, 2), (LADDER_OCTIC, 0)])
-    def test_one_elimination_per_line_tried(self, text, lines, monkeypatch):
-        # the ranks for l = x are counts of free columns, with no
-        # elimination; every rank Phi_k of another line is read off one
-        # rref of the transposed stack of x-free rows, tau x dim S_T
-        j = jac(text)
-        tau = j.milnor_hilbert().tjurina
-        shapes = []
-        eliminate = jacobian.rref
-
-        def recorded(M, field):
-            shapes.append(M.shape)
-            return eliminate(M, field)
-
-        monkeypatch.setattr(jacobian, "rref", recorded)
-        j.module_vector()
-        assert shapes == [(tau, basis_dimension(j.top))] * lines
-
-    @pytest.mark.parametrize("field", [GFP, rational_field()], ids=["gfp", "rational"])
-    def test_quotient_projector_of_conic_pair(self, field, monkeypatch):
-        tried = recorded_passes(monkeypatch)
-        j = jac("(x*z - y^2) * (y*z - x^2)", field)
-        j.module_vector()
-        Q = tried[0][0]
-        piece = reversed_rref(macaulay_matrix(j, j.top + 2 - j.degree), field)
-        width = piece.matrix.shape[1]
-        free = [c for c in range(width) if c not in piece.pivots]
-        assert Q.shape == (width, len(free))
-        # the rows of (J_f)_{T+1} project to zero ...
-        product = field.reduce(piece.matrix.astype(object) @ Q.astype(object))
-        assert not np.any(product != 0)
-        # ... and the free monomials are the coordinates of the quotient
-        assert np.array_equal(Q[free], np.eye(len(free), dtype=np.int64))
+        ranks = np.searchsorted(j._free, [basis_dimension(k) for k in range(j.top + 1)])
+        assert ranks.tolist() == [row_rank(Q[: basis_dimension(k)], field) for k in range(j.top + 1)]
+        assert ranks[j.top] == tau
 
     def test_smooth_curve_saturates_to_everything(self):
         # tau = 0 forces the saturation to be the whole ring up to T, so
@@ -838,32 +750,254 @@ class TestSaturation:
         j = jac("x*y*z")
         assert len(j.module_vector().values) == 3 * (j.degree - 2) + 1
 
-    def test_negative_value_is_an_internal_error(self, monkeypatch):
-        exact = CurveJacobian._image_ranks
-
-        def inflated(self, a):
-            ranks = exact(self, a)
-            ranks[0] += 2  # rank Phi_0 above m_0 = 1
-            return ranks
-
-        monkeypatch.setattr(CurveJacobian, "_image_ranks", inflated)
+    def test_negative_value_is_an_internal_error(self):
+        # two spare free columns at 0: rank Phi_0 = 3, above m_0 = 1
+        j = jac("(x*z - y^2) * (y*z - x^2)")
+        j.milnor_hilbert()
+        j._free = np.concatenate([[0, 0], j._free])
         with pytest.raises(InternalConsistencyError, match="at degree 0"):
-            jac("(x*z - y^2) * (y*z - x^2)").module_vector()
+            j.module_vector()
 
-    @pytest.mark.parametrize("k", [0, 3, 5])
-    def test_vector_breaking_the_milnor_identity_is_an_internal_error(self, k, monkeypatch):
+    @pytest.mark.parametrize("text", ["(x*z - y^2) * (y*z - x^2)", LADDER_OCTIC])
+    def test_vector_breaking_the_milnor_identity_is_an_internal_error(self, text):
         # n_k = m_k + m_(T-k) - m_s(k) - tau ties the saturation to the
-        # Milnor ranks; one rank off by one at degree k breaks it there
-        exact = CurveJacobian._image_ranks
+        # Milnor ranks; one free column of degree k missing breaks it
+        # there, for every degree that has one
+        j = jac(text)
+        j.milnor_hilbert()
+        free = j._free
+        degrees = {k for k in range(j.top + 1) for c in free.tolist()
+                   if basis_dimension(k - 1) <= c < basis_dimension(k)}
+        assert {0, 2} <= degrees
+        for k in sorted(degrees):
+            j._free = free
+            drop_free_column(j, k)
+            with pytest.raises(InternalConsistencyError, match=f"at degree {k}:"):
+                j.module_vector()
+        j._free = free
+        j.module_vector()
 
-        def skewed(self, a):
-            ranks = exact(self, a)
-            ranks[k] -= 1
-            return ranks
 
-        monkeypatch.setattr(CurveJacobian, "_image_ranks", skewed)
-        with pytest.raises(InternalConsistencyError, match=f"at degree {k}:"):
-            jac("(x*z - y^2) * (y*z - x^2)").module_vector()
+SIX_CANDIDATE_LINES = "x*y*z*(2*x+y)*(2*x+z)*(4*x+2*y+z)"
+
+
+def line_misses_sigma_by_rank(f: TernaryForm, n: int) -> bool:
+    """(J_g, x)_(2d-3) = S_(2d-3) for g, f in the coordinates of the n-th
+    change, by one Macaulay rank: the partials of g restricted to x = 0
+    span every binary form of degree 2d-3 exactly when they have no
+    common zero on that line."""
+    field, d = f.field, f.degree
+    g = CurveJacobian(TernaryForm(field, d, _substitute(field, f.terms, _change(field, n))))
+    rows = np.concatenate([macaulay_matrix(g, d - 2), x_multiples(field, 2 * d - 3)])
+    return row_rank(rows, field) == basis_dimension(2 * d - 3)
+
+
+def invariants_from_definition(f: TernaryForm) -> tuple:
+    """The Milnor values and N(f) of f in its own coordinates, from
+    Macaulay ranks with no sweep, and a CurveJacobian that is never
+    swept, whose partials are f's."""
+    j, d = CurveJacobian(f), f.degree
+    milnor = [
+        basis_dimension(k) - row_rank(macaulay_matrix(j, k - d + 1), f.field)
+        for k in range(j.top + 3)
+    ]
+    Q = quotient_projector(j)
+    vector = [milnor[k] - row_rank(membership_matrix(j, k, Q), f.field) for k in range(j.top + 1)]
+    return tuple(milnor), tuple(vector), j
+
+
+def recorded_tests(monkeypatch) -> list:
+    """The changes of coordinates tested from now on, each with the
+    number of sweeps run before it."""
+    tested, sweeps = [], []
+    misses_sigma, sweep = jacobian._misses_sigma, CurveJacobian._sweep
+
+    def recorded(field, partials, change):
+        tested.append((change, len(sweeps)))
+        return misses_sigma(field, partials, change)
+
+    def counted(self):
+        sweeps.append(None)
+        return sweep(self)
+
+    monkeypatch.setattr(jacobian, "_misses_sigma", recorded)
+    monkeypatch.setattr(CurveJacobian, "_sweep", counted)
+    return tested
+
+
+@st.composite
+def reduced_curves(draw, field: Field, max_degree: int):
+    """A curve of degree 2..max_degree with small coefficients that the
+    sweep does not refuse as non-reduced."""
+    d = draw(st.integers(2, max_degree))
+    basis = monomial_basis(d)
+    picks = draw(
+        st.lists(st.tuples(st.integers(0, 20), st.integers(-6, 6)), min_size=2, max_size=10)
+    )
+    terms = {basis[i % len(basis)]: field.embed_integer(c) for i, c in picks}
+    terms = {m: c for m, c in terms.items() if c}
+    assume(terms)
+    f = TernaryForm(field, d, terms)
+    try:
+        CurveJacobian(f).milnor_hilbert()
+    except NotReducedError:
+        assume(False)
+    return f
+
+
+def assert_swept_coordinates_keep_the_invariants(f: TernaryForm) -> None:
+    """The sweep in the coordinates chosen certifies, and its Milnor
+    values, exponents and N(f) are f's own."""
+    j = CurveJacobian(f)
+    milnor, vector = j.milnor_hilbert(), j.module_vector()
+    assert j._free is not None and certified_degree(j) is not None
+    values, expected_vector, unswept = invariants_from_definition(f)
+    assert milnor.values == values
+    assert vector.values == expected_vector
+    if mdr(milnor):  # a pencil of lines has no resolution
+        # the generators resolve() finds in the coordinates swept, degree
+        # by degree up to its last, are f's own by definition
+        exponents = resolve(j).exponents
+        for k in range(exponents[0], exponents[-1] + 1):
+            assert exponents.count(k) == new_generator_count(unswept, k), k
+
+
+class TestCoordinates:
+    """The sweep runs in the first coordinates of a fixed list where the
+    line x misses Sigma (module docstring)."""
+
+    @pytest.mark.parametrize("field", [GFP, rational_field()], ids=["gfp", "rational"])
+    def test_changes_make_the_documented_lines_the_line_x(self, field):
+        # the identity, x <-> y, x <-> z, x - y/2, x - z/2, then
+        # x - a y - a^2 z for a = 1/2, 1/3, 1/4: the old line each one
+        # makes the new line x, in that order
+        lines = ["x", "y", "z", "2*x + y", "2*x + z", "x + y/2 + z/4", "x + y/3 + z/9", "x + y/4 + z/16"]
+        for n, line in enumerate(lines):
+            image = _substitute(field, parse_form(line, field).terms, _change(field, n))
+            assert list(image) == [(1, 0, 0)], n
+
+    @pytest.mark.parametrize("field", [GFP, rational_field()], ids=["gfp", "rational"])
+    @pytest.mark.parametrize(
+        "text", ["x*y*z", "(x*z - y^2) * (y*z - x^2)", "y^4 + x*z^3", SIX_CANDIDATE_LINES]
+    )
+    def test_line_test_is_a_macaulay_rank(self, text, field):
+        f = parse_form(text, field)
+        for n in range(8):
+            assert _misses_sigma(field, f.gradient(), _change(field, n)) == (
+                line_misses_sigma_by_rank(f, n)
+            ), n
+
+    @pytest.mark.parametrize("field", [GFP, rational_field()], ids=["gfp", "rational"])
+    @pytest.mark.parametrize(
+        "text", ["x*y*z", "(x*z - y^2) * (y*z - x^2)", "y^4 + x*z^3", TWO_LINES_REJECTED]
+    )
+    def test_swept_coordinates_keep_the_invariants(self, text, field):
+        assert_swept_coordinates_keep_the_invariants(parse_form(text, field))
+
+    @pytest.mark.parametrize(
+        "field, top", [(GFP, 5), (rational_field(), 4)], ids=["gfp", "rational"]
+    )
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_line_test_and_invariants_on_random_curves(self, field, top, data):
+        # degrees up to 4 over Q, where the definitions' entries grow
+        f = data.draw(reduced_curves(field, top))
+        for n in range(8):
+            assert _misses_sigma(field, f.gradient(), _change(field, n)) == (
+                line_misses_sigma_by_rank(f, n)
+            ), n
+        assert_swept_coordinates_keep_the_invariants(f)
+
+    @pytest.mark.parametrize("field", [GFP, rational_field()], ids=["gfp", "rational"])
+    @pytest.mark.parametrize(
+        "text, chosen",
+        [
+            ("y^4 + x*z^3", 0),
+            (LADDER_OCTIC, 0),
+            ("(x*z - y^2) * (y*z - x^2)", 2),
+            ("x*y*z", 5),
+            ("x*y*z*(x+y+z)", 5),
+        ],
+    )
+    def test_first_change_whose_line_misses_sigma_is_swept(self, text, chosen, field, monkeypatch):
+        # the identity, x <-> y, x <-> z, x - y/2, x - z/2, x - y/2 - z/4:
+        # each is tested on f before the one sweep, up to the first pass
+        tested = recorded_tests(monkeypatch)
+        j = jac(text, field)
+        j.milnor_hilbert()
+        assert tested == [(_change(field, n), 0) for n in range(chosen + 1)]
+        for n in range(chosen):
+            assert not line_misses_sigma_by_rank(j.f, n)
+        g = _substitute(field, j.f.terms, _change(field, chosen))
+        assert j.partials == TernaryForm(field, j.degree, g).gradient()
+        assert j.f == parse_form(text, field)
+
+    @pytest.mark.parametrize("field", [GFP, rational_field()], ids=["gfp", "rational"])
+    @pytest.mark.parametrize("text", [SIX_CANDIDATE_LINES, TWO_LINES_REJECTED])
+    def test_second_phase_sweeps_f_then_the_change_found(self, text, field, monkeypatch):
+        # every line of the first six changes meets Sigma: f itself is
+        # swept, which gives tau, and a = 1/3 passes after it
+        tested = recorded_tests(monkeypatch)
+        j = jac(text, field)
+        values = j.milnor_hilbert().values
+        assert tested == [(_change(field, n), 0) for n in range(6)] + [(_change(field, 6), 1)]
+        assert certified_degree(j) is not None
+        assert values == invariants_from_definition(j.f)[0]
+        assert_saturation_matches_membership(j)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x^2*y*z",
+            "x^2",
+            "(x*z - y^2)^2 * y",
+            "(x+2*y+3*z)^2*(x^6+y^6+z^6)",
+            "(x+y)^2*(x^18+y^18+z^18)",
+        ],
+    )
+    def test_non_reduced_tests_six_changes_before_its_sweep(self, text, monkeypatch):
+        # a non-reduced curve's Sigma holds a curve, which every line
+        # meets: the six changes fail, and the sweep of f refuses it
+        tested = recorded_tests(monkeypatch)
+        with pytest.raises(NotReducedError):
+            jac(text).milnor_hilbert()
+        assert tested == [(_change(GFP, n), 0) for n in range(6)]
+
+    @pytest.mark.parametrize("p, last", [(13, 12), (17, 13)])
+    def test_small_primes_never_try_a_slope_with_m_divisible_by_p(self, p, last, monkeypatch):
+        # tau = 6: 2 tau + 1 = 13 slopes over Q, and at most p - 1 mod p,
+        # so a = 1/m never needs m = 0 mod p; when every line fails the
+        # error is the internal one, not a FieldError
+        field, tested = prime_field(p), []
+        monkeypatch.setattr(jacobian, "_misses_sigma", lambda *args: tested.append(args[2]) and False)
+        with pytest.raises(InternalConsistencyError, match="every line tried meets"):
+            jac("x*y*z*(x+y+z)", field).milnor_hilbert()
+        assert tested == [_change(field, n) for n in range(6)] + [
+            _change(field, m + 3) for m in range(3, last + 1)
+        ]
+
+    def test_sweeps_that_disagree_are_an_internal_error(self, monkeypatch):
+        # the two sweeps of the second phase must give the same values
+        sweep, calls = CurveJacobian._sweep, []
+
+        def skewed(self):
+            values, batches, free = sweep(self)
+            calls.append(None)
+            if len(calls) == 2:
+                values = [*values[:-1], values[-1] + 1]
+            return values, batches, free
+
+        monkeypatch.setattr(CurveJacobian, "_sweep", skewed)
+        with pytest.raises(InternalConsistencyError, match="changed with the coordinates"):
+            jac(TWO_LINES_REJECTED).milnor_hilbert()
+
+    def test_sweep_without_certificate_is_an_internal_error(self, monkeypatch):
+        # where x misses Sigma a reduced curve always certifies; only an
+        # unlucky prime could make its sweep run to T+2
+        sweep = CurveJacobian._sweep
+        monkeypatch.setattr(CurveJacobian, "_sweep", lambda self: (*sweep(self)[:2], None))
+        with pytest.raises(InternalConsistencyError, match="no regularity certificate"):
+            jac("(x*z - y^2) * (y*z - x^2)").milnor_hilbert()
 
 
 class TestCoincidenceThreshold:
