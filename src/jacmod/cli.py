@@ -8,8 +8,9 @@ Two subcommands:
 
 Exit codes: 0 all checks pass, 1 at least one formula check failed,
 2 invalid input (parse error, bad flags, inconsistent metadata,
-non-reduced curve), an internal consistency failure, or output that
-cannot be written (a closed pipe, a full disk).  Data goes to
+non-reduced curve), an internal consistency failure, a run that
+cannot allocate its matrices, or output that cannot be written (a
+closed pipe, a full disk).  Data goes to
 stdout, diagnostics to stderr.
 """
 
@@ -258,6 +259,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         MetadataError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a degree the cap admits that this host cannot hold
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
     try:
         print(output)

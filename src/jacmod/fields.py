@@ -12,7 +12,13 @@ int64 residues for GF(p), Fraction objects only for the rationals
 (entry() and zeros() give those), so that an entry has one type
 whichever elimination step wrote it.  The Field is the only place that
 knows which; matrix code works through array(), entry(), reduce() and
-negate().
+negate(), and through three kernels that hold the inner loops of
+exact elimination, one GF(p) path and one Q path each: sums of scaled
+blocks (add_combination), the Gauss-Jordan column loop (gauss_jordan)
+and the product update A += C @ R (add_product).  Over GF(p) each
+works on int64 and proves its own bound below 2^63; over Q none
+forms a product with a zero coefficient, since arithmetic on a
+Fraction zero costs as much as on any other.
 """
 
 from __future__ import annotations
@@ -28,6 +34,10 @@ Element = Union[int, Fraction]
 
 PRIME_LOW = 2**30
 PRIME_HIGH = 2**31
+
+# products summed per chunk of Field.add_product over GF(p): seven signed
+# products below 2^60 and one canonical entry stay below 2^63
+CHUNK = 7
 
 
 class FieldError(ValueError):
@@ -204,6 +214,98 @@ class Field:
         for c, block in zip(coeffs, blocks):
             nonzero = np.nonzero(block)
             out[nonzero] += c * block[nonzero]
+
+    def gauss_jordan(self, M: np.ndarray) -> list[int]:
+        """Bring canonical M to reduced row echelon form in place, in one
+        pass; returns the pivot columns.  M[:rank] holds the nonzero
+        rows of the form, the rest is zero.
+
+        Pivots are taken left to right, each on the lowest row left with
+        a nonzero in its column.  When M[r, c] is zero, one scan of
+        M[r:, c:] in column order finds the next pivot, crossing any run
+        of columns zero below row r; rows r on are zero left of column
+        c, so the swap moves only the columns from c on.  Each pivot row
+        is scaled to a unit and clears its column from every other row,
+        above and below.  Over GF(p) both are one update of the slice
+        M[:, c:]: M[:, c:] -= g * M[r, c:], g being column c times the
+        inverse i of the lead, mod p, with g[r] = 1 - i so that row r
+        becomes itself times i.  Every g and entry is below p < 2^31,
+        so each product is below 2^62 and the int64 difference exact
+        before the one % p; rows with g = 0 come out unchanged.  Over Q
+        only the rows where column c is nonzero and the columns where
+        the pivot row is are scaled or updated, since a Fraction
+        product of a zero costs as much as any other."""
+        rows, cols = M.shape
+        p = self.p
+        pivots: list[int] = []
+        r = c = 0
+        while r < rows and c < cols:
+            if M[r, c] == 0:
+                j, i = divmod(int((M[r:, c:] != 0).T.argmax()), rows - r)
+                if M[r + i, c + j] == 0:
+                    break
+                c += j
+                if i:
+                    row = M[r + i, c:].copy()
+                    M[r + i, c:] = M[r, c:]
+                    M[r, c:] = row
+            if self.kind == "gfp":
+                inverse = pow(int(M[r, c]), -1, p)
+                g = M[:, c] * inverse
+                g %= p
+                g[r] = (1 - inverse) % p
+                tail = M[:, c:]
+                tail -= np.multiply.outer(g, M[r, c:])
+                tail %= p
+            else:
+                span = c + np.flatnonzero(M[r, c:])
+                M[r, span] = M[r, span] * self.inv(M[r, c])
+                targets = np.flatnonzero(M[:, c])
+                targets = targets[targets != r]
+                if targets.size:
+                    M[np.ix_(targets, span)] -= np.multiply.outer(M[targets, c], M[r, span])
+            pivots.append(c)
+            r += 1
+            c += 1
+        return pivots
+
+    def add_product(self, A: np.ndarray, C: np.ndarray, R: np.ndarray) -> None:
+        """A += C @ R in place, for canonical A, C and R; only the rows of
+        A where C has a nonzero are rewritten.
+
+        Over GF(p) the product runs in chunks of CHUNK columns of C (rows
+        of R), each on the rows where that chunk of C has a nonzero:
+        A[rows] = (A[rows] + Cs @ Rs) % p, with Cs and Rs the signed
+        representatives (c - p when 2c > p), so |c|, |r| <= (p-1)/2 and
+        |c * r| < 2^60 for p < 2^31.  CHUNK = 7 such products plus a
+        canonical accumulator stay below 2^63.  A chunk with no nonzero
+        costs one scan of its columns of C.  Over Q each nonzero
+        C[i, t] adds C[i, t] * R[t] to row i, summed per row, and no
+        product with a zero coefficient is formed."""
+        if self.kind == "gfp":
+            p, half = self.p, self.p // 2
+            nonzero = C != 0
+            for start in range(0, C.shape[1], CHUNK):
+                chunk = slice(start, start + CHUNK)
+                rows = np.flatnonzero(nonzero[:, chunk].any(axis=1))
+                if rows.size:
+                    Cs, Rs = C[rows, chunk], R[chunk]
+                    Cs = np.where(Cs > half, Cs - p, Cs)
+                    Rs = np.where(Rs > half, Rs - p, Rs)
+                    A[rows] = (A[rows] + Cs @ Rs) % p
+            return
+        rows, terms = np.nonzero(C)
+        if rows.size == 0:
+            return
+        products = C[rows, terms][:, None] * R[terms]
+        new_row = np.empty(rows.size, dtype=bool)
+        new_row[0] = True
+        np.not_equal(rows[1:], rows[:-1], out=new_row[1:])
+        starts = np.flatnonzero(new_row)
+        if starts.size < rows.size:  # some row has more than one term
+            products = np.add.reduceat(products, starts, axis=0)
+        touched = rows[starts]
+        A[touched] += products
 
     # -- embeddings ---------------------------------------------------
 

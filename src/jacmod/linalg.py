@@ -3,20 +3,25 @@
 Matrices are numpy arrays in the field's dtype: int64 with canonical
 entries in [0, p) for GF(p), dtype object holding Fractions for the
 rationals.  One code path serves both fields: every row operation is a
-whole-array numpy expression, and Field.reduce brings its result back
-to canonical form (mod p over GF(p), nothing to do over Q).  GF(p)
-needs p < 2^31 so that one multiply-subtract on reduced entries stays
-below 2^63.  rref, row_rank and kernel_basis take their input in that
-form, as every caller builds it, so they work on a plain copy: reducing
-it again would spend one hardware division per entry on data already
-canonical.  A negation is Field.negate, p - A with zeros kept, again
-with no division.
+whole-array numpy expression, Field.reduce brings its result back to
+canonical form (mod p over GF(p), nothing to do over Q), and the two
+inner loops, the column loop and the table update, are Field kernels
+(Field.gauss_jordan, Field.add_product), so nothing here branches on
+the field.  GF(p) needs p < 2^31 so that one multiply-subtract on
+reduced entries stays below 2^63.  rref, row_rank and kernel_basis
+take their input in that form, as every caller builds it, so they
+work on a plain copy: reducing it again would spend one hardware
+division per entry on data already canonical.  A negation is
+Field.negate, p - A with zeros kept, again with no division.
 
-Elimination is dense row-major with partial pivoting by column order,
-ties broken by lowest row index, so every result (and in particular
+Elimination is dense row-major, one Gauss-Jordan pass
+(Field.gauss_jordan): pivots by column order, ties broken by lowest
+row index, each pivot row scaled to a unit and clearing its column
+from every other row at once, so every result (and in particular
 every kernel basis) is reproducible bit for bit.  A run of columns
 that are zero below the current row is crossed with one scan: a row
-operation never makes such a column nonzero again.
+operation never makes such a column nonzero again.  row_rank runs
+the same pass.
 
 rref and row_rank first peel the rows with one nonzero, in whole-array
 passes (the singleton step of structured Gaussian elimination).  A row
@@ -36,11 +41,12 @@ and Odlyzko, "Solving large sparse linear systems over finite fields",
 CRYPTO '90).  Only the rows left go through the column loop.  A
 set-aside row r with lead column c keeps c as a pivot of the reduced
 form, and no other row needs clearing there: every other row is zero
-at c, and row operations among them keep it so.  After the loop r is
-cleared at the loop's pivot columns with one product per pivot column
-it touches (each loop row is zero at c and left of its own pivot, so
-this leaves r's lead and the columns left of it alone, and r is zero
-at the other set-aside rows' leads), then divided by its lead.  The
+at c, and row operations among them keep it so.  After the loop the
+set-aside rows are cleared at the loop's pivot columns in one product,
+A - A[:, found] @ loop rows (Field.add_product; each loop row is zero
+at c and left of its own pivot, so this leaves r's lead and the
+columns left of it alone, and r is zero at the other set-aside rows'
+leads), then each is divided by its lead.  The
 unit rows, the set-aside rows and the loop's rows, merged by pivot
 column, are then in reduced form, so again the result is the one the
 column loop alone gives.  Sparse blocks (the sweep's remainders, the
@@ -93,11 +99,17 @@ previous sweep left there is never seen.  The spare is taken with
 dict.pop and put back with one assignment, so no two threads hold one
 buffer; a forked process inherits it copy-on-write.
 
-Every sum stays exact in int64 over GF(p).  A sparse combination adds
-reduced products, each below p < 2^31, so a sum of fewer than 2^32 of
-them is exact.  A slice sum (Field.add_combination) adds products of
-signed coefficients, at most p/2 in size, and reduces only before the
-sum of their sizes would let the accumulator reach 2^63.
+Every sum stays exact in int64 over GF(p).  The column loop subtracts
+from a canonical entry one product of two canonical entries, below
+2^62, and reduces after each pivot.  The table update
+(Field.add_product, also the clearing of the set-aside rows) is a
+product C @ R in chunks of 7 columns of C, on the signed
+representatives of both, at most (p-1)/2 in size: each product is
+below 2^60, so 7 of them plus a canonical accumulator stay below 2^63,
+and the sum is reduced after each chunk.  A slice sum
+(Field.add_combination) adds products of signed coefficients, at most
+p/2 in size, and reduces only before the sum of their sizes would let
+the accumulator reach 2^63.
 """
 
 from __future__ import annotations
@@ -131,52 +143,6 @@ class RrefResult:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-
-def _clear_column(M: Matrix, targets: np.ndarray, r: int, c: int, field: Field) -> None:
-    """Subtract from each target row its column-c multiple of the unit
-    pivot row r, which is zero left of column c."""
-    M[targets, c:] = field.reduce(M[targets, c:] - np.outer(M[targets, c], M[r, c:]))
-
-
-def _forward_eliminate(M: Matrix, field: Field) -> list[int]:
-    """In-place forward elimination; returns pivot column list.
-
-    After the call, row i (i < rank) has a unit pivot at pivots[i] and
-    zeros below every pivot.
-    """
-    rows, cols = M.shape
-    pivots: list[int] = []
-    r = c = 0
-    while r < rows and c < cols:
-        nz = np.nonzero(M[r:, c])[0]
-        if nz.size == 0:
-            live = np.flatnonzero(M[r:, c:].any(axis=0))
-            if live.size == 0:
-                break
-            c += int(live[0])
-            nz = np.nonzero(M[r:, c])[0]
-        piv = r + int(nz[0])
-        if piv != r:
-            M[[r, piv]] = M[[piv, r]]
-        lead = M[r, c]
-        if lead != 1:
-            M[r, c:] = field.reduce(M[r, c:] * field.inv(lead))
-        if nz.size > 1:  # rows r..piv-1 were zero in column c
-            _clear_column(M, r + nz[1:], r, c, field)
-        pivots.append(c)
-        r += 1
-        c += 1
-    return pivots
-
-
-def _back_substitute(M: Matrix, pivots: list[int], field: Field) -> None:
-    """Clear entries above each pivot (rows already unit-normalized)."""
-    for t in range(len(pivots) - 1, 0, -1):
-        c = pivots[t]
-        above = np.nonzero(M[:t, c])[0]
-        if above.size:
-            _clear_column(M, above, t, c, field)
 
 
 def _peel(W: Matrix, field: Field) -> tuple[np.ndarray, Matrix, np.ndarray]:
@@ -230,14 +196,13 @@ def rref(M: Matrix, field: Field) -> RrefResult:
     merged by pivot column."""
     ncols = M.shape[1]
     units, A, leads, W = _split(M, field)
-    found = _forward_eliminate(W, field)
-    _back_substitute(W, found, field)
+    found = field.gauss_jordan(W)
     rank = len(units) + len(leads) + len(found)
     if rank == len(found):
         return RrefResult(W[:rank].copy(), tuple(found))
     if len(leads):
         if found:  # W's rows are zero on the lead columns
-            _add_combination(A, field.negate(A[:, found]), W[: len(found)], field)
+            field.add_product(A, field.negate(A[:, found]), W[: len(found)])
         A = field.reduce(A * field.inverses(A[np.arange(len(leads)), leads])[:, None])
     is_pivot = np.zeros(ncols, dtype=bool)
     for cols in (units, leads, found):
@@ -253,11 +218,11 @@ def rref(M: Matrix, field: Field) -> RrefResult:
 
 
 def row_rank(M: Matrix, field: Field) -> int:
-    """Rank of M, with canonical entries in the field's dtype, via
-    forward elimination only (no back substitution) of the rows neither
-    peeled nor set aside, which each add one."""
+    """Rank of M, with canonical entries in the field's dtype: the
+    column loop's rank on the rows neither peeled nor set aside, which
+    each add one."""
     units, _, leads, W = _split(M, field)
-    return len(units) + len(leads) + len(_forward_eliminate(W, field))
+    return len(units) + len(leads) + len(field.gauss_jordan(W))
 
 
 def kernel_basis(M: Matrix, field: Field) -> Matrix:
@@ -276,24 +241,6 @@ def kernel_basis(M: Matrix, field: Field) -> Matrix:
     if R.pivots and free:
         K[:, list(R.pivots)] = field.negate(R.matrix[:, free].T)
     return K
-
-
-def _add_combination(A: Matrix, C: Matrix, R: Matrix, field: Field) -> None:
-    """A += C @ R in place, for a sparse C: each nonzero C[i, t] adds
-    one reduced product C[i, t] * R[t] to row i, and only the rows of A
-    where C has a nonzero are rewritten."""
-    rows, terms = np.nonzero(C)
-    if rows.size == 0:
-        return
-    products = field.reduce(C[rows, terms][:, None] * R[terms])
-    new_row = np.empty(rows.size, dtype=bool)
-    new_row[0] = True
-    np.not_equal(rows[1:], rows[:-1], out=new_row[1:])
-    starts = np.flatnonzero(new_row)
-    if starts.size < rows.size:  # some row has more than one term
-        products = np.add.reduceat(products, starts, axis=0)
-    touched = rows[starts]
-    A[touched] = field.reduce(A[touched] + products)
 
 
 class GrowingRref:
@@ -421,7 +368,7 @@ class GrowingRref:
         if old < new.rank:  # some pivot is on an older column
             C = table[low:, cols[old:]]
             C[units[old:] - low, np.arange(new.rank - old)] = field.entry(0)  # overwritten below
-            _add_combination(table[low:], C, negated[old:], field)
+            field.add_product(table[low:], C, negated[old:])
         table[units] = negated
         self.pivots.extend(units.tolist())
         self._fresh = 0

@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 from jacmod import cli
 from jacmod.analysis import FORMULA_MAX_DEGREE
 from jacmod.cli import main
+from jacmod.fields import Field
 from jacmod.jacobian import CurveJacobian, InternalConsistencyError
+from jacmod.linalg import GrowingRref
 
 D63 = "(x^9+y^4*z^5)^7+x*z^62"
 
@@ -225,6 +227,34 @@ class TestAnalyze:
         assert code == 2
         assert err == "error: structural identity failed\n"
         assert out == ""
+
+    NUMPY_MESSAGE = (
+        "Unable to allocate 3.35 GiB for an array with shape (449985000,) and data type int64"
+    )
+
+    @pytest.mark.parametrize("field", ["gfp:2147483647", "gfp", "rational"])
+    def test_out_of_memory_exit_two(self, capsys, monkeypatch, field):
+        # the oracle's first table cannot be allocated; under two primes
+        # both runs raise, and the first prime's error is reported (a
+        # run under one prime only would re-draw, and end in another
+        # message)
+        def no_memory(self, field, ncols):
+            raise MemoryError(TestAnalyze.NUMPY_MESSAGE)
+
+        monkeypatch.setattr(GrowingRref, "__init__", no_memory)
+        code, out, err = run(capsys, "analyze", "--field", field, "x^3 + y^3 + z^3")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: out of memory: {TestAnalyze.NUMPY_MESSAGE}\n"
+
+    @pytest.mark.parametrize("field", ["gfp:2147483647", "gfp"])
+    def test_out_of_memory_without_a_message_exit_two(self, capsys, monkeypatch, field):
+        def no_memory(self, shape):
+            raise MemoryError
+
+        monkeypatch.setattr(Field, "zeros", no_memory)
+        code, out, err = run(capsys, "analyze", "--field", field, "x*y*z*(x+y+z)")
+        assert (code, out, err) == (2, "", "error: out of memory\n")
 
     def test_broken_milnor_identity_exit_two(self, capsys, monkeypatch):
         # one free column of degree 2 missing, so rank Phi_k is one short

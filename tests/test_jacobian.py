@@ -224,13 +224,13 @@ class TestDegreeSweep:
         # table, so a new pivot there changes no other row: each step's
         # update gets one column per new pivot on an older column, and a
         # step whose pivots all land on new columns makes no update call
-        add_combination, add_reduced = linalg._add_combination, GrowingRref.add_reduced
+        add_product, add_reduced = Field.add_product, GrowingRref.add_reduced
         updates, steps = [], []
         settled = 0  # columns older than this were there at the last pivot
 
-        def recorded_update(A, C, R, field):
+        def recorded_update(field, A, C, R):
             updates.append(C.shape[1])
-            add_combination(A, C, R, field)
+            add_product(field, A, C, R)
 
         def recorded_step(grown, block):
             nonlocal settled
@@ -242,7 +242,7 @@ class TestDegreeSweep:
             if new:
                 settled = grown.ncols
 
-        monkeypatch.setattr(linalg, "_add_combination", recorded_update)
+        monkeypatch.setattr(Field, "add_product", recorded_update)
         monkeypatch.setattr(GrowingRref, "add_reduced", recorded_step)
         jac(LADDER_OCTIC).milnor_hilbert()
         for old, new, calls in steps:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jacmod.fields import prime_field, rational_field
+from jacmod.fields import CHUNK, Field, prime_field, rational_field
 from jacmod import linalg
 from jacmod.jacobian import CurveJacobian
 from jacmod.linalg import GrowingRref, kernel_basis, row_rank, rref
@@ -384,10 +384,11 @@ def test_table_is_null_space_whatever_the_order_of_columns_and_rows(field, spec)
         assert np.array_equal(grown.table, expected)
 
 
-def naive_forward_eliminate(M, field):
-    """Reference for linalg._forward_eliminate: one column at a time, one
-    row at a time, with the same pivot rule (lowest column, then lowest
-    row) and the same unit normalisation."""
+def naive_gauss_jordan(M, field):
+    """Reference for Field.gauss_jordan: one column at a time, one row at
+    a time, with the same pivot rule (lowest column, then lowest row);
+    each pivot row is scaled to a unit and then clears its column from
+    every other row, one row after another."""
     rows, cols = M.shape
     pivots, r = [], 0
     for c in range(cols):
@@ -398,8 +399,8 @@ def naive_forward_eliminate(M, field):
             continue
         M[[r, live[0]]] = M[[live[0], r]]
         M[r] = field.reduce(M[r] * field.inv(M[r, c]))
-        for i in range(r + 1, rows):
-            if M[i, c] != 0:
+        for i in range(rows):
+            if i != r and M[i, c] != 0:
                 M[i] = field.reduce(M[i] - M[i, c] * M[r])
         pivots.append(c)
         r += 1
@@ -422,23 +423,182 @@ def sparse_low_rank(draw):
     return (A.reshape(rows, inner) @ B).astype(np.int64)
 
 
-@pytest.mark.parametrize("field", [GF7, QQ], ids=["gf7", "rational"])
-@given(M=sparse_low_rank())
-@settings(max_examples=100, deadline=None)
-def test_forward_elimination_equals_column_by_column_reference(field, M):
+@st.composite
+def column_loop_matrices(draw):
+    """Small integer matrices for the column loop alone: zero rows, no
+    pivot at all, full rank, runs of zero columns, and rows in a drawn
+    order, so that many pivots need a search and a swap.  Entries
+    include -1 and +-(2^31 - 2)/2, the largest signed representatives
+    of GF(2^31 - 1); 7 and (2^31 - 2)/2 vanish in GF(7)."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 9))
+    half = (2**31 - 2) // 2
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, 3, 7, half, -half])
+    M = np.array(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)), dtype=object)
+    M = M.reshape(rows, cols)
+    shape = draw(st.sampled_from(["any", "any", "zero", "full rank"]))
+    if shape == "zero":
+        M[:] = 0
+    elif shape == "full rank":  # upper triangle, nonzero diagonal
+        for i in range(min(rows, cols)):
+            M[i, :i] = 0
+            M[i, i] = draw(st.sampled_from([1, 2, -1, half]))
+    else:
+        for _ in range(draw(st.integers(0, 2))):
+            if cols:
+                start = draw(st.integers(0, cols - 1))
+                M[:, start : start + draw(st.integers(1, 3))] = 0
+    order = draw(st.permutations(range(rows)))
+    return M[order] if rows else M
+
+
+@pytest.mark.parametrize("field", [GF7, GF, QQ], ids=["gf7", "gf2^31-1", "rational"])
+@given(M=st.one_of(sparse_low_rank(), column_loop_matrices()))
+@example(M=np.array([[0, 0, 2, 1], [0, 0, 0, 0], [0, 3, 1, 0], [0, 1, 0, 4]]))
+@settings(max_examples=150, deadline=None)
+def test_gauss_jordan_equals_column_by_column_reference(field, M):
+    # the whole matrix: the reduced rows on top, zero rows below
     fast, slow = field.array(M), field.array(M)
-    assert linalg._forward_eliminate(fast, field) == naive_forward_eliminate(slow, field)
-    assert np.array_equal(fast, slow)
+    assert field.gauss_jordan(fast) == naive_gauss_jordan(slow, field)
+    assert_identical(fast, slow)
+    # and what the eliminations built on the loop give, after the peel
+    # and the rows set aside
+    expected = reference_rref(field.array(M), field)
+    got = rref(field.array(M), field)
+    assert (got.pivots, got.rank) == (expected.pivots, expected.rank)
+    assert_identical(got.matrix, expected.matrix)
+    assert row_rank(field.array(M), field) == expected.rank
+    assert_identical(kernel_basis(field.array(M), field), null_space(expected, field))
+
+
+class CountedFraction(Fraction):
+    """A Fraction whose arithmetic results stay CountedFraction and whose
+    products are recorded as (product of a zero?) in products."""
+
+    products: list[bool] = []
+
+    def __mul__(self, other):
+        CountedFraction.products.append(self == 0 or other == 0)
+        return CountedFraction(Fraction(self) * Fraction(other))
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        return CountedFraction(Fraction(self) - Fraction(other))
+
+    def __rsub__(self, other):
+        return CountedFraction(Fraction(other) - Fraction(self))
+
+
+@given(M=column_loop_matrices())
+@example(M=np.array([[0, 2, 0, 1, 0], [3, 1, 0, 0, 0], [0, 1, 0, 2, 5], [1, 0, 4, 0, 0]]))
+@settings(max_examples=100, deadline=None)
+def test_rational_row_update_multiplies_no_zero(M):
+    # over Q the loop scales and updates only the rows nonzero in the
+    # pivot column and the columns where the pivot row is nonzero
+    CountedFraction.products.clear()
+    counted = np.array([CountedFraction(x) for x in M.flat], dtype=object).reshape(M.shape)
+    expected = QQ.array(M)
+    pivots = QQ.gauss_jordan(counted)
+    assert pivots == naive_gauss_jordan(expected, QQ)
+    assert np.array_equal(counted, expected)
+    assert not any(CountedFraction.products)
+
+
+def test_rational_row_update_counts_its_products():
+    # the recorder sees the products: one scaling and one update, of the
+    # pivot row's two nonzeros each
+    CountedFraction.products.clear()
+    M = np.array([[CountedFraction(x) for x in row] for row in [[2, 0, 4], [3, 0, 1]]])
+    assert QQ.gauss_jordan(M[:1].copy()) == [0]
+    assert CountedFraction.products == [False, False]
+    CountedFraction.products.clear()
+    assert QQ.gauss_jordan(M) == [0, 2]
+    assert CountedFraction.products and not any(CountedFraction.products)
+
+
+# -- the table update: a product in chunks of signed representatives -------
+
+
+def exact_product(A, C, R, p=None):
+    """(A + C @ R) in Python integers or Fractions, mod p when given."""
+    exact = A.astype(object) + C.astype(object).dot(R.astype(object))
+    return exact % p if p else exact
+
+
+@st.composite
+def product_operands(draw, p):
+    """A, C, R with C wider than one chunk, some chunks of C and some
+    rows of C all zero, and entries at the edges of the signed
+    representatives: p - 1, (p - 1)/2 and (p + 1)/2."""
+    rows, width = draw(st.integers(0, 6)), draw(st.integers(0, 5))
+    k = draw(st.integers(0, 3 * CHUNK + 2))
+    edge = [0, 1, 2, p - 1, (p - 1) // 2, (p + 1) // 2]
+    entry = st.sampled_from(edge)
+
+    def block(r, c):
+        values = draw(st.lists(entry, min_size=r * c, max_size=r * c))
+        return np.array(values, dtype=np.int64).reshape(r, c)
+
+    A, C, R = block(rows, width), block(rows, k), block(k, width)
+    for _ in range(draw(st.integers(0, 2))):
+        if k:
+            start = draw(st.integers(0, k - 1))
+            C[:, start : start + CHUNK] = 0
+        if rows:
+            C[draw(st.integers(0, rows - 1))] = 0
+    return A, C, R
+
+
+@pytest.mark.parametrize("p", [7, 2**31 - 1])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_chunked_product_equals_the_exact_product(p, data):
+    A, C, R = data.draw(product_operands(p))
+    expected = exact_product(A, C, R, p)
+    prime_field(p).add_product(A, C, R)
+    assert A.dtype == np.int64
+    assert A.tolist() == expected.tolist()
+
+
+def test_chunked_product_at_the_int64_edge():
+    # every product is ((p - 1)/2)^2 in size, and a chunk of them of one
+    # sign plus p - 1 is the largest sum the bound allows; the middle
+    # chunk of C and its row 3 are zero
+    p = 2**31 - 1
+    half = (p - 1) // 2
+    # (p + 1)/2 has the signed representative -(p - 1)/2: the first
+    # chunk's products all have the same sign, the last one's mixed
+    C = np.full((5, 3 * CHUNK), half + 1, dtype=np.int64)
+    C[:, 2 * CHUNK :: 2] = half
+    C[:, CHUNK : 2 * CHUNK] = 0
+    C[3] = 0
+    R = np.full((3 * CHUNK, 4), half + 1, dtype=np.int64)
+    R[2 * CHUNK :: 3] = half
+    A = np.full((5, 4), p - 1, dtype=np.int64)
+    expected = exact_product(A, C, R, p)
+    GF.add_product(A, C, R)
+    assert A.tolist() == expected.tolist()
+    assert A[3].tolist() == [p - 1] * 4
+
+
+def test_rational_product_equals_the_exact_product():
+    C = QQ.array([[0, 2, 0], [0, 0, 0], [1, 0, -3]])
+    R = QQ.array([[1, 2], [Fraction(1, 2), 0], [0, 5]])
+    A = QQ.array([[1, 1], [7, 7], [0, 1]])
+    expected = exact_product(A, C, R)
+    QQ.add_product(A, C, R)
+    assert A.tolist() == expected.tolist()
+    assert all(type(x) is Fraction for x in A.flat)
 
 
 # -- the one-nonzero-row peel -------------------------------------------------
 
 
-def unpeeled_rref(M, field):
-    """The reduced form of the column loop alone, with no row peeled."""
-    W = field.array(M)
-    pivots = linalg._forward_eliminate(W, field)
-    linalg._back_substitute(W, pivots, field)
+def reference_rref(M, field):
+    """The reduced form by the column-by-column reference alone, with no
+    row peeled or set aside."""
+    W = M.copy()
+    pivots = naive_gauss_jordan(W, field)
     return linalg.RrefResult(W[: len(pivots)].copy(), tuple(pivots))
 
 
@@ -486,7 +646,7 @@ def peelable_matrices(draw):
 @settings(max_examples=150, deadline=None)
 def test_peeled_elimination_equals_the_column_loop_alone(field, M):
     M = field.array(M)  # rref and its kin take canonical entries
-    expected = unpeeled_rref(M, field)
+    expected = reference_rref(M, field)
     got = rref(M, field)
     assert (got.pivots, got.rank) == (expected.pivots, expected.rank)
     assert_identical(got.matrix, expected.matrix)  # its shape holds the width
@@ -499,13 +659,13 @@ def test_unit_pivots_leave_the_column_loop_no_row(monkeypatch):
     # column 3 once column 1 is peeled, column 0 once column 3 is
     M = gf7([[0, 3, 0, 0, 0], [2, 0, 0, 5, 0], [0, 0, 0, 0, 0], [0, 1, 0, 6, 0], [0, 4, 0, 0, 0]])
     handed = []
-    forward = linalg._forward_eliminate
+    loop = Field.gauss_jordan
 
-    def recorded(W, field):
+    def recorded(field, W):
         handed.append(int(np.count_nonzero(W.any(axis=1))))
-        return forward(W, field)
+        return loop(field, W)
 
-    monkeypatch.setattr(linalg, "_forward_eliminate", recorded)
+    monkeypatch.setattr(Field, "gauss_jordan", recorded)
     R = rref(M, GF7)
     assert R.pivots == (0, 1, 3)
     assert R.matrix.tolist() == [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 1, 0]]
@@ -584,7 +744,7 @@ def lone_lead_matrices(draw):
 @settings(max_examples=200, deadline=None)
 def test_set_aside_rows_give_the_column_loop_result(field, M):
     M = field.array(M)  # rref and its kin take canonical entries
-    expected = unpeeled_rref(M, field)
+    expected = reference_rref(M, field)
     got = rref(M, field)
     assert (got.pivots, got.rank) == (expected.pivots, expected.rank)
     assert_identical(got.matrix, expected.matrix)
@@ -595,13 +755,13 @@ def test_set_aside_rows_give_the_column_loop_result(field, M):
 def record_loop_rows(monkeypatch) -> list[int]:
     """The number of rows each call of the column loop is handed."""
     handed = []
-    forward = linalg._forward_eliminate
+    loop = Field.gauss_jordan
 
-    def recorded(W, field):
+    def recorded(field, W):
         handed.append(W.shape[0])
-        return forward(W, field)
+        return loop(field, W)
 
-    monkeypatch.setattr(linalg, "_forward_eliminate", recorded)
+    monkeypatch.setattr(Field, "gauss_jordan", recorded)
     return handed
 
 
@@ -611,7 +771,7 @@ def test_zero_row_with_no_row_peeled_is_not_set_aside(monkeypatch, field):
     # "nonzero" by argmax would be column 0, which only row 1 touches
     M = field.array([[0, 0, 0, 0], [2, 1, 0, 0], [0, 3, 1, 0], [0, 0, 1, 4]])
     handed = record_loop_rows(monkeypatch)
-    expected = unpeeled_rref(M, field)
+    expected = reference_rref(M, field)
     handed.clear()
     got = rref(M, field)
     assert got.pivots == expected.pivots == (0, 1, 2)
@@ -627,7 +787,7 @@ def test_set_aside_rows_with_no_unit_row(monkeypatch, field):
     # at the loop's pivot column 1 and both are scaled to a unit lead
     M = field.array([[3, 1, 2, 0, 0], [0, 2, 1, 0, 1], [0, 0, 0, 5, 1], [0, 1, 3, 0, 2]])
     handed = record_loop_rows(monkeypatch)
-    expected = unpeeled_rref(M, field)
+    expected = reference_rref(M, field)
     handed.clear()
     got = rref(M, field)
     assert got.pivots == expected.pivots
