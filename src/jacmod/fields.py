@@ -14,10 +14,10 @@ whichever elimination step wrote it.  The Field is the only place that
 knows which; matrix code works through array(), entry(), reduce() and
 negate(), and through three kernels that hold the inner loops of
 exact elimination, one GF(p) path and one Q path each: sums of scaled
-blocks (add_combination), the Gauss-Jordan column loop (gauss_jordan)
-and the product update A += C @ R (add_product).  Over GF(p) each
-works on int64 and proves its own bound below 2^63; over Q none
-forms a product with a zero coefficient, since arithmetic on a
+slices of a table (slice_sums), the Gauss-Jordan column loop
+(gauss_jordan) and the product update A += C @ R (add_product).  Over
+GF(p) each works on int64 and proves its own bound below 2^63; over Q
+none forms a product with a zero coefficient, since arithmetic on a
 Fraction zero costs as much as on any other.
 """
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Union
 
@@ -38,6 +39,11 @@ PRIME_HIGH = 2**31
 # products summed per chunk of Field.add_product over GF(p): seven signed
 # products below 2^60 and one canonical entry stay below 2^63
 CHUNK = 7
+
+# Field.slice_sums over GF(p) gathers the slices of one chunk of terms at
+# once when each slice has at most this many entries, and adds them one
+# term at a time when they are larger
+GATHER = 1024
 
 
 class FieldError(ValueError):
@@ -67,6 +73,18 @@ class FieldConfig:
                 raise FieldError("gfp field needs a prime modulus")
         elif self.modulus is not None:
             raise FieldError("rational field takes no modulus")
+
+
+@dataclass(frozen=True)
+class SliceTerms:
+    """The coefficients of a family of slice sums (Field.slice_sums),
+    made once by Field.slice_terms: coeffs holds one row per sum,
+    zero-padded to a common length, in the field's dtype, signed
+    representatives over GF(p); chunks are the runs of terms in which
+    every row's total of |c| is at most room."""
+
+    coeffs: np.ndarray
+    chunks: tuple[slice, ...]
 
 
 class Field:
@@ -164,56 +182,107 @@ class Field:
     def negate(self, A: np.ndarray) -> np.ndarray:
         """-A as a new matrix, for canonical A, with no division: p - A
         over GF(p), times A != 0 so that zeros stay zero (p - 0 = p is
-        not canonical); over Q simply -A.  One subtraction and one
-        multiplication by a mask cost about half of one % on blocks of
-        thousands of entries."""
+        not canonical); over Q simply -A.  A subtraction and a
+        multiplication by a mask need no division."""
         if self.kind == "gfp":
             out = self.p - A
             out *= A != 0
             return out
         return -A
 
-    def add_combination(self, out: np.ndarray, coeffs, blocks) -> None:
-        """out += sum_t coeffs[t] * blocks[t] in place, for canonical
-        out, coefficients and blocks of out's shape.
+    def slice_terms(self, rows: list[list[Element]]) -> SliceTerms:
+        """The coefficients of a family of slice sums (slice_sums), one
+        list per sum, as SliceTerms: zero-padded to the longest list,
+        signed over GF(p) (c - p when 2c > p), and split into chunks of
+        terms in which every sum's total of |c| is at most room =
+        (2^63 - p) // (p - 1), each chunk as long as that allows.  Over
+        Q the one chunk is every term."""
+        width = max(map(len, rows))
+        coeffs = np.zeros((len(rows), width), dtype=self.dtype)
+        for i, row in enumerate(rows):
+            coeffs[i, : len(row)] = row
+        if self.kind != "gfp":
+            return SliceTerms(coeffs, (slice(0, width),))
+        p = self.p
+        room = (2**63 - p) // (p - 1)
+        coeffs[2 * coeffs > p] -= p
+        chunks, first, totals = [], 0, [0] * len(rows)
+        for t, column in enumerate(np.abs(coeffs).T.tolist()):
+            totals = [a + b for a, b in zip(totals, column)]
+            if max(totals) > room:
+                chunks.append(slice(first, t))
+                first, totals = t, column
+        chunks.append(slice(first, width))
+        return SliceTerms(coeffs, tuple(chunks))
 
-        Over GF(p) each coefficient c enters as its signed
-        representative, c - p when 2c > p, so |c| <= (p-1)/2, and out is
-        reduced only when the next term would push the sum of |c| over
-        the terms added since the last reduction past room = (2^63 - p)
-        // (p - 1).  A reduced out is below p and each product is at
-        most |c|(p-1) in size, so |out| <= (p-1)(1 + room) < 2^63
-        throughout.  For p < 2^31 room is over 2^32: at least four
-        terms per reduction, and small coefficients need only the one
-        at the end.  The reduction is out -= (out // p) * p: numpy
-        divides int64 by a scalar with a multiply and a shift
-        (libdivide) but computes % with hardware division, so on blocks
-        of thousands of entries it costs about half as much.  On blocks
-        of a few dozen entries its three ufunc calls cost more than one
-        %, so Field.reduce, which mostly sees such blocks, keeps %.
-        Over Q only the nonzero entries of a block are scaled and
-        added, since arithmetic on a Fraction zero costs as much as on
-        any other."""
+    def slice_sums(
+        self, table: np.ndarray, starts: np.ndarray, n: int, terms: SliceTerms
+    ) -> np.ndarray:
+        """The sums of scaled n-row slices of canonical table, stacked:
+        block i of the result (rows i n to (i+1) n) is sum_t c[i, t] *
+        table[starts[i, t] : starts[i, t] + n], c = terms.coeffs, in
+        canonical form.  starts has the shape of c, and the slice of a
+        padding term (c = 0) must lie in the table like any other.
+
+        Over GF(p) every int64 sum stays below 2^63.  When a slice has
+        at most GATHER entries (n times the table's width), each chunk
+        of terms is one gather of its slices, scaled by the signed
+        coefficients and summed over the terms, and the blocks are
+        reduced after each chunk.  Every slice entry is below p, so a
+        chunk's sum is at most room (p - 1) in size (SliceTerms), and
+        with the reduced blocks of the chunks before it at most
+        (p - 1)(1 + room) < 2^63.  Larger slices are added one term at
+        a time, where the calls per term cost little next to their
+        arithmetic, and a block is reduced only when the next term
+        would push the total of |c| since its last reduction past room,
+        by out -= (out // p) * p: numpy divides int64 by a scalar with
+        a multiply and a shift but computes % with a hardware division.
+        A padding term adds zero.  Over Q only the nonzero entries of a
+        slice are scaled and added, and no padding term is, since
+        arithmetic on a Fraction zero costs as much as on any other."""
+        sums, width, coeffs = len(starts), table.shape[1], terms.coeffs
+        if self.kind == "gfp" and n * width <= GATHER:
+            p, index = self.p, starts[:, :, None] + np.arange(n)
+            out = None
+            for chunk in terms.chunks:
+                products = table[index[:, chunk]]
+                products *= coeffs[:, chunk, None, None]
+                total = products.sum(axis=1)
+                out = total if out is None else np.add(out, total, out=out)
+                out %= p
+            return out.reshape(sums * n, width)
+        out = self.zeros((sums * n, width))
+        for i, (row_starts, row_coeffs) in enumerate(zip(starts.tolist(), coeffs.tolist())):
+            self._add_slices(out[i * n : (i + 1) * n], table, row_starts, row_coeffs)
+        return out
+
+    def _add_slices(self, out: np.ndarray, table: np.ndarray, starts, coeffs) -> None:
+        """out += sum_t coeffs[t] * table[starts[t] : starts[t] + n] term
+        by term, n = len(out), for slice_sums: signed coefficients over
+        GF(p), reduced only past room; the nonzeros alone over Q."""
+        n = len(out)
         if self.kind == "gfp":
             p = self.p
             room = (2**63 - p) // (p - 1)
             product = np.empty_like(out)
             pending = 0  # sum of |c| since the last reduction
-            for c, block in zip(coeffs, blocks):
-                if 2 * c > p:
-                    c -= p
+            for c, s in zip(coeffs, starts):
+                if not c:
+                    continue
                 if pending + abs(c) > room:
                     _reduce_in_place(out, p, product)
                     pending = 0
-                np.multiply(block, c, out=product)
+                np.multiply(table[s : s + n], c, out=product)
                 out += product
                 pending += abs(c)
             if pending:
                 _reduce_in_place(out, p, product)
             return
-        for c, block in zip(coeffs, blocks):
-            nonzero = np.nonzero(block)
-            out[nonzero] += c * block[nonzero]
+        for c, s in zip(coeffs, starts):
+            if c:
+                block = table[s : s + n]
+                nonzero = np.nonzero(block)
+                out[nonzero] += c * block[nonzero]
 
     def gauss_jordan(self, M: np.ndarray) -> list[int]:
         """Bring canonical M to reduced row echelon form in place, in one
@@ -372,6 +441,7 @@ def random_prime(rng: random.Random, low: int = PRIME_LOW, high: int = PRIME_HIG
             return candidate
 
 
+@lru_cache(maxsize=256)
 def prime_pair(seed: int, max_degree: int = 256) -> tuple[int, int]:
     """Two distinct random primes for independent verification runs.
 
@@ -379,7 +449,9 @@ def prime_pair(seed: int, max_degree: int = 256) -> tuple[int, int]:
     or classification constant 3(d-1) can vanish spuriously mod p.
     The default 30-bit range satisfies this for any realistic degree;
     the bound is still checked so explicit small primes cannot sneak
-    past validation elsewhere.
+    past validation elsewhere.  The pair depends only on the arguments,
+    so it is drawn once per process for each; a FieldError is raised
+    again on every call, since lru_cache keeps no exception.
     """
     rng = random.Random(seed)
     p1 = random_prime(rng)

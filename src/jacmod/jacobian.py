@@ -105,7 +105,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import Element, Field
+from .fields import Element, Field, SliceTerms
 from .linalg import GrowingRref
 from .poly import Terms, TernaryForm, _add_terms, _mul_terms, basis_dimension, basis_position
 
@@ -204,6 +204,10 @@ def smooth_reference(d: int) -> tuple[int, ...]:
 
 Change = tuple[tuple[int, int, int], Element, Element]
 
+# the partials' y exponents, z exponents and coefficients, for the slice
+# sums of every step of one sweep (CurveJacobian._slice_plan)
+SlicePlan = tuple[np.ndarray, np.ndarray, SliceTerms]
+
 
 def _change(field: Field, n: int) -> Change:
     """The n-th change tried (module docstring) as (order, b, c): f goes to
@@ -296,23 +300,34 @@ class CurveJacobian:
         """T = 3(d - 2), the last degree where N(f) can be nonzero."""
         return 3 * (self.degree - 2)
 
-    def _reduced_batch(self, table: np.ndarray, j: int) -> np.ndarray:
+    def _slice_plan(self) -> SlicePlan:
+        """The partials' terms for _reduced_batch, made once per sweep:
+        the y and z exponents of each partial's terms, one row per
+        partial, zero-padded to the longest, and their coefficients as
+        the field's SliceTerms (padded with zeros the same way)."""
+        terms = [list(partial.terms.items()) for partial in self.partials]
+        ys, zs = np.zeros((2, 3, max(map(len, terms))), dtype=np.intp)
+        for i, row in enumerate(terms):
+            ys[i, : len(row)] = [m[1] for m, _ in row]
+            zs[i, : len(row)] = [m[2] for m, _ in row]
+        return ys, zs, self.field.slice_terms([[c for _, c in row] for row in terms])
+
+    def _reduced_batch(self, table: np.ndarray, j: int, plan: SlicePlan) -> np.ndarray:
         """The rows y^b z^c * f_i, b + c = j, reduced modulo the kept
         form whose normal-form table is given: one block of j+1 rows per
         partial, ordered by the z exponent.  Row c of partial i's block
         is sum_m coeff_m * table[start_m + c] over the terms m of f_i,
         start_m the position of y^j m, so the block is one scaled
-        contiguous slice of the table per term (module docstring)."""
-        n = j + 1
-        batch = self.field.zeros((3 * n, table.shape[1]))
-        for i, partial in enumerate(self.partials):
-            starts = [basis_position(j + m[1], m[2]) for m in partial.terms]
-            self.field.add_combination(
-                batch[i * n : (i + 1) * n],
-                list(partial.terms.values()),
-                [table[s : s + n] for s in starts],
-            )
-        return batch
+        contiguous slice of the table per term (module docstring), and
+        the three blocks are one Field.slice_sums.  A padding term of
+        the plan has exponents 0 and coefficient 0: its slice starts at
+        the position of y^j and lies in the table, and it adds nothing.
+        Over GF(p) every int64 sum stays below 2^63 (Field.slice_sums),
+        and the slices of a chunk of terms are gathered at once when
+        each has at most fields.GATHER entries (j+1 times the table's
+        width)."""
+        ys, zs, terms = plan
+        return self.field.slice_sums(table, basis_position(j + ys, zs), j + 1, terms)
 
     def _sweep(self) -> tuple[list[int], list[np.ndarray], np.ndarray | None]:
         """The Milnor values on 0..T+2 of the form with these partials
@@ -323,10 +338,11 @@ class CurveJacobian:
         sweep = GrowingRref(self.field, basis_dimension(d - 2))
         values = [basis_dimension(k) for k in range(d - 1)]
         batches, free = [], None
+        plan = self._slice_plan()
         kept = None  # m_(k-1), the number of free columns after step k-1
         for k in range(d - 1, T + 3):
             sweep.add_columns(k + 1)
-            batches.append(self._reduced_batch(sweep.table, k - d + 1))
+            batches.append(self._reduced_batch(sweep.table, k - d + 1, plan))
             sweep.add_reduced(batches[-1])
             values.append(basis_dimension(k) - sweep.rank)
             if values[k] == kept and (not kept or sweep.free[-1] < basis_dimension(k - 2)):

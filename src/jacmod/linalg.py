@@ -61,8 +61,8 @@ the free columns.  A free column's row is a unit row and a pivot
 column's row is minus the tail of the kept row pivoting there; Q is
 also the projection onto the quotient.  A batch of new rows N reduces
 to N @ Q; the caller (the Jacobian sweep, whose rows are sums of
-shifted monomials) computes that as scaled contiguous slices of Q with
-Field.add_combination and hands the result to add_reduced.  The
+shifted monomials) computes that as sums of scaled contiguous slices
+of Q with Field.slice_sums and hands the result to add_reduced.  The
 remainder goes through rref with its columns reversed; each new pivot
 turns its unit row into minus its reduced row, updates the other pivot
 rows as Q - Q[:, cols] @ rows and drops its column.  Pivoting on the
@@ -71,12 +71,10 @@ just added (x-multiples of a lower degree on the x-free monomials).  A
 column added since the last new pivot is still a unit column of Q: zero
 on every row but its own unit row, which its pivot overwrites.  So a
 pivot there has no update term at all; the update gathers only the
-pivots on older columns and is skipped when there are none.  On the
-Jacobian sweep of a ladder curve or a line arrangement about nine new
-pivots in ten land on such columns, and all of them do in 30% to 55% of
-the degrees.  Such a column is also a trailing one, dropped without
-moving the others.  Q lives in a buffer with room to grow, so adding
-columns copies nothing either.
+pivots on older columns and is skipped when there are none.  Such a
+column is also a trailing one, dropped without moving the others.  Q
+lives in a buffer with room to grow, so adding columns copies nothing
+either.
 
 Row t of Q is nonzero only on free columns c <= t: a free column's row
 is its unit row, and a pivot column's row is nonzero only left of its
@@ -106,10 +104,10 @@ from a canonical entry one product of two canonical entries, below
 product C @ R in chunks of 7 columns of C, on the signed
 representatives of both, at most (p-1)/2 in size: each product is
 below 2^60, so 7 of them plus a canonical accumulator stay below 2^63,
-and the sum is reduced after each chunk.  A slice sum
-(Field.add_combination) adds products of signed coefficients, at most
-p/2 in size, and reduces only before the sum of their sizes would let
-the accumulator reach 2^63.
+and the sum is reduced after each chunk.  A slice sum (Field.slice_sums)
+adds products of signed coefficients, at most p/2 in size, in chunks of
+terms whose sizes sum to at most (2^63 - p) // (p - 1), so that neither
+a chunk's sum nor that sum plus a reduced accumulator reaches 2^63.
 """
 
 from __future__ import annotations
@@ -152,11 +150,15 @@ def _peel(W: Matrix, field: Field) -> tuple[np.ndarray, Matrix, np.ndarray]:
     reduced row; clearing c from every other row only zeroes that entry,
     and may leave further rows with one nonzero.  Returns the peeled
     columns, increasing (one unit row each), the rows of W left nonzero,
-    with those columns cleared, and where those rows are nonzero."""
+    with those columns cleared, and where those rows are nonzero.  With
+    no row to peel and none zero, W comes back as it is, with an empty
+    index array of peeled columns."""
     nonzero = W.astype(bool)
     counts = nonzero.sum(axis=1)
-    owner = np.full(W.shape[1], -1)  # column -> the row peeled there
     single = (counts == 1).nonzero()[0]
+    if not single.size and counts.all():  # nothing to peel or drop
+        return single, W, nonzero
+    owner = np.full(W.shape[1], -1)  # column -> the row peeled there
     while single.size:
         cols = nonzero[single].nonzero()[1]  # one per row, in row order
         owner[cols] = single

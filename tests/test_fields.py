@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jacmod import fields
@@ -58,6 +58,29 @@ def test_prime_pair_deterministic_and_distinct():
     assert p1 != p2
     for p in (p1, p2):
         assert 2**30 <= p < 2**31
+
+
+def test_prime_pair_is_drawn_once_per_arguments(monkeypatch):
+    # the pair depends only on (seed, max_degree): a repeated call draws
+    # nothing and returns the same pair; a cap too small for every prime
+    # raises on every call, since no error is kept
+    draws = []
+    draw = fields.random_prime
+
+    def counted(rng):
+        draws.append(1)
+        return draw(rng)
+
+    monkeypatch.setattr(fields, "random_prime", counted)
+    first = prime_pair(2024_1020, max_degree=9)
+    drawn = len(draws)
+    assert drawn >= 2
+    assert prime_pair(2024_1020, max_degree=9) == first
+    assert len(draws) == drawn
+    for _ in range(2):
+        with pytest.raises(FieldError, match="too small"):
+            prime_pair(2024_1020, max_degree=2**30)
+    assert len(draws) == 3 * drawn
 
 
 @pytest.mark.parametrize("p", [2**31 - 1, 13, random_prime(random.Random(5))])
@@ -158,36 +181,69 @@ def test_embedding_is_ring_hom(m, n):
     assert f.embed_integer(m * n) == f.mul(f.embed_integer(m), f.embed_integer(n))
 
 
+P = 2**31 - 1
+ROOM = (2**63 - P) // (P - 1)  # 4 * (P-1)/2 + 7
+BIG = (P - 1) // 2
+# coefficient lists whose running sum of |c| mod P meets room exactly
+# and passes it by one, in one chunk or two
+AT_ROOM = [
+    [BIG] * 4 + [7],
+    ([BIG] * 4 + [7]) * 2,
+    ([P - BIG] * 4 + [P - 7]) * 2,
+    [BIG] * 4 + [7, 1],
+]
+
+
 @st.composite
-def combinations(draw, p):
-    """(coefficients, blocks, start, shape) with entries canonical mod p,
+def slice_sums(draw, p, large=True):
+    """(coefficient lists, table, starts, n) with entries canonical mod p,
     many of them near p - 1 and the coefficients (p-1)/2 and (p+1)/2,
-    whose signed representatives are the largest in size.  Up to 16
-    terms, and blocks all p - 1 at times: for p = 2^31 - 1 the running
-    sum of |c| passes the bound where add_combination reduces, some
-    times more than once."""
+    whose signed representatives are the largest in size.  One to three
+    sums of up to 16 terms each, of different lengths (so the shorter
+    ones are padded), the lists of AT_ROOM among them, and tables all
+    p - 1 at times: for p = 2^31 - 1 a sum then reaches the int64 bound
+    exactly.  Each slice has at most GATHER entries, or with large more,
+    about as often."""
     entry = st.one_of(st.integers(p - 3, p - 1), st.integers(0, p - 1), st.just(0))
     coeff = st.one_of(entry, st.sampled_from([(p - 1) // 2, (p + 1) // 2]))
-    rows, cols, terms = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(0, 16))
-    coeffs = draw(st.lists(coeff, min_size=terms, max_size=terms))
-    size = (terms + 1) * rows * cols
+    terms = st.one_of(st.lists(coeff, max_size=16), st.sampled_from(AT_ROOM))
+    rows = draw(st.lists(terms, min_size=1, max_size=3))
+    assume(any(rows))
+    n = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 4)) + (fields.GATHER // n if large and draw(st.booleans()) else 0)
+    height = n + draw(st.integers(0, 6))
+    starts = [draw(st.lists(st.integers(0, height - n), min_size=len(r), max_size=len(r))) for r in rows]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
-        cells = draw(st.lists(entry, min_size=size, max_size=size))
+        table = rng.integers(0, p, size=(height, width))
+        table[rng.random(table.shape) < 0.3] = 0
+        table[rng.random(table.shape) < 0.3] = p - 1
     else:
-        cells = [draw(entry)] * rows * cols + [p - 1] * terms * rows * cols
-    arrays = [cells[t * rows * cols : (t + 1) * rows * cols] for t in range(terms + 1)]
-    return coeffs, arrays[1:], arrays[0], (rows, cols)
+        table = np.full((height, width), p - 1)
+    return rows, table, starts, n
 
 
-def assert_add_combination_is_exact(field, p, coeffs, blocks, start, shape):
-    out = field.array(np.array(start, dtype=object).reshape(shape))
-    arrays = [field.array(np.array(b, dtype=object).reshape(shape)) for b in blocks]
-    field.add_combination(out, [field.embed_integer(c) for c in coeffs], arrays)
-    exact = [s + sum(c * b[i] for c, b in zip(coeffs, blocks)) for i, s in enumerate(start)]
-    if field.kind == "gfp":
-        exact = [v % p for v in exact]
+def exact_slice_sums(p, kind, rows, table, starts, n):
+    """The sums in Python integers, reduced mod p over GF(p)."""
+    table = table.astype(object)
+    out = []
+    for coeffs, row_starts in zip(rows, starts):
+        block = sum((c * table[s : s + n] for c, s in zip(coeffs, row_starts)), np.zeros_like(table[:n]))
+        out += (block % p if kind == "gfp" else block).reshape(-1).tolist()
+    return out
+
+
+def assert_slice_sums_are_exact(field, p, rows, table, starts, n):
+    terms = field.slice_terms([[field.embed_integer(c) for c in row] for row in rows])
+    width = terms.coeffs.shape[1]
+    padded = np.zeros((len(rows), width), dtype=np.intp)  # padding starts at 0
+    for i, row_starts in enumerate(starts):
+        padded[i, : len(row_starts)] = row_starts
+    out = field.slice_sums(field.array(table), padded, n, terms)
     assert out.dtype == field.dtype
-    assert out.reshape(-1).tolist() == exact
+    assert out.shape == (len(rows) * n, table.shape[1])
+    assert out.reshape(-1).tolist() == exact_slice_sums(p, field.kind, rows, table, starts, n)
+    return terms
 
 
 @pytest.mark.parametrize(
@@ -197,20 +253,32 @@ def assert_add_combination_is_exact(field, p, coeffs, blocks, start, shape):
 )
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
-def test_add_combination_equals_exact_sum(kind, p, data):
-    # int64 accumulation of signed products, reduced only before the
-    # running sum of |c| would pass room, and the nonzero-only Fraction
-    # accumulation, against exact integer arithmetic
+def test_slice_sums_equal_exact_sums(kind, p, data):
+    # int64 sums of signed products, gathered per chunk of terms on small
+    # slices and reduced only past room term by term on large ones, and
+    # the nonzero-only Fraction sums, against exact integer arithmetic;
+    # padding terms add nothing.  Q has no gate, so its slices stay small
     field = prime_field(p) if kind == "gfp" else rational_field()
-    coeffs, blocks, start, shape = data.draw(combinations(p))
-    assert_add_combination_is_exact(field, p, coeffs, blocks, start, shape)
+    terms = assert_slice_sums_are_exact(field, p, *data.draw(slice_sums(p, kind == "gfp")))
+    if kind == "gfp":
+        signed = np.abs(terms.coeffs)
+        assert np.all(2 * signed < p)
+        for chunk in terms.chunks:
+            assert signed[:, chunk].sum(axis=1).max() <= (2**63 - p) // (p - 1)
 
 
-P = 2**31 - 1
-ROOM = (2**63 - P) // (P - 1)  # 4 * (P-1)/2 + 7
-BIG = (P - 1) // 2
+def test_slice_terms_pads_and_chunks():
+    # every sum's total of |c| stays within room per chunk, and each
+    # chunk is as long as that allows for the sum that fills it first
+    terms = prime_field(P).slice_terms([[BIG] * 6, [P - 1, 3], []])
+    assert terms.coeffs.tolist() == [[BIG] * 6, [-1, 3, 0, 0, 0, 0], [0] * 6]
+    assert terms.chunks == (slice(0, 4), slice(4, 6))
+    rational = rational_field().slice_terms([[Fraction(1, 2)], [1, 2]])
+    assert rational.coeffs.tolist() == [[Fraction(1, 2), 0], [1, 2]]
+    assert rational.chunks == (slice(0, 2),)
 
 
+@pytest.mark.parametrize("path", ["gathered", "term-by-term"])
 @pytest.mark.parametrize(
     "coeffs, reductions",
     [
@@ -223,9 +291,11 @@ BIG = (P - 1) // 2
     ],
     ids=["room", "past-room", "room-negative", "past-room-negative", "largest", "small"],
 )
-def test_add_combination_reduces_only_past_room(coeffs, reductions, monkeypatch):
-    # out and every block all p - 1: at room exactly the unreduced
-    # accumulator reaches (p-1)(1 + room) = 2^63 - 8 and stays exact
+def test_slice_sums_reduce_only_past_room(coeffs, reductions, path, monkeypatch):
+    # every table entry p - 1: at room exactly the unreduced sum of the
+    # first terms reaches room (p-1), and with a reduced block from the
+    # chunk before it stays below (p-1)(1 + room) = 2^63 - 8.  A small
+    # slice is reduced once per chunk, a large one when room would pass
     assert ROOM == 4 * BIG + 7
     calls = []
     reduce_in_place = fields._reduce_in_place
@@ -235,10 +305,15 @@ def test_add_combination_reduces_only_past_room(coeffs, reductions, monkeypatch)
         reduce_in_place(out, p, scratch)
 
     monkeypatch.setattr(fields, "_reduce_in_place", recorded)
-    shape = (2, 3)
-    blocks = [[P - 1] * 6] * len(coeffs)
-    assert_add_combination_is_exact(prime_field(P), P, coeffs, blocks, [P - 1] * 6, shape)
+    n, width = 2, 3 if path == "gathered" else fields.GATHER // 2 + 1
+    table = np.full((n + 2, width), P - 1)
+    starts = [[t % 3 for t in range(len(coeffs))]]
+    terms = assert_slice_sums_are_exact(prime_field(P), P, [coeffs], table, starts, n)
+    assert len(terms.chunks) == reductions
+    if path == "gathered":
+        assert calls == []
+        return
     assert len(calls) == reductions
     assert max(calls) < 2**63
     if coeffs[:5] == [BIG] * 4 + [7]:
-        assert calls[0] == 2**63 - 8
+        assert calls[0] == ROOM * (P - 1)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jacmod import jacobian, linalg
+from jacmod import fields, jacobian, linalg
 from jacmod.fields import Field, prime_field, rational_field
 from jacmod.jacobian import (
     CurveJacobian,
@@ -169,8 +169,8 @@ def record_batches(monkeypatch) -> list[tuple[int, np.ndarray, np.ndarray, Curve
     batches = []
     reduced_batch = CurveJacobian._reduced_batch
 
-    def recorded(self, table, j):
-        batch = reduced_batch(self, table, j)
+    def recorded(self, table, j, plan):
+        batch = reduced_batch(self, table, j, plan)
         batches.append((j, table.copy(), batch, copy.copy(self)))
         return batch
 
@@ -267,6 +267,25 @@ class TestDegreeSweep:
         assert [(deg, batch.shape[0]) for deg, _, batch, _ in batches] == [
             (k, 3 * (k + 1)) for k in range(kept)
         ]
+        for deg, table, batch, swept in batches:
+            assert_batch_is_new_rows_times_table(swept, deg, table, batch)
+
+    @pytest.mark.parametrize(
+        "curve, gathered",
+        [("x^5 + y^4*z + x^2*y^2*z + z^5", [True]), ("ladder", [False, True])],
+        ids=["quintic", "ladder12"],
+    )
+    def test_gathered_and_term_by_term_batches(self, curve, gathered, monkeypatch):
+        # a degree-5 curve's slices are all small enough to gather; the
+        # ladder's (d = 12) fall on both sides of fields.GATHER: either
+        # way the batch is the new rows times the table
+        if curve == "ladder":
+            monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+            curve = importlib.import_module("workloads").ladder_curve(12)
+        batches = record_batches(monkeypatch)
+        jac(curve).milnor_hilbert()
+        sides = {(deg + 1) * table.shape[1] <= fields.GATHER for deg, table, _, _ in batches}
+        assert sorted(sides) == gathered
         for deg, table, batch, swept in batches:
             assert_batch_is_new_rows_times_table(swept, deg, table, batch)
 

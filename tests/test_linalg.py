@@ -797,6 +797,21 @@ def test_set_aside_rows_with_no_unit_row(monkeypatch, field):
     assert_identical(kernel_basis(M, field), null_space(expected, field))
 
 
+@pytest.mark.parametrize("field", [GF7, QQ], ids=["gf7", "rational"])
+def test_nothing_to_peel_returns_the_rows_as_they_are(field):
+    # no row has one nonzero and none is zero: the rows come back as they
+    # were, with an empty index array (never ()) of peeled columns
+    M = field.array([[3, 1, 2, 0, 0], [0, 2, 1, 0, 1], [0, 0, 0, 5, 1], [0, 1, 3, 0, 2]])
+    units, W, nonzero = linalg._peel(M.copy(), field)
+    assert isinstance(units, np.ndarray) and units.dtype == np.intp and units.size == 0
+    assert_identical(W, M)
+    assert np.array_equal(nonzero, M != 0)
+    # one zero row is enough to take the full pass, which drops it
+    units, W, _ = linalg._peel(np.concatenate([M, field.zeros((1, 5))]), field)
+    assert units.size == 0
+    assert_identical(W, M)
+
+
 @pytest.mark.parametrize("d", [12, 16])
 def test_ladder_sweep_sends_no_row_to_the_column_loop(monkeypatch, d):
     # every remainder row of a ladder curve's sweep is peeled or has a
