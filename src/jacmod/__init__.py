@@ -11,7 +11,6 @@ against closed-form predictions for each class.
 from .fields import (
     BadPrimeError,
     Field,
-    FieldConfig,
     FieldError,
     prime_field,
     prime_pair,
@@ -30,7 +29,6 @@ from .poly import (
 __all__ = [
     "BadPrimeError",
     "Field",
-    "FieldConfig",
     "FieldError",
     "prime_field",
     "prime_pair",

@@ -43,7 +43,7 @@ from .curves import (
     plus_one_vector,
     three_syzygy_vector,
 )
-from .fields import Field, prime_field, prime_pair, rational_field, validate_prime_for_degree
+from .fields import prime_field, prime_pair, rational_field, validate_prime_for_degree
 from .jacobian import (
     AnalysisError,
     CoincidenceThreshold,
@@ -441,12 +441,6 @@ def _report(
 # ---------------------------------------------------------------------------
 
 
-def _field_label(field: Field) -> str:
-    if field.config.kind == "gfp":
-        return f"gfp:{field.config.modulus}"
-    return "rational"
-
-
 def _analyze_over_field(
     text: str, f: TernaryForm, nodal: NodalData | None
 ) -> CurveReport:
@@ -456,7 +450,7 @@ def _analyze_over_field(
     t0 = time.perf_counter()
     jac = CurveJacobian(f)
     d = jac.degree
-    labels = (_field_label(f.field),)
+    labels = (f.field.label,)
 
     if d == 1:
         return CurveReport(

@@ -49,6 +49,19 @@ def _exponent_list(text: str) -> tuple[int, ...]:
     return values
 
 
+class UsageError(ValueError):
+    """A command line argparse refuses: an unknown flag or subcommand,
+    or a value of the wrong form."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises UsageError where argparse would
+    print the usage and exit, so that main reports it on one line."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -91,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="Tjurina number for formula-only mode (needed by some patterns)",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jacmod",
         description="Hilbert vector of the Jacobian module of a reduced "
         "plane curve: exact computation, classification, and closed-form "
@@ -231,9 +244,8 @@ def format_csv(report: CurveReport) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         options = AnalysisOptions(
             field=args.field,
             seed=args.seed,
@@ -251,6 +263,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             output = format_report(report)
     except (
+        UsageError,
         PolynomialError,
         FieldError,
         IncompleteResolutionError,

@@ -11,7 +11,7 @@ cheap and lets matrix code store coefficients directly in numpy arrays:
 int64 residues for GF(p), Fraction objects only for the rationals
 (entry() and zeros() give those), so that an entry has one type
 whichever elimination step wrote it.  The Field is the only place that
-knows which; matrix code works through array(), entry(), reduce() and
+knows which; matrix code works through entry(), zeros(), reduce() and
 negate(), and through three kernels that hold the inner loops of
 exact elimination, one GF(p) path and one Q path each: sums of scaled
 slices of a table (slice_sums), the Gauss-Jordan column loop
@@ -55,27 +55,6 @@ class BadPrimeError(FieldError):
 
 
 @dataclass(frozen=True)
-class FieldConfig:
-    """Declarative description of a coefficient field.
-
-    kind is "gfp" or "rational"; modulus is the prime for "gfp" and
-    None otherwise.
-    """
-
-    kind: str
-    modulus: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("gfp", "rational"):
-            raise FieldError(f"unknown field kind {self.kind!r}")
-        if self.kind == "gfp":
-            if self.modulus is None or self.modulus < 2:
-                raise FieldError("gfp field needs a prime modulus")
-        elif self.modulus is not None:
-            raise FieldError("rational field takes no modulus")
-
-
-@dataclass(frozen=True)
 class SliceTerms:
     """The coefficients of a family of slice sums (Field.slice_sums),
     made once by Field.slice_terms: coeffs holds one row per sum,
@@ -88,17 +67,29 @@ class SliceTerms:
 
 
 class Field:
-    """Arithmetic over one FieldConfig.
+    """GF(p) as Field(p), the rationals as Field(); two fields are equal
+    when their p is.  label names the field as the command line does:
+    gfp:<p> or rational.
 
     All operations are exact.  Division by zero and bad-prime
     embeddings raise instead of returning wrong values.
     """
 
-    def __init__(self, config: FieldConfig):
-        self.config = config
-        self.kind = config.kind
-        self.p = config.modulus
-        self.dtype = np.int64 if self.kind == "gfp" else object
+    def __init__(self, p: int | None = None):
+        if p is not None and p < 2:
+            raise FieldError("a prime field needs a modulus p >= 2")
+        self.p = p
+        self.kind = "rational" if p is None else "gfp"
+        self.label = "rational" if p is None else f"gfp:{p}"
+        self.dtype = object if p is None else np.int64
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Field):
+            return NotImplemented
+        return self.p == other.p
+
+    def __hash__(self) -> int:
+        return hash(self.p)
 
     # -- constants ---------------------------------------------------
 
@@ -159,17 +150,6 @@ class Field:
             return np.zeros(shape, dtype=np.int64)
         return np.full(shape, Fraction(0), dtype=object)
 
-    def array(self, M) -> np.ndarray:
-        """Copy of the matrix M with canonical entries in self.dtype."""
-        if self.kind == "gfp":
-            return np.asarray(M, dtype=np.int64) % self.p
-        # Macaulay matrices are mostly zero: convert only the nonzeros
-        M = np.asarray(M)
-        out = np.full(M.shape, Fraction(0), dtype=object)
-        nonzero = np.nonzero(M)
-        out[nonzero] = _to_fraction(M[nonzero])
-        return out
-
     def reduce(self, A: np.ndarray) -> np.ndarray:
         """A, computed by ring operations on canonical entries, brought
         back to canonical form.  Over GF(p) the int64 entries stay
@@ -224,22 +204,21 @@ class Field:
         canonical form.  starts has the shape of c, and the slice of a
         padding term (c = 0) must lie in the table like any other.
 
-        Over GF(p) every int64 sum stays below 2^63.  When a slice has
-        at most GATHER entries (n times the table's width), each chunk
-        of terms is one gather of its slices, scaled by the signed
-        coefficients and summed over the terms, and the blocks are
-        reduced after each chunk.  Every slice entry is below p, so a
-        chunk's sum is at most room (p - 1) in size (SliceTerms), and
-        with the reduced blocks of the chunks before it at most
-        (p - 1)(1 + room) < 2^63.  Larger slices are added one term at
-        a time, where the calls per term cost little next to their
-        arithmetic, and a block is reduced only when the next term
-        would push the total of |c| since its last reduction past room,
-        by out -= (out // p) * p: numpy divides int64 by a scalar with
-        a multiply and a shift but computes % with a hardware division.
-        A padding term adds zero.  Over Q only the nonzero entries of a
-        slice are scaled and added, and no padding term is, since
-        arithmetic on a Fraction zero costs as much as on any other."""
+        Over GF(p) every int64 sum stays below 2^63: each block enters
+        a chunk of terms reduced, below p, adds that chunk's products and
+        is reduced after it.  Every slice entry is below p, so a chunk's
+        sum is at most room (p - 1) in size (SliceTerms), and with the
+        reduced block at most (p - 1)(1 + room) < 2^63.  When a slice
+        has at most GATHER entries (n times the table's width), a chunk
+        is one gather of its slices, scaled by the signed coefficients
+        and summed over the terms, reduced by %.  Larger slices are
+        added one term at a time, where the calls per term cost little
+        next to their arithmetic, and reduced by out -= (out // p) * p:
+        numpy divides int64 by a scalar with a multiply and a shift but
+        computes % with a hardware division.  A padding term adds zero.
+        Over Q only the nonzero entries of a slice are scaled and added,
+        and no padding term is, since arithmetic on a Fraction zero
+        costs as much as on any other."""
         sums, width, coeffs = len(starts), table.shape[1], terms.coeffs
         if self.kind == "gfp" and n * width <= GATHER:
             p, index = self.p, starts[:, :, None] + np.arange(n)
@@ -251,38 +230,22 @@ class Field:
                 out = total if out is None else np.add(out, total, out=out)
                 out %= p
             return out.reshape(sums * n, width)
-        out = self.zeros((sums * n, width))
+        gfp, out = self.kind == "gfp", self.zeros((sums * n, width))
+        product = np.empty((n, width), dtype=np.int64)
         for i, (row_starts, row_coeffs) in enumerate(zip(starts.tolist(), coeffs.tolist())):
-            self._add_slices(out[i * n : (i + 1) * n], table, row_starts, row_coeffs)
+            block = out[i * n : (i + 1) * n]
+            for chunk in terms.chunks:
+                for c, s in zip(row_coeffs[chunk], row_starts[chunk]):
+                    if c and gfp:
+                        np.multiply(table[s : s + n], c, out=product)
+                        block += product
+                    elif c:
+                        slab = table[s : s + n]
+                        nonzero = np.nonzero(slab)
+                        block[nonzero] += c * slab[nonzero]
+                if gfp:
+                    _reduce_in_place(block, self.p, product)
         return out
-
-    def _add_slices(self, out: np.ndarray, table: np.ndarray, starts, coeffs) -> None:
-        """out += sum_t coeffs[t] * table[starts[t] : starts[t] + n] term
-        by term, n = len(out), for slice_sums: signed coefficients over
-        GF(p), reduced only past room; the nonzeros alone over Q."""
-        n = len(out)
-        if self.kind == "gfp":
-            p = self.p
-            room = (2**63 - p) // (p - 1)
-            product = np.empty_like(out)
-            pending = 0  # sum of |c| since the last reduction
-            for c, s in zip(coeffs, starts):
-                if not c:
-                    continue
-                if pending + abs(c) > room:
-                    _reduce_in_place(out, p, product)
-                    pending = 0
-                np.multiply(table[s : s + n], c, out=product)
-                out += product
-                pending += abs(c)
-            if pending:
-                _reduce_in_place(out, p, product)
-            return
-        for c, s in zip(coeffs, starts):
-            if c:
-                block = table[s : s + n]
-                nonzero = np.nonzero(block)
-                out[nonzero] += c * block[nonzero]
 
     def gauss_jordan(self, M: np.ndarray) -> list[int]:
         """Bring canonical M to reduced row echelon form in place, in one
@@ -384,12 +347,7 @@ class Field:
         return n
 
     def __repr__(self) -> str:
-        if self.kind == "gfp":
-            return f"Field(GF({self.p}))"
-        return "Field(QQ)"
-
-
-_to_fraction = np.frompyfunc(Fraction, 1, 1)
+        return f"Field({self.label})"
 
 
 def _reduce_in_place(out: np.ndarray, p: int, scratch: np.ndarray) -> None:
@@ -401,11 +359,11 @@ def _reduce_in_place(out: np.ndarray, p: int, scratch: np.ndarray) -> None:
 
 
 def rational_field() -> Field:
-    return Field(FieldConfig("rational"))
+    return Field()
 
 
 def prime_field(p: int) -> Field:
-    return Field(FieldConfig("gfp", p))
+    return Field(p)
 
 
 def _is_prime(n: int) -> bool:

@@ -322,10 +322,7 @@ class CurveJacobian:
         the three blocks are one Field.slice_sums.  A padding term of
         the plan has exponents 0 and coefficient 0: its slice starts at
         the position of y^j and lies in the table, and it adds nothing.
-        Over GF(p) every int64 sum stays below 2^63 (Field.slice_sums),
-        and the slices of a chunk of terms are gathered at once when
-        each has at most fields.GATHER entries (j+1 times the table's
-        width)."""
+        Field.slice_sums keeps every int64 sum below 2^63."""
         ys, zs, terms = plan
         return self.field.slice_sums(table, basis_position(j + ys, zs), j + 1, terms)
 

@@ -97,17 +97,10 @@ previous sweep left there is never seen.  The spare is taken with
 dict.pop and put back with one assignment, so no two threads hold one
 buffer; a forked process inherits it copy-on-write.
 
-Every sum stays exact in int64 over GF(p).  The column loop subtracts
-from a canonical entry one product of two canonical entries, below
-2^62, and reduces after each pivot.  The table update
-(Field.add_product, also the clearing of the set-aside rows) is a
-product C @ R in chunks of 7 columns of C, on the signed
-representatives of both, at most (p-1)/2 in size: each product is
-below 2^60, so 7 of them plus a canonical accumulator stay below 2^63,
-and the sum is reduced after each chunk.  A slice sum (Field.slice_sums)
-adds products of signed coefficients, at most p/2 in size, in chunks of
-terms whose sizes sum to at most (2^63 - p) // (p - 1), so that neither
-a chunk's sum nor that sum plus a reduced accumulator reaches 2^63.
+Every sum stays exact in int64 over GF(p): the column loop
+(Field.gauss_jordan), the table update (Field.add_product, also the
+clearing of the set-aside rows) and the slice sums (Field.slice_sums)
+each prove their bound below 2^63 where they are defined.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ across runs.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
@@ -156,13 +155,13 @@ class TernaryForm:
         if not isinstance(other, TernaryForm):
             return NotImplemented
         return (
-            self.field.config == other.field.config
+            self.field == other.field
             and self.degree == other.degree
             and self.terms == other.terms
         )
 
     def __hash__(self) -> int:
-        return hash((self.field.config, self.degree, frozenset(self.terms.items())))
+        return hash((self.field, self.degree, frozenset(self.terms.items())))
 
     def sorted_terms(self) -> list[tuple[Monomial, Element]]:
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
@@ -202,15 +201,6 @@ class TernaryForm:
         return f"TernaryForm({self!s})"
 
 
-def _format_coefficient(field: Field, c: Element) -> str:
-    if field.kind == "gfp":
-        return str(c)
-    q = Fraction(c)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def format_form(f: TernaryForm) -> str:
     """Canonical text form; format_form and parse_form are inverse.
 
@@ -227,7 +217,7 @@ def format_form(f: TernaryForm) -> str:
                 factors.append(var)
             elif e > 1:
                 factors.append(f"{var}^{e}")
-        coeff_str = _format_coefficient(f.field, coeff)
+        coeff_str = str(coeff)
         negative = coeff_str.startswith("-")
         magnitude = coeff_str[1:] if negative else coeff_str
         if not factors:

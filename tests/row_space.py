@@ -4,10 +4,27 @@ independent reference for tests of the elimination results."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from jacmod.fields import Field
 from jacmod.linalg import GrowingRref, Matrix, RrefResult, rref
+
+
+_to_fraction = np.frompyfunc(Fraction, 1, 1)
+
+
+def canonical(M, field: Field) -> Matrix:
+    """Copy of the matrix M with canonical entries in field.dtype."""
+    if field.kind == "gfp":
+        return np.asarray(M, dtype=np.int64) % field.p
+    # Macaulay matrices are mostly zero: convert only the nonzeros
+    M = np.asarray(M)
+    out = np.full(M.shape, Fraction(0), dtype=object)
+    nonzero = np.nonzero(M)
+    out[nonzero] = _to_fraction(M[nonzero])
+    return out
 
 
 def reversed_rref(M: Matrix, field: Field) -> RrefResult:
@@ -61,7 +78,7 @@ def null_space(R: RrefResult, field: Field) -> Matrix:
 def in_row_space(R: RrefResult, v: Matrix, field: Field) -> bool:
     """Membership of vector v in the row space described by R: unit
     pivots, each zero on the other pivot columns."""
-    w = field.array(v)
+    w = canonical(v, field)
     for i, c in enumerate(R.pivots):
         if w[c] != 0:
             w = field.reduce(w - w[c] * R.matrix[i])

@@ -336,14 +336,35 @@ class TestAnalyze:
         assert "exponents" in err
 
     def test_bad_exponent_list(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["analyze", "--skip-oracle", "--exponents", "9,ab", "x*y*z"])
-        assert exc.value.code == 2
+        code, out, err = run(capsys, "analyze", "--skip-oracle", "--exponents", "9,ab", "x*y*z")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: argument --exponents: expected comma-separated integers, e.g. 9,56,62\n"
+        )
 
-    def test_unknown_command(self):
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["frobnicate", "x*y*z"], "argument command: invalid choice: 'frobnicate'"),
+            (["analyze", "--frobnicate", "x*y*z"], "unrecognized arguments: --frobnicate"),
+            (["analyze", "-x*y*z"], "the following arguments are required: curve"),
+        ],
+        ids=["subcommand", "flag", "leading-dash"],
+    )
+    def test_unknown_command(self, capsys, argv, message):
+        # a usage error is one stderr line, argparse's message, and no
+        # usage text
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+    def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["frobnicate", "x*y*z"])
-        assert exc.value.code == 2
+            main(["analyze", "--help"])
+        assert exc.value.code == 0
+        assert "usage: jacmod analyze" in capsys.readouterr().out
 
     def test_pencil_report(self, capsys):
         code, out, err = run(capsys, "analyze", "x*y")

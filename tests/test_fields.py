@@ -10,7 +10,6 @@ from jacmod import fields
 from jacmod.fields import (
     BadPrimeError,
     Field,
-    FieldConfig,
     FieldError,
     _is_prime,
     prime_field,
@@ -19,6 +18,7 @@ from jacmod.fields import (
     rational_field,
     validate_prime_for_degree,
 )
+from row_space import canonical
 
 GF7 = prime_field(7)
 
@@ -42,12 +42,17 @@ def test_embed_integer_gf7():
 
 
 def test_field_config_validation():
-    with pytest.raises(FieldError):
-        FieldConfig("gfp")
-    with pytest.raises(FieldError):
-        FieldConfig("rational", 7)
-    with pytest.raises(FieldError):
-        FieldConfig("octonion")
+    # Field(p) is GF(p) and Field() is Q; a field is named by its p alone
+    for p in (0, 1):
+        with pytest.raises(FieldError):
+            Field(p)
+    assert prime_field(7) == prime_field(7)
+    assert hash(prime_field(7)) == hash(prime_field(7))
+    assert prime_field(7) != prime_field(11)
+    assert prime_field(7) != rational_field()
+    assert rational_field() == Field()
+    assert prime_field(7).label == "gfp:7"
+    assert rational_field().label == "rational"
 
 
 def test_prime_pair_deterministic_and_distinct():
@@ -239,7 +244,7 @@ def assert_slice_sums_are_exact(field, p, rows, table, starts, n):
     padded = np.zeros((len(rows), width), dtype=np.intp)  # padding starts at 0
     for i, row_starts in enumerate(starts):
         padded[i, : len(row_starts)] = row_starts
-    out = field.slice_sums(field.array(table), padded, n, terms)
+    out = field.slice_sums(canonical(table, field), padded, n, terms)
     assert out.dtype == field.dtype
     assert out.shape == (len(rows) * n, table.shape[1])
     assert out.reshape(-1).tolist() == exact_slice_sums(p, field.kind, rows, table, starts, n)
@@ -255,9 +260,10 @@ def assert_slice_sums_are_exact(field, p, rows, table, starts, n):
 @settings(max_examples=100, deadline=None)
 def test_slice_sums_equal_exact_sums(kind, p, data):
     # int64 sums of signed products, gathered per chunk of terms on small
-    # slices and reduced only past room term by term on large ones, and
-    # the nonzero-only Fraction sums, against exact integer arithmetic;
-    # padding terms add nothing.  Q has no gate, so its slices stay small
+    # slices and added term by term on large ones, reduced once per chunk
+    # on both, and the nonzero-only Fraction sums, against exact integer
+    # arithmetic; padding terms add nothing.  Q has no gate, so its
+    # slices stay small
     field = prime_field(p) if kind == "gfp" else rational_field()
     terms = assert_slice_sums_are_exact(field, p, *data.draw(slice_sums(p, kind == "gfp")))
     if kind == "gfp":
@@ -294,8 +300,9 @@ def test_slice_terms_pads_and_chunks():
 def test_slice_sums_reduce_only_past_room(coeffs, reductions, path, monkeypatch):
     # every table entry p - 1: at room exactly the unreduced sum of the
     # first terms reaches room (p-1), and with a reduced block from the
-    # chunk before it stays below (p-1)(1 + room) = 2^63 - 8.  A small
-    # slice is reduced once per chunk, a large one when room would pass
+    # chunk before it stays below (p-1)(1 + room) = 2^63 - 8.  Both
+    # paths reduce each block once per chunk: a small slice by %, a
+    # large one by _reduce_in_place
     assert ROOM == 4 * BIG + 7
     calls = []
     reduce_in_place = fields._reduce_in_place
@@ -307,13 +314,13 @@ def test_slice_sums_reduce_only_past_room(coeffs, reductions, path, monkeypatch)
     monkeypatch.setattr(fields, "_reduce_in_place", recorded)
     n, width = 2, 3 if path == "gathered" else fields.GATHER // 2 + 1
     table = np.full((n + 2, width), P - 1)
-    starts = [[t % 3 for t in range(len(coeffs))]]
-    terms = assert_slice_sums_are_exact(prime_field(P), P, [coeffs], table, starts, n)
+    starts = [[t % 3 for t in range(len(coeffs))]] * 2
+    terms = assert_slice_sums_are_exact(prime_field(P), P, [coeffs] * 2, table, starts, n)
     assert len(terms.chunks) == reductions
     if path == "gathered":
         assert calls == []
         return
-    assert len(calls) == reductions
+    assert len(calls) == 2 * reductions
     assert max(calls) < 2**63
     if coeffs[:5] == [BIG] * 4 + [7]:
         assert calls[0] == ROOM * (P - 1)

@@ -30,7 +30,7 @@ from jacmod.linalg import GrowingRref, RrefResult, kernel_basis, row_rank, rref
 from jacmod.poly import TernaryForm, basis_dimension, basis_position, monomial_basis, parse_form
 from jacmod.resolution import mdr, resolve
 from macaulay import macaulay_matrix, new_generator_count, new_rows
-from row_space import in_row_space, null_space, reversed_rref
+from row_space import canonical, in_row_space, null_space, reversed_rref
 
 GFP = prime_field(2**31 - 1)
 
@@ -185,7 +185,7 @@ def assert_batch_is_new_rows_times_table(
     deg times the table, entry for entry, in the field's dtype."""
     rows = new_rows(j, deg)
     assert rows.shape[1] == table.shape[0]
-    expected = j.field.array(j.field.reduce(rows.astype(object) @ table.astype(object)))
+    expected = canonical(j.field.reduce(rows.astype(object) @ table.astype(object)), j.field)
     assert batch.dtype == expected.dtype
     assert batch.shape == expected.shape
     assert np.array_equal(batch, expected)
@@ -1088,9 +1088,9 @@ class TestProperties:
         results = []
         for fld in (pa, pb):
             terms = {
-                m: c % fld.config.modulus
+                m: c % fld.p
                 for m, c in zip(monomial_basis(4), coeffs)
-                if c % fld.config.modulus
+                if c % fld.p
             }
             if not terms:
                 return

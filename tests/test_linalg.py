@@ -14,6 +14,7 @@ from jacmod.linalg import GrowingRref, kernel_basis, row_rank, rref
 from jacmod.poly import parse_form
 from row_space import (
     add_rows,
+    canonical,
     in_row_space,
     kept_form,
     null_space,
@@ -457,17 +458,17 @@ def column_loop_matrices(draw):
 @settings(max_examples=150, deadline=None)
 def test_gauss_jordan_equals_column_by_column_reference(field, M):
     # the whole matrix: the reduced rows on top, zero rows below
-    fast, slow = field.array(M), field.array(M)
+    fast, slow = canonical(M, field), canonical(M, field)
     assert field.gauss_jordan(fast) == naive_gauss_jordan(slow, field)
     assert_identical(fast, slow)
     # and what the eliminations built on the loop give, after the peel
     # and the rows set aside
-    expected = reference_rref(field.array(M), field)
-    got = rref(field.array(M), field)
+    expected = reference_rref(canonical(M, field), field)
+    got = rref(canonical(M, field), field)
     assert (got.pivots, got.rank) == (expected.pivots, expected.rank)
     assert_identical(got.matrix, expected.matrix)
-    assert row_rank(field.array(M), field) == expected.rank
-    assert_identical(kernel_basis(field.array(M), field), null_space(expected, field))
+    assert row_rank(canonical(M, field), field) == expected.rank
+    assert_identical(kernel_basis(canonical(M, field), field), null_space(expected, field))
 
 
 class CountedFraction(Fraction):
@@ -497,7 +498,7 @@ def test_rational_row_update_multiplies_no_zero(M):
     # pivot column and the columns where the pivot row is nonzero
     CountedFraction.products.clear()
     counted = np.array([CountedFraction(x) for x in M.flat], dtype=object).reshape(M.shape)
-    expected = QQ.array(M)
+    expected = canonical(M, QQ)
     pivots = QQ.gauss_jordan(counted)
     assert pivots == naive_gauss_jordan(expected, QQ)
     assert np.array_equal(counted, expected)
@@ -582,9 +583,9 @@ def test_chunked_product_at_the_int64_edge():
 
 
 def test_rational_product_equals_the_exact_product():
-    C = QQ.array([[0, 2, 0], [0, 0, 0], [1, 0, -3]])
-    R = QQ.array([[1, 2], [Fraction(1, 2), 0], [0, 5]])
-    A = QQ.array([[1, 1], [7, 7], [0, 1]])
+    C = canonical([[0, 2, 0], [0, 0, 0], [1, 0, -3]], QQ)
+    R = canonical([[1, 2], [Fraction(1, 2), 0], [0, 5]], QQ)
+    A = canonical([[1, 1], [7, 7], [0, 1]], QQ)
     expected = exact_product(A, C, R)
     QQ.add_product(A, C, R)
     assert A.tolist() == expected.tolist()
@@ -645,7 +646,7 @@ def peelable_matrices(draw):
 @given(M=peelable_matrices())
 @settings(max_examples=150, deadline=None)
 def test_peeled_elimination_equals_the_column_loop_alone(field, M):
-    M = field.array(M)  # rref and its kin take canonical entries
+    M = canonical(M, field)  # rref and its kin take canonical entries
     expected = reference_rref(M, field)
     got = rref(M, field)
     assert (got.pivots, got.rank) == (expected.pivots, expected.rank)
@@ -743,7 +744,7 @@ def lone_lead_matrices(draw):
 @given(M=lone_lead_matrices())
 @settings(max_examples=200, deadline=None)
 def test_set_aside_rows_give_the_column_loop_result(field, M):
-    M = field.array(M)  # rref and its kin take canonical entries
+    M = canonical(M, field)  # rref and its kin take canonical entries
     expected = reference_rref(M, field)
     got = rref(M, field)
     assert (got.pivots, got.rank) == (expected.pivots, expected.rank)
@@ -769,7 +770,7 @@ def record_loop_rows(monkeypatch) -> list[int]:
 def test_zero_row_with_no_row_peeled_is_not_set_aside(monkeypatch, field):
     # no row has one nonzero, so no row is peeled; the zero row's first
     # "nonzero" by argmax would be column 0, which only row 1 touches
-    M = field.array([[0, 0, 0, 0], [2, 1, 0, 0], [0, 3, 1, 0], [0, 0, 1, 4]])
+    M = canonical([[0, 0, 0, 0], [2, 1, 0, 0], [0, 3, 1, 0], [0, 0, 1, 4]], field)
     handed = record_loop_rows(monkeypatch)
     expected = reference_rref(M, field)
     handed.clear()
@@ -785,7 +786,7 @@ def test_set_aside_rows_with_no_unit_row(monkeypatch, field):
     # no unit row, so the peeled columns are none; row 0's lead column 0
     # and row 2's lead column 3 hold no other nonzero; row 0 is cleared
     # at the loop's pivot column 1 and both are scaled to a unit lead
-    M = field.array([[3, 1, 2, 0, 0], [0, 2, 1, 0, 1], [0, 0, 0, 5, 1], [0, 1, 3, 0, 2]])
+    M = canonical([[3, 1, 2, 0, 0], [0, 2, 1, 0, 1], [0, 0, 0, 5, 1], [0, 1, 3, 0, 2]], field)
     handed = record_loop_rows(monkeypatch)
     expected = reference_rref(M, field)
     handed.clear()
@@ -801,7 +802,7 @@ def test_set_aside_rows_with_no_unit_row(monkeypatch, field):
 def test_nothing_to_peel_returns_the_rows_as_they_are(field):
     # no row has one nonzero and none is zero: the rows come back as they
     # were, with an empty index array (never ()) of peeled columns
-    M = field.array([[3, 1, 2, 0, 0], [0, 2, 1, 0, 1], [0, 0, 0, 5, 1], [0, 1, 3, 0, 2]])
+    M = canonical([[3, 1, 2, 0, 0], [0, 2, 1, 0, 1], [0, 0, 0, 5, 1], [0, 1, 3, 0, 2]], field)
     units, W, nonzero = linalg._peel(M.copy(), field)
     assert isinstance(units, np.ndarray) and units.dtype == np.intp and units.size == 0
     assert_identical(W, M)
@@ -825,7 +826,7 @@ def test_ladder_sweep_sends_no_row_to_the_column_loop(monkeypatch, d):
 
 
 def test_rational_results_hold_no_float():
-    M = QQ.array([[2, 3, 0, 1], [0, 6, 4, 0], [4, 0, 5, 7], [0, 0, 3, 0]])
+    M = canonical([[2, 3, 0, 1], [0, 6, 4, 0], [4, 0, 5, 7], [0, 0, 3, 0]], QQ)
     for result in (rref(M, QQ).matrix, kernel_basis(M, QQ), rref(M[:, ::-1], QQ).matrix):
         assert all(type(x) is Fraction for x in result.flat)
     assert type(QQ.inv(3)) is Fraction and QQ.inv(3) == Fraction(1, 3)
