@@ -24,7 +24,10 @@ x + i*y + i^2*z, i = 1..20 (dense, nodal, rational components) with its
 nodal data, three small curves under the small
 primes 13 and 17, and five formula-only (`--skip-oracle`) runs: two
 free curves, the plus-one quintic, a three-syzygy septic and a maximal
-Tjurina quintic, each with the exponents (and tau) the oracle finds.
+Tjurina quintic, each with the exponents (and tau) the oracle finds,
+and two formula-only refusals: plus-one exponents whose second degree
+passes 3(d - 1), so that sigma < 0, one of them far enough to index the
+vector below degree 0.
 On two of the small-prime curves the line x passes through a singular
 point, so the sweep runs in other coordinates while the field has few
 values to draw them from.  The six lines x*y*z*(2x+y)*(2x+z)*(4x+2y+z),
@@ -104,6 +107,12 @@ FORMULA = (
     ],
 )
 
+# exponents no quartic has: sigma = 3(d - 1) - (d1 + d2 + d3) < 0
+REFUSED = (
+    ["x^4+y^4+z^4", "--exponents", "2,2,100"],
+    ["x^4+y^4+z^4", "--exponents", "2,2,6"],
+)
+
 
 def inputs() -> list[list[str]]:
     """The argument lists after `analyze`, in a fixed order."""
@@ -116,7 +125,7 @@ def inputs() -> list[list[str]]:
     out.append(LINES)
     out += [[curve, "--field", f"gfp:{p}"] for curve in SMALL_PRIME_CURVES for p in SMALL_PRIMES]
     out += [[SIX_CANDIDATE_LINES], [SIX_CANDIDATE_LINES, "--field", "rational"]]
-    out += [[args[0], "--skip-oracle", *args[1:]] for args in FORMULA]
+    out += [[args[0], "--skip-oracle", *args[1:]] for args in FORMULA + REFUSED]
     return out
 
 

@@ -22,7 +22,7 @@ import struct
 import threading
 import time
 import traceback
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
 
 from .curves import (
@@ -184,35 +184,43 @@ class AnalysisOptions:
 # ---------------------------------------------------------------------------
 
 
-def _vector_mismatch(oracle: tuple[int, ...], predicted: list[int]) -> str:
-    bad = [k for k in range(len(oracle)) if oracle[k] != predicted[k]]
-    k = bad[0]
-    return f"first mismatch at degree {k}: oracle {oracle[k]}, formula {predicted[k]}"
+# A check: its name; None where it applies, else its n/a detail; and a
+# call, made only where the check applies, giving whether it holds and
+# its detail.
+Check = tuple[str, str | None, Callable[[], tuple[bool, str]]]
 
 
-def _identity_checks(n: Sequence[int]) -> list[CheckResult]:
-    """Duality n_k = n_(T-k) and unimodality up to T/2, for an oracle
-    or a formula vector alike."""
-    T = len(n) - 1
-    bad = [k for k in range(T + 1) if n[k] != n[T - k]]
+def _verdict(check: Check) -> CheckResult:
+    name, na, holds = check
+    if na is not None:
+        return CheckResult(name, NA, na)
+    ok, detail = holds()
+    return CheckResult(name, PASS if ok else FAIL, detail)
+
+
+def _matches(n: Sequence[int], predicted: Iterable[tuple[int, int]]) -> tuple[bool, str]:
+    """Whether n takes every predicted (degree, value), in order, and if
+    not the first degree where it does not."""
+    for k, v in predicted:
+        if n[k] != v:
+            return False, f"first mismatch at degree {k}: oracle {n[k]}, formula {v}"
+    return True, ""
+
+
+def _shared_checks(vec: ModuleVector, prof: ResolutionProfile) -> tuple[Check, Check, Check]:
+    """Duality n_k = n_(T-k), unimodality up to T/2, and sigma read off
+    the vector against sigma from the resolution: the checks of an
+    oracle and a formula report alike."""
+    n, T = vec.values, vec.top
+    bad = next((k for k in range(T + 1) if n[k] != n[T - k]), None)
+    mirror = "" if bad is None else f"n_{bad} != n_{T - bad}"
     rising = n[: T // 2 + 1]
-    unimodal = all(a <= b for a, b in zip(rising, rising[1:]))
-    return [
-        CheckResult(
-            "symmetry",
-            PASS if not bad else FAIL,
-            "" if not bad else f"n_{bad[0]} != n_{T - bad[0]}",
-        ),
-        CheckResult("unimodality", PASS if unimodal else FAIL),
-    ]
-
-
-def _sigma_check(vec: ModuleVector, prof: ResolutionProfile) -> CheckResult:
-    """sigma read off the vector equals sigma from the resolution."""
-    if vec.sigma == prof.sigma:
-        return CheckResult("sigma-resolution", PASS)
-    return CheckResult(
-        "sigma-resolution", FAIL, f"vector says {vec.sigma}, resolution says {prof.sigma}"
+    same = vec.sigma == prof.sigma
+    moved = "" if same else f"vector says {vec.sigma}, resolution says {prof.sigma}"
+    return (
+        ("symmetry", None, lambda: (bad is None, mirror)),
+        ("unimodality", None, lambda: (all(a <= b for a, b in zip(rising, rising[1:])), "")),
+        ("sigma-resolution", None, lambda: (same, moved)),
     )
 
 
@@ -223,171 +231,154 @@ def cross_check(
     cls: CurveClass,
     nodal: NodalData | None,
 ) -> list[CheckResult]:
-    """Every applicable closed-form statement versus the oracle."""
+    """Every closed-form statement versus the oracle, in the report's
+    order; each check, and so each predicted vector, is evaluated only
+    where it applies."""
     d = prof.degree
     T = vec.top
     tau = milnor.tjurina
     r = prof.mdr
     n = vec.values
-    checks = _identity_checks(n)
-
-    def add(name: str, status: str, detail: str = "") -> None:
-        checks.append(CheckResult(name, status, detail))
-
-    # support is exactly [sigma, T - sigma]
-    if vec.sigma is None:
-        ok = all(v == 0 for v in n)
-        add("support-window", PASS if ok else FAIL, "free curve must have N(f) = 0")
-    else:
-        s = vec.sigma
-        ok = (
-            all(n[k] == 0 for k in range(s))
-            and all(n[k] == 0 for k in range(T - s + 1, T + 1))
-            and n[s] > 0
-            and n[T - s] > 0
-        )
-        add("support-window", PASS if ok else FAIL)
-
-    checks.append(_sigma_check(vec, prof))
-
-    # resolution balance: ranks and twists reproduce the Milnor series
-    balanced = True
-    for k in range(len(milnor.values)):
-        total = basis_dimension(k) - 3 * basis_dimension(k - d + 1)
-        total += sum(basis_dimension(k - d + 1 - di) for di in prof.exponents)
-        total -= sum(basis_dimension(k - ej) for ej in prof.second_degrees)
-        if total != milnor.values[k]:
-            balanced = False
-            break
-    add("resolution-balance", PASS if balanced else FAIL)
-
+    s = vec.sigma
     free = cls.tag == "free"
-
-    # central parabola (2r >= d) or central plateau (2r < d)
-    if free:
-        add("central-window", NA, "free curve")
-        add("central-plateau", NA, "free curve")
-    elif cls.stable:
-        lo, hi = central_window(d, r)
-        bad = [
-            j
-            for j in range(max(lo, 0), min(hi, T) + 1)
-            if n[j] != central_value(d, tau, j)
-        ]
-        add(
-            "central-window",
-            PASS if not bad else FAIL,
-            "" if not bad else f"first mismatch at degree {bad[0]}",
-        )
-        add("central-plateau", NA, "2 mdr >= d")
-    else:
-        lo, hi = plateau_window(d, r)
-        ok = all(n[j] == vec.nu for j in range(lo, hi + 1))
-        for edge in (lo - 1, hi + 1):
-            if 0 <= edge <= T:
-                ok = ok and n[edge] == vec.nu - 1
-        add("central-plateau", PASS if ok else FAIL)
-        add("central-window", NA, "2 mdr < d")
-
-    # class-specific full vectors
-    if cls.tag == "smooth":
-        ref = smooth_reference(d)[: T + 1]
-        ok = tuple(ref) == n and tau == 0
-        add("smooth-vector", PASS if ok else FAIL)
-    else:
-        add("smooth-vector", NA)
-
-    if free:
-        d1, d2 = prof.exponents
-        ok = d1 + d2 == d - 1 and tau == (d - 1) ** 2 - d1 * d2 and all(v == 0 for v in n)
-        add("free-relations", PASS if ok else FAIL)
-    else:
-        add("free-relations", NA)
-
-    if cls.tag in ("nearly-free", "plus-one-generated"):
-        predicted = plus_one_vector(d, prof.exponents)  # type: ignore[arg-type]
-        ok = tuple(predicted) == n
-        add("plus-one-vector", PASS if ok else FAIL, "" if ok else _vector_mismatch(n, predicted))
-    else:
-        add("plus-one-vector", NA)
-
-    if cls.tag == "three-syzygy":
-        predicted = three_syzygy_vector(d, prof.exponents, tau)  # type: ignore[arg-type]
-        ok = tuple(predicted) == n
-        add(
-            "three-syzygy-vector",
-            PASS if ok else FAIL,
-            "" if ok else _vector_mismatch(n, predicted),
-        )
-    else:
-        add("three-syzygy-vector", NA)
-
-    if cls.maximal_tjurina and cls.stable:
-        predicted = maximal_tjurina_vector(d, r, tau)
-        ok = tuple(predicted) == n
-        add(
-            "maximal-tjurina-vector",
-            PASS if ok else FAIL,
-            "" if ok else _vector_mismatch(n, predicted),
-        )
-    else:
-        add("maximal-tjurina-vector", NA, "" if cls.maximal_tjurina else "not maximal")
-
-    # semistability-range lower bound for sigma, with equality at maximal tau
+    maximal = cls.maximal_tjurina and cls.stable
     bound = _hartshorne(prof, cls, tau)
-    if bound is None:
-        add("hartshorne-bound", NA, "free curve" if free else "2 mdr < d - 1")
-    else:
-        ok = vec.sigma is not None and vec.sigma >= bound
-        if ok and cls.maximal_tjurina and cls.stable:
-            ok = vec.sigma == bound
-        add(
-            "hartshorne-bound",
-            PASS if ok else FAIL,
-            f"sigma {vec.sigma} vs bound {bound}",
-        )
+    c2 = bundle_invariants(d, tau).c2
+    ct = milnor.coincidence.value
 
-    if cls.stable:
-        b = bundle_invariants(d, tau)
-        ok = b.c2 == vec.nu
-        add("second-chern-is-nu", PASS if ok else FAIL, f"c2 {b.c2}, nu {vec.nu}")
-    else:
-        add("second-chern-is-nu", NA, "bundle not stable")
+    def support() -> tuple[bool, str]:
+        """N(f) vanishes above T - sigma and not at sigma or T - sigma;
+        below sigma it vanishes by the definition of sigma."""
+        if s is None:
+            return not any(n), "free curve must have N(f) = 0"
+        return not any(n[T - s + 1 :]) and n[s] > 0 and n[T - s] > 0, ""
 
-    # coincidence threshold never ends before d - 2 + r
-    ct = milnor.coincidence
-    ok = ct.value >= d - 2 + r
-    add("coincidence-threshold", PASS if ok else FAIL, f"ct {ct.value}, floor {d - 2 + r}")
+    def balanced() -> tuple[bool, str]:
+        """The resolution's ranks and twists reproduce the Milnor series."""
+        return all(
+            basis_dimension(k)
+            - 3 * basis_dimension(k - d + 1)
+            + sum(basis_dimension(k - d + 1 - di) for di in prof.exponents)
+            - sum(basis_dimension(k - ej) for ej in prof.second_degrees)
+            == m
+            for k, m in enumerate(milnor.values)
+        ), ""
 
-    # saturation defect dim S_k - dim Sat_k = m_k - n_k stabilizes to
-    # tau from degree 2d-4-r on
-    start = max(defect_stable_degree(d, r), 0)
-    ok = all(milnor.values[k] - n[k] == tau for k in range(start, T + 1))
-    add("saturation-defect", PASS if ok else FAIL)
+    def parabola() -> tuple[bool, str]:
+        lo, hi = central_window(d, r)
+        window = range(max(lo, 0), min(hi, T) + 1)
+        bad = next((j for j in window if n[j] != central_value(d, tau, j)), None)
+        return bad is None, "" if bad is None else f"first mismatch at degree {bad}"
 
-    if nodal is None:
-        add("nodal-mdr", NA)
-        add("nodal-vector", NA)
-    else:
+    def plateau() -> tuple[bool, str]:
+        """n is nu on the window and nu - 1 just outside it."""
+        lo, hi = plateau_window(d, r)
+        edges = [j for j in (lo - 1, hi + 1) if 0 <= j <= T]
+        ok = all(n[j] == vec.nu for j in range(lo, hi + 1))
+        return ok and all(n[j] == vec.nu - 1 for j in edges), ""
+
+    def nodal_mdr() -> tuple[bool, str]:
         if nodal.nodes != tau:
             raise MetadataError(
                 f"declared {nodal.nodes} nodes but the Tjurina number is {tau}; "
                 "the curve cannot be nodal as described"
             )
-        add("nodal-mdr", PASS if r >= d - 2 else FAIL, f"mdr {r}, floor {d - 2}")
-        vals = nodal_values(
-            d, smooth_reference(d), nodal.nodes, nodal.components, nodal.all_rational
-        )
-        bad = [k for k, v in sorted(vals.items()) if n[k] != v]
-        add(
-            "nodal-vector",
-            PASS if not bad else FAIL,
-            ""
-            if not bad
-            else f"first mismatch at degree {bad[0]}: oracle {n[bad[0]]}, formula {vals[bad[0]]}",
-        )
+        return r >= d - 2, f"mdr {r}, floor {d - 2}"
 
-    return checks
+    def nodal_vector() -> tuple[bool, str]:
+        counts = (nodal.nodes, nodal.components, nodal.all_rational)
+        return _matches(n, sorted(nodal_values(d, smooth_reference(d), *counts).items()))
+
+    symmetry, unimodality, sigma = _shared_checks(vec, prof)
+    if free:
+        central = [
+            ("central-window", "free curve", parabola),
+            ("central-plateau", "free curve", plateau),
+        ]
+    elif cls.stable:  # 2 mdr >= d
+        central = [
+            ("central-window", None, parabola),
+            ("central-plateau", "2 mdr >= d", plateau),
+        ]
+    else:  # the plateau, which applies, comes first
+        central = [
+            ("central-plateau", None, plateau),
+            ("central-window", "2 mdr < d", parabola),
+        ]
+    table: list[Check] = [
+        symmetry,
+        unimodality,
+        ("support-window", None, support),
+        sigma,
+        ("resolution-balance", None, balanced),
+        *central,
+        (
+            "smooth-vector",
+            None if cls.tag == "smooth" else "",
+            lambda: (smooth_reference(d)[: T + 1] == n and tau == 0, ""),
+        ),
+        (
+            "free-relations",
+            None if free else "",
+            lambda: (
+                sum(prof.exponents) == d - 1
+                and tau == (d - 1) ** 2 - prof.exponents[0] * prof.exponents[1]
+                and not any(n),
+                "",
+            ),
+        ),
+        (
+            "plus-one-vector",
+            None if cls.tag in ("nearly-free", "plus-one-generated") else "",
+            lambda: _matches(n, enumerate(plus_one_vector(d, prof.exponents))),
+        ),
+        (
+            "three-syzygy-vector",
+            None if cls.tag == "three-syzygy" else "",
+            lambda: _matches(n, enumerate(three_syzygy_vector(d, prof.exponents, tau))),
+        ),
+        (
+            "maximal-tjurina-vector",
+            None if maximal else "" if cls.maximal_tjurina else "not maximal",
+            lambda: _matches(n, enumerate(maximal_tjurina_vector(d, r, tau))),
+        ),
+        # semistability-range lower bound for sigma, with equality at maximal tau
+        (
+            "hartshorne-bound",
+            None if bound is not None else "free curve" if free else "2 mdr < d - 1",
+            lambda: (
+                s is not None and (s == bound if maximal else s >= bound),
+                f"sigma {s} vs bound {bound}",
+            ),
+        ),
+        (
+            "second-chern-is-nu",
+            None if cls.stable else "bundle not stable",
+            lambda: (c2 == vec.nu, f"c2 {c2}, nu {vec.nu}"),
+        ),
+        # the coincidence threshold never ends before d - 2 + r
+        (
+            "coincidence-threshold",
+            None,
+            lambda: (ct >= d - 2 + r, f"ct {ct}, floor {d - 2 + r}"),
+        ),
+        # the saturation defect dim S_k - dim Sat_k = m_k - n_k is tau
+        # from degree 2d-4-r on
+        (
+            "saturation-defect",
+            None,
+            lambda: (
+                all(
+                    milnor.values[k] - n[k] == tau
+                    for k in range(max(defect_stable_degree(d, r), 0), T + 1)
+                ),
+                "",
+            ),
+        ),
+        ("nodal-mdr", None if nodal else "", nodal_mdr),
+        ("nodal-vector", None if nodal else "", nodal_vector),
+    ]
+    return [_verdict(check) for check in table]
 
 
 def _hartshorne(prof: ResolutionProfile, cls: CurveClass, tau: int | None) -> int | None:
@@ -512,7 +503,25 @@ def _formula_report(
     text: str, d: int, exponents: tuple[int, ...], tau: int | None
 ) -> CurveReport:
     t0 = time.perf_counter()
-    exps = tuple(sorted(exponents))
+    try:
+        prof, tau, vector = _formula_data(d, tuple(sorted(exponents)), tau)
+        cls = classify(d, prof, tau)
+    except InternalConsistencyError as exc:
+        # here the inputs are user-declared, not computed
+        raise MetadataError(f"tau and exponents are inconsistent: {exc}") from exc
+
+    vec = ModuleVector(d, tuple(vector))
+    checks = [_verdict(check) for check in _shared_checks(vec, prof)]
+    timings = (("total", time.perf_counter() - t0),)
+    return _report(text, prof, vec, tau, cls, "formula", checks, timings)
+
+
+def _formula_data(
+    d: int, exps: tuple[int, ...], tau: int | None
+) -> tuple[ResolutionProfile, int | None, list[int]]:
+    """The resolution profile, tau and vector the formulas give for the
+    sorted exponents and tau a user declared; each refusal names the
+    fault in those inputs."""
     if len(exps) < 2 or exps[0] < 1:
         raise AnalysisError("exponents must be at least two positive integers")
     m = len(exps)
@@ -537,21 +546,28 @@ def _formula_report(
     elif m == 3:
         d1, d2, d3 = exps
         second = (d1 + d2 + d3,)
-        if d1 + d2 == d and d3 >= d2:
+        if d1 + d2 < d:
+            raise AnalysisError("exponents with d1 + d2 < d are not realizable")
+        if second[0] > 3 * (d - 1):
+            raise AnalysisError(
+                f"exponents {','.join(map(str, exps))} give sigma = 3(d - 1) - "
+                f"(d1 + d2 + d3) = {3 * (d - 1) - second[0]} < 0; no degree-{d} curve has them"
+            )
+        if d1 + d2 == d:
             vector = plus_one_vector(d, exps)
-        elif d1 + d2 > d:
+        else:
             if 2 * d1 >= d and tau is None:
                 raise AnalysisError(
                     "this exponent pattern needs the Tjurina number (pass --tau)"
                 )
             vector = three_syzygy_vector(d, exps, tau)
-        else:
-            raise AnalysisError("exponents with d1 + d2 < d are not realizable")
     elif tau is not None and all(di == r for di in exps) and m == 2 * r - d + 3:
         if tau != tau_max:
             raise AnalysisError(
                 "many-syzygy formula evaluation is only available at maximal tau"
             )
+        # d + r <= 3(d - 1), so sigma >= 0: for r >= 2d - 2, tau_max < 0
+        # and no tau is in range
         second = (d + r,) * (m - 2)
         vector = maximal_tjurina_vector(d, r, tau)
     else:
@@ -563,16 +579,7 @@ def _formula_report(
     prof = ResolutionProfile(d, exps, second)
     if any(eps < 1 for eps in prof.epsilons):
         raise AnalysisError("second-level degrees violate the minimality offsets")
-    try:
-        cls = classify(d, prof, tau)
-    except InternalConsistencyError as exc:
-        # here the inputs are user-declared, not computed
-        raise MetadataError(f"tau and exponents are inconsistent: {exc}") from exc
-
-    vec = ModuleVector(d, tuple(vector))
-    checks = [*_identity_checks(vec.values), _sigma_check(vec, prof)]
-    timings = (("total", time.perf_counter() - t0),)
-    return _report(text, prof, vec, tau, cls, "formula", checks, timings)
+    return prof, tau, vector
 
 
 # ---------------------------------------------------------------------------

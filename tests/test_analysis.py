@@ -40,6 +40,7 @@ from jacmod.poly import basis_dimension, parse_form
 
 CONIC_PAIR = "(x*z - y^2) * (y*z - x^2)"
 PLUS_ONE_QUINTIC = "3*x^2*y^3 + 4*y^5 + 5*y^3*z^2 + 4*y*z^4"
+THREE_SYZYGY_SEPTIC = "x^4*y^2*z - 5*x*y^5*z + x*y*z^5 + 3*y^6*z"
 # curves whose exponents the formula mode accepts, with the oracle's
 # exponents and tau: three free curves, one of each three-generator
 # class, and a maximal Tjurina quintic with four generators
@@ -49,7 +50,7 @@ PARITY_CURVES = (
     "(x^3-y^3)*(y^3-z^3)*(x^3-z^3)",
     "y^4 + x*z^3",
     PLUS_ONE_QUINTIC,
-    "x^4*y^2*z - 5*x*y^5*z + x*y*z^5 + 3*y^6*z",
+    THREE_SYZYGY_SEPTIC,
     "-2*x*y^3*z - 3*x*y^2*z^2 - 6*x*y*z^3 - 3*x*z^4 + 2*y^2*z^3 + 4*y*z^4",
 )
 # what only the oracle knows, or what describes how a report was made
@@ -66,6 +67,29 @@ NOT_COMPARED = (
 
 # the checks both modes make, each from the same data
 SHARED_CHECKS = ("symmetry", "unimodality", "sigma-resolution")
+# an oracle report's checks, in order
+ORACLE_CHECKS = (
+    "symmetry",
+    "unimodality",
+    "support-window",
+    "sigma-resolution",
+    "resolution-balance",
+    "central-window",
+    "central-plateau",
+    "smooth-vector",
+    "free-relations",
+    "plus-one-vector",
+    "three-syzygy-vector",
+    "maximal-tjurina-vector",
+    "hartshorne-bound",
+    "second-chern-is-nu",
+    "coincidence-threshold",
+    "saturation-defect",
+    "nodal-mdr",
+    "nodal-vector",
+)
+# a non-free curve with 2 mdr < d lists its central plateau first
+PLATEAU_FIRST = (*ORACLE_CHECKS[:5], "central-plateau", "central-window", *ORACLE_CHECKS[7:])
 
 
 def status(report, name: str) -> str:
@@ -128,6 +152,22 @@ class TestOracleReports:
                 CONIC_PAIR,
                 AnalysisOptions(nodal=NodalData(nodes=3, components=2, all_rational=True)),
             )
+
+    @pytest.mark.parametrize(
+        "text, options, names",
+        [
+            ("x*y*z", AnalysisOptions(), ORACLE_CHECKS),  # free
+            (THREE_SYZYGY_SEPTIC, AnalysisOptions(), ORACLE_CHECKS),  # 2 mdr >= d
+            ("y^4 + x*z^3", AnalysisOptions(), PLATEAU_FIRST),  # 2 mdr < d
+            ("x^5 + y^5 + z^5", AnalysisOptions(), ORACLE_CHECKS),  # smooth
+            (CONIC_PAIR, AnalysisOptions(nodal=NodalData(4, 2, True)), ORACLE_CHECKS),
+            ("x*y*z", AnalysisOptions(skip_oracle=True, exponents=(1, 1)), SHARED_CHECKS),
+        ],
+    )
+    def test_check_order(self, text, options, names):
+        # the benchmark's digests hold the ordered check names
+        report = analyze_text(text, replace(options, field="gfp:2147483647"))
+        assert tuple(c.name for c in report.checks) == names
 
     def test_pencil_of_lines(self):
         report = analyze_text("x*y")
@@ -292,6 +332,13 @@ class TestFormulaMode:
                 "x^4+y^4+z^4",
                 AnalysisOptions(skip_oracle=True, exponents=(2, 3, 3, 3)),
             )
+
+    @pytest.mark.parametrize("exponents", [(2, 2, 100), (2, 2, 6)])
+    def test_negative_sigma_refused_before_the_vector(self, exponents, monkeypatch):
+        # d1 + d2 + d3 > 3(d - 1): no quartic has these exponents
+        monkeypatch.setattr(analysis, "plus_one_vector", lambda *args: pytest.fail("evaluated"))
+        with pytest.raises(AnalysisError, match=r"give sigma = .* < 0; no degree-4 curve"):
+            analyze_text("x^4+y^4+z^4", AnalysisOptions(skip_oracle=True, exponents=exponents))
 
     def test_low_sum_rejected(self):
         with pytest.raises(AnalysisError):

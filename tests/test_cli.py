@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, event, given, settings
+from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from jacmod import cli
@@ -311,6 +311,18 @@ class TestAnalyze:
         assert "outside [0, 3367]" in err
         assert out == ""
 
+    def test_formula_mode_inconsistent_tau_names_the_inputs(self, capsys):
+        code, out, err = run(
+            capsys, "analyze", "--skip-oracle", "--exponents", "3,4,4", "--tau", "1",
+            "x^6+y^6+z^6",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: tau and exponents are inconsistent: "
+            "central and resolution formulas disagree at 5\n"
+        )
+
     def test_formula_mode_degree_limit(self, capsys):
         d = FORMULA_MAX_DEGREE
         code, out, err = run(
@@ -567,6 +579,10 @@ class TestExitCodeContract:
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
     )
     @given(argument_lists())
+    # exponents no quartic has (sigma < 0), one of them far enough to
+    # index the plus-one vector below degree 0
+    @example(["analyze", "--json", "--skip-oracle", "--exponents=2,2,100", "--", "x^4+y^4+z^4"])
+    @example(["analyze", "--json", "--skip-oracle", "--exponents=2,2,6", "--", "x^4+y^4+z^4"])
     def test_every_argument_list_exits_zero_one_or_two(self, argv):
         # exit 2 with one stderr line and no traceback; exit 1 only with
         # a failed check in the report; no exception escapes main()
