@@ -4,12 +4,13 @@ the report structure consumed by the command line front end.
 An analysis runs the linear-algebra oracle (Milnor series, syzygy
 resolution, Hilbert vector of N(f)), classifies the curve, evaluates
 every closed-form prediction that applies, and records each comparison
-as pass / fail / n-a.  Over a random prime field the whole pipeline is
-executed under two independent primes and the integer outputs must
-agree, which makes an unlucky prime detectable.  The two runs go at
-the same time: the second prime's in a helper process (POSIX), forked
-at the first two-prime analysis of a process and reused by every later
-one, since a fork per analysis costs more than a small analysis.
+as pass / fail / n-a.  Over a random prime field the oracle runs under
+two independent primes whose integers must agree, which makes an
+unlucky prime detectable, and the report is made once, from the first.
+The two runs go at the same time: the second prime's in a helper
+process (POSIX), forked at the first two-prime analysis of a process
+and reused by every later one, since a fork per analysis costs more
+than a small analysis.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import threading
 import time
 import traceback
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 from .curves import (
     BundleInvariants,
@@ -432,66 +433,72 @@ def _report(
 # ---------------------------------------------------------------------------
 
 
-def _analyze_over_field(
-    text: str, f: TernaryForm, nodal: NodalData | None
-) -> CurveReport:
-    """The oracle's report of the curve f, parsed from text, over its
-    field."""
-    timings: list[tuple[str, float]] = []
+@dataclass(frozen=True)
+class OracleRun:
+    """What the oracle computes for a curve over one field: a line has
+    only its degree, a pencil of lines no resolution or vector.  The
+    timings (each layer's seconds, then the total) are not compared."""
+
+    degree: int
+    milnor: MilnorProfile | None = None
+    prof: ResolutionProfile | None = None
+    vec: ModuleVector | None = None
+    timings: tuple[tuple[str, float], ...] = field(default=(), compare=False)
+
+
+def _analyze_over_field(f: TernaryForm) -> OracleRun:
+    """The oracle's run on the curve f over its field."""
     t0 = time.perf_counter()
     jac = CurveJacobian(f)
     d = jac.degree
-    labels = (f.field.label,)
-
     if d == 1:
-        return CurveReport(
-            curve=text,
-            degree=1,
-            field_labels=labels,
-            tjurina=0,
-            mdr=0,
-            timings=(("total", time.perf_counter() - t0),),
-        )
+        return OracleRun(1, timings=(("total", time.perf_counter() - t0),))
 
     t = time.perf_counter()
     milnor = jac.milnor_hilbert()
-    timings.append(("milnor", time.perf_counter() - t))
+    timings = [("milnor", time.perf_counter() - t)]
 
     t = time.perf_counter()
     try:
         prof = resolve(jac)
     except PencilOfLinesError:
         timings.append(("total", time.perf_counter() - t0))
-        return CurveReport(
-            curve=text,
-            degree=d,
-            field_labels=labels,
-            top=milnor.top,
-            tjurina=milnor.tjurina,
-            milnor=milnor.values,
-            mdr=0,
-            timings=tuple(timings),
-        )
+        return OracleRun(d, milnor, timings=tuple(timings))
     timings.append(("resolution", time.perf_counter() - t))
 
     t = time.perf_counter()
     vec = jac.module_vector()
     timings.append(("saturation", time.perf_counter() - t))
-
-    cls = classify(d, prof, milnor.tjurina)
-
-    t = time.perf_counter()
-    checks = cross_check(milnor, prof, vec, cls, nodal)
-    timings.append(("cross-check", time.perf_counter() - t))
     timings.append(("total", time.perf_counter() - t0))
+    return OracleRun(d, milnor, prof, vec, tuple(timings))
+
+
+def _oracle_report(
+    text: str, run: OracleRun, nodal: NodalData | None, labels: tuple[str, ...]
+) -> CurveReport:
+    """The report of the oracle's run on the curve parsed from text,
+    under the fields labels names: the curve classified and checked."""
+    milnor, prof, vec = run.milnor, run.prof, run.vec
+    if prof is None:  # a line, with no Milnor series either, or a pencil of lines
+        return CurveReport(
+            curve=text,
+            degree=run.degree,
+            field_labels=labels,
+            top=None if milnor is None else milnor.top,
+            tjurina=0 if milnor is None else milnor.tjurina,
+            milnor=None if milnor is None else milnor.values,
+            mdr=0,
+            timings=run.timings,
+        )
+    t = time.perf_counter()
+    cls = classify(run.degree, prof, milnor.tjurina)
+    checks = cross_check(milnor, prof, vec, cls, nodal)
+    seconds = time.perf_counter() - t
+    *layers, (_, total) = run.timings
+    timings = (*layers, ("cross-check", seconds), ("total", total + seconds))
     return _report(
         text, prof, vec, milnor.tjurina, cls, "oracle", checks, timings, labels, milnor
     )
-
-
-def _comparable(report: CurveReport) -> CurveReport:
-    """The report without what legitimately differs between primes."""
-    return replace(report, field_labels=(), timings=())
 
 
 # ---------------------------------------------------------------------------
@@ -590,14 +597,15 @@ def _formula_data(
 def analyze_text(text: str, options: AnalysisOptions = AnalysisOptions()) -> CurveReport:
     """Full analysis honoring the field/seed/oracle options.
 
-    Over `gfp` (no explicit prime) the run happens twice, at the same
-    time, under independently chosen primes and all integer outputs
-    must agree.  Disagreeing outputs, an error only a prime can cause,
-    or an error under one prime only trigger a deterministic re-draw,
-    so a structurally unlucky prime cannot silently corrupt a report.
-    When both runs raise the same error class, the first prime's error
-    is raised.  The text is parsed once, over Q (exact, and independent
-    of any prime choice); each prime's run reduces that form mod p.
+    Over `gfp` (no explicit prime) the oracle runs twice, at the same
+    time, under independently chosen primes and its integers must
+    agree; the report is made once, from the first prime's run.
+    Disagreeing integers, an error only a prime can cause, or an error
+    under one prime only trigger a deterministic re-draw, so a
+    structurally unlucky prime cannot silently corrupt a report.  When
+    both runs raise the same error class, the first prime's error is
+    raised.  The text is parsed once, over Q (exact, and independent of
+    any prime choice); each prime's run reduces that form mod p.
     The parse refuses a product or power past the largest degree the
     run could take, the oracle's cap or, with the oracle skipped or
     exponents given, FORMULA_MAX_DEGREE, before expanding it.
@@ -636,54 +644,43 @@ def analyze_text(text: str, options: AnalysisOptions = AnalysisOptions()) -> Cur
             "the oracle computes them"
         )
 
-    if options.field == "rational":
-        return _analyze_over_field(text, form, options.nodal)
+    if options.field == "gfp":
+        for attempt in range(3):
+            p1, p2 = prime_pair(options.seed + attempt * 7919, max_degree=d)
+            first, second = _run_pair(form, p1, p2)
+            if type(first) is not type(second) or isinstance(first, _PRIME_ERRORS):
+                # the form is fine over the rationals, so this pair is unlucky
+                # (only one prime saw a failure, a divisor vanished or an
+                # identity broke): draw again
+                continue
+            if isinstance(first, Exception):
+                raise first  # both primes agree that the input is at fault
+            if first == second:
+                return _oracle_report(text, first, options.nodal, (f"gfp:{p1}", f"gfp:{p2}"))
+        raise AnalysisError(
+            f"no agreeing runs under 3 prime pairs (last {(p1, p2)}); "
+            "the input may be numerically degenerate"
+        )
     if options.field.startswith("gfp:"):
         try:
             p = int(options.field.split(":", 1)[1])
         except ValueError:
             raise AnalysisError(f"{options.field!r}: the prime must be an integer") from None
         validate_prime_for_degree(p, d)
-        return _analyze_over_field(text, reduce_form(form, prime_field(p)), options.nodal)
-    if options.field != "gfp":
+        form = reduce_form(form, prime_field(p))
+    elif options.field != "rational":
         raise AnalysisError(f"unknown field {options.field!r}")
-
-    last_pair = None
-    for attempt in range(3):
-        p1, p2 = prime_pair(options.seed + attempt * 7919, max_degree=d)
-        last_pair = (p1, p2)
-        first, second = _run_pair(text, form, p1, p2, options.nodal)
-        if (
-            isinstance(first, _PRIME_ERRORS)
-            or isinstance(second, _PRIME_ERRORS)
-            or type(first) is not type(second)
-        ):
-            # the form is fine over the rationals, so this pair is unlucky
-            # (a divisor vanished, an identity broke, or only one prime
-            # saw the failure): draw again
-            continue
-        if isinstance(first, Exception):
-            raise first  # both primes agree that the input is at fault
-        if _comparable(first) == _comparable(second):
-            return replace(
-                first, field_labels=(f"gfp:{p1}", f"gfp:{p2}")
-            )
-    raise AnalysisError(
-        f"no agreeing runs under 3 prime pairs (last {last_pair}); "
-        "the input may be numerically degenerate"
-    )
+    return _oracle_report(text, _analyze_over_field(form), options.nodal, (form.field.label,))
 
 
 # errors that only an unlucky prime can cause once the text parses over Q
 _PRIME_ERRORS = (PolynomialError, InternalConsistencyError, IncompleteResolutionError)
 
 
-def _outcome(
-    text: str, form: TernaryForm, p: int, nodal: NodalData | None
-) -> CurveReport | Exception:
-    """The run of the form over Q reduced mod p, or its error."""
+def _outcome(form: TernaryForm, p: int) -> OracleRun | Exception:
+    """The oracle's run on the form over Q reduced mod p, or its error."""
     try:
-        return _analyze_over_field(text, reduce_form(form, prime_field(p)), nodal)
+        return _analyze_over_field(reduce_form(form, prime_field(p)))
     except Exception as exc:
         # the caller keeps exc; without their locals, the frames it
         # references do not keep this run's matrices alive
@@ -692,17 +689,18 @@ def _outcome(
 
 
 def _run_pair(
-    text: str, form: TernaryForm, p1: int, p2: int, nodal: NodalData | None
-) -> tuple[CurveReport | Exception, CurveReport | Exception]:
-    """The runs under p1 (here) and p2 (in this process's helper) at the
-    same time.  The first pair forks the helper; later pairs reuse it.
+    form: TernaryForm, p1: int, p2: int
+) -> tuple[OracleRun | Exception, OracleRun | Exception]:
+    """The oracle's runs under p1 (here) and p2 (in this process's
+    helper, sent the form over Q and p2) at the same time.  The first
+    pair forks the helper; later pairs reuse it.
     A pipe or a fork that fails (say EMFILE or EAGAIN) closes whatever
     it opened and raises AnalysisError.  Any exception here, or a helper
     that ends without sending a result, kills and reaps the helper, so
     the next pair forks a fresh one.  Threads take turns: a reply is
     read by the thread that sent its request."""
     global _helper
-    request = pickle.dumps((text, form, p2, nodal))
+    request = pickle.dumps((form, p2))
     with _lock:
         if _helper is None:
             try:
@@ -715,7 +713,7 @@ def _run_pair(
             except BrokenPipeError:  # the helper has died since the last pair
                 reply = None
             else:
-                first = _outcome(text, form, p1, nodal)
+                first = _outcome(form, p1)
                 reply = _receive(_helper.replies)
         except BaseException:
             _retire_helper()
@@ -763,12 +761,12 @@ def _receive(fd: int) -> bytes | None:
 
 
 def _serve(requests: int, replies: int) -> None:
-    """The helper's loop: one run per (text, form over Q, prime, nodal)
-    request, each answered with the pickled report or exception, until
+    """The helper's loop: one oracle run per (form over Q, prime)
+    request, each answered with the pickled run or exception, until
     EOF."""
     while (request := _receive(requests)) is not None:
-        text, form, p, nodal = pickle.loads(request)
-        outcome = _outcome(text, form, p, nodal)
+        form, p = pickle.loads(request)
+        outcome = _outcome(form, p)
         try:
             data = pickle.dumps(outcome)
             pickle.loads(data)
@@ -781,7 +779,7 @@ def _serve(requests: int, replies: int) -> None:
 
 @dataclass(frozen=True)
 class _Helper:
-    """A forked child that runs second-prime analyses for its parent:
+    """A forked child that makes second-prime oracle runs for its parent:
     the parent writes requests and reads replies."""
 
     pid: int

@@ -238,11 +238,13 @@ def format_form(f: TernaryForm) -> str:
 # MAX_DIGITS of them), + - * / ^ ( ).  '^' binds tightest and takes a
 # literal nonnegative integer exponent; there is no implicit
 # multiplication; '/' requires a constant divisor.  Whitespace is ignored.
+# A parse multiplies at most MAX_TERM_PAIRS pairs of terms in all.
 # ---------------------------------------------------------------------------
 
 
 DIGITS = frozenset("0123456789")
 MAX_DIGITS = 4300  # the most int() converts from text by default
+MAX_TERM_PAIRS = 10**7  # each pair is a field product and a dict update
 
 
 class _Token:
@@ -288,6 +290,7 @@ class _Parser:
         self.max_degree = max_degree
         self.tokens = list(_tokenize(text))
         self.i = 0
+        self.pairs = 0  # term pairs multiplied so far
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -326,7 +329,7 @@ class _Parser:
             rhs = self.power()
             if op.kind == "*":
                 self._check_degree(_degree(value) + _degree(rhs), op.pos)
-                value = _mul_terms(self.field, value, rhs)
+                value = self._mul(value, rhs, op.pos)
             else:
                 value = self._divide(value, rhs, op.pos)
         return value
@@ -345,7 +348,7 @@ class _Parser:
                 bits = abs(c.numerator).bit_length() + c.denominator.bit_length() - 2
                 if tok.value * bits * 30103 > MAX_DIGITS * 100000:  # log10(2) = 0.30103
                     raise ParseError(f"a power with a coefficient past {MAX_DIGITS} digits", tok.pos)
-            value = self._power(value, tok.value)
+            value = self._power(value, tok.value, tok.pos)
         return value
 
     # atom := int | var | '(' expression ')'
@@ -373,21 +376,33 @@ class _Parser:
         if self.max_degree is not None and degree > self.max_degree:
             raise DegreeLimitError(degree, self.max_degree, pos)
 
+    def _mul(self, a: Terms, b: Terms, pos: int) -> Terms:
+        """a * b, refused before it is expanded when it would take the
+        parse past MAX_TERM_PAIRS term pairs."""
+        self.pairs += len(a) * len(b)
+        if self.pairs > MAX_TERM_PAIRS:
+            raise ParseError(
+                f"the expansion would multiply more than {MAX_TERM_PAIRS:,} pairs of terms", pos
+            )
+        return _mul_terms(self.field, a, b)
+
     def _divide(self, a: Terms, b: Terms, pos: int) -> Terms:
         if list(b) not in ([], [(0, 0, 0)]):
             raise ParseError("division is only allowed by a nonzero constant", pos)
         if not b:
             raise ParseError("division by zero", pos)
-        return _mul_terms(self.field, a, {(0, 0, 0): self.field.inv(b[(0, 0, 0)])})
+        return self._mul(a, {(0, 0, 0): self.field.inv(b[(0, 0, 0)])}, pos)
 
-    def _power(self, a: Terms, e: int) -> Terms:
+    def _power(self, a: Terms, e: int, pos: int) -> Terms:
+        """a^e by squaring, with no square past the exponent's top bit."""
         result = {(0, 0, 0): self.field.one()}
         base = a
         while e:
             if e & 1:
-                result = _mul_terms(self.field, result, base)
-            base = _mul_terms(self.field, base, base)
+                result = self._mul(result, base, pos)
             e >>= 1
+            if e:
+                base = self._mul(base, base, pos)
         return result
 
 
@@ -401,7 +416,8 @@ def parse_form(text: str, field: Field, max_degree: int | None = None) -> Ternar
     input nested past the interpreter's recursion limit is a ParseError
     at the token reached.  With max_degree, a product or power whose
     degree would pass it raises DegreeLimitError before it is expanded,
-    even if a later term would cancel it."""
+    even if a later term would cancel it.  A product that would take the
+    parse past MAX_TERM_PAIRS pairs of terms is a ParseError."""
     parser = _Parser(text, field, max_degree)
     try:
         terms = parser.expression()

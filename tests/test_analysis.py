@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -25,18 +26,17 @@ from jacmod.analysis import (
     CurveReport,
     NodalData,
     _analyze_over_field,
-    _comparable,
     analyze_text,
 )
 from jacmod.curves import MetadataError
-from jacmod.fields import prime_field, prime_pair
+from jacmod.fields import prime_field, prime_pair, rational_field
 from jacmod.jacobian import (
     CurveJacobian,
     InternalConsistencyError,
     ModuleVector,
     NotReducedError,
 )
-from jacmod.poly import basis_dimension, parse_form
+from jacmod.poly import basis_dimension, parse_form, reduce_form
 
 CONIC_PAIR = "(x*z - y^2) * (y*z - x^2)"
 PLUS_ONE_QUINTIC = "3*x^2*y^3 + 4*y^5 + 5*y^3*z^2 + 4*y*z^4"
@@ -480,17 +480,65 @@ def assert_helper_reaped():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _comparable(report: CurveReport) -> CurveReport:
+    """The report without what legitimately differs between primes."""
+    return replace(report, field_labels=(), timings=())
+
+
 class TestPrimePair:
     def test_report_is_the_first_prime_run(self, monkeypatch):
         forks = _count_forks(monkeypatch)
         p1, p2 = prime_pair(0, max_degree=4)
         report = analyze_text(CONIC_PAIR)
-        single = _analyze_over_field(CONIC_PAIR, parse_form(CONIC_PAIR, prime_field(p1)), None)
+        single = analyze_text(CONIC_PAIR, AnalysisOptions(field=f"gfp:{p1}"))
         assert _comparable(report) == _comparable(single)
         assert report == replace(
             single, field_labels=(f"gfp:{p1}", f"gfp:{p2}"), timings=report.timings
         )
         assert forks == [1]
+        assert_no_child_left()
+
+    def test_pipe_carries_the_form_and_the_oracle_run(self, monkeypatch):
+        # the helper is sent the form over Q and its prime, and sends
+        # back the oracle's run; the report is made here, once
+        sent, received = [], []
+        send, receive = analysis._send, analysis._receive
+
+        def sending(fd, data):
+            sent.append(data)
+            send(fd, data)
+
+        def receiving(fd):
+            data = receive(fd)
+            received.append(data)
+            return data
+
+        monkeypatch.setattr(analysis, "_send", sending)
+        monkeypatch.setattr(analysis, "_receive", receiving)
+        _, p2 = prime_pair(0, max_degree=4)
+        report = analyze_text(CONIC_PAIR)
+        form = parse_form(CONIC_PAIR, rational_field())
+        assert [pickle.loads(data) for data in sent] == [(form, p2)]
+        (reply,) = [pickle.loads(data) for data in received]
+        assert type(reply) is analysis.OracleRun
+        assert reply == _analyze_over_field(reduce_form(form, prime_field(p2)))
+        assert [name for name, _ in reply.timings] == ["milnor", "resolution", "saturation", "total"]
+        assert report.vector == reply.vec.values
+        assert_no_child_left()
+
+    def test_error_while_checking_is_raised_once(self, monkeypatch):
+        # the agreeing run is classified once, here, so an error there
+        # is the analysis's, as on one field, with no re-draw
+        calls = []
+
+        def fail(*args):
+            calls.append(args)
+            raise InternalConsistencyError("simulated")
+
+        monkeypatch.setattr(analysis, "classify", fail)
+        with pytest.raises(InternalConsistencyError, match="simulated"):
+            analyze_text(FERMAT_CUBIC)
+        assert len(calls) == 1
         assert_no_child_left()
 
     @pytest.mark.parametrize("field", ["rational", "gfp:2147483647"])

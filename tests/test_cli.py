@@ -10,6 +10,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -342,6 +343,21 @@ class TestAnalyze:
             "formula-only mode evaluates\n"
         )
 
+    def test_formula_mode_parse_budget(self, capsys):
+        # (x+y+z)^300 would multiply about 110 M pairs of terms; the
+        # parse stops before the squaring that takes it past 10 M
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "analyze", "--skip-oracle", "--exponents", "1,298", "(x+y+z)^300"
+        )
+        assert time.perf_counter() - start < 20
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: the expansion would multiply more than 10,000,000 pairs of terms "
+            "(at position 8)\n"
+        )
+
     def test_skip_oracle_without_exponents(self, capsys):
         code, out, err = run(capsys, "analyze", "--skip-oracle", "x*y*z")
         assert code == 2
@@ -583,6 +599,8 @@ class TestExitCodeContract:
     # index the plus-one vector below degree 0
     @example(["analyze", "--json", "--skip-oracle", "--exponents=2,2,100", "--", "x^4+y^4+z^4"])
     @example(["analyze", "--json", "--skip-oracle", "--exponents=2,2,6", "--", "x^4+y^4+z^4"])
+    # a power whose expansion passes the parse's term-pair budget
+    @example(["analyze", "--json", "--skip-oracle", "--exponents=1,298", "--", "(x+y+z)^300"])
     def test_every_argument_list_exits_zero_one_or_two(self, argv):
         # exit 2 with one stderr line and no traceback; exit 1 only with
         # a failed check in the report; no exception escapes main()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jacmod import poly
 from jacmod.fields import prime_field, rational_field
 from jacmod.poly import (
     DegreeLimitError,
@@ -93,6 +94,48 @@ def test_parse_takes_forms_up_to_the_degree_limit():
     assert parse_form("(x^2+y*z)^3*(x+y)^4", QQ, max_degree=10).degree == 10
     assert parse_form("(x^9+y^4*z^5)^7+x*z^62", QQ, max_degree=63).degree == 63
     assert parse_form("(x+y+z)^30", QQ).degree == 30  # no limit
+    assert parse_form("(x+y+z)^100", GF).degree == 100  # 1,856,790 of 10^7 term pairs
+
+
+def _count_term_pairs(monkeypatch) -> list[int]:
+    """The term pairs of each product the parser multiplies."""
+    pairs: list[int] = []
+    mul = poly._mul_terms
+
+    def counted(field, a, b):
+        pairs.append(len(a) * len(b))
+        return mul(field, a, b)
+
+    monkeypatch.setattr(poly, "_mul_terms", counted)
+    return pairs
+
+
+def test_power_squares_no_further_than_its_top_bit(monkeypatch):
+    # (x+y+z)^20 = (x+y+z)^4 * (x+y+z)^16: squares of 3, 6, 15 and 45
+    # terms, and the products 1 * 15 and 15 * 153; no square of the
+    # 153-term sixteenth power
+    pairs = _count_term_pairs(monkeypatch)
+    f = parse_form("(x+y+z)^20", QQ)
+    assert len(f.terms) == basis_dimension(20)
+    assert f.terms[(4, 8, 8)] == 62_355_150  # 20! / (4! 8! 8!)
+    assert pairs == [9, 36, 15, 225, 2025, 2295]
+
+
+def test_parse_refuses_past_its_term_pair_budget(monkeypatch):
+    # a product or a power's step that would take the parse's running
+    # total past the budget is refused before it is expanded
+    monkeypatch.setattr(poly, "MAX_TERM_PAIRS", 4605)
+    assert parse_form("(x+y+z)^20", QQ).degree == 20  # exactly 4,605 pairs
+    monkeypatch.setattr(poly, "MAX_TERM_PAIRS", 4604)
+    pairs = _count_term_pairs(monkeypatch)
+    with pytest.raises(ParseError, match="more than 4,604 pairs of terms") as info:
+        parse_form("(x+y+z)^20", QQ)
+    assert info.value.pos == 8
+    assert pairs == [9, 36, 15, 225, 2025]
+    monkeypatch.setattr(poly, "MAX_TERM_PAIRS", 3)
+    with pytest.raises(ParseError, match="more than 3 pairs") as info:
+        parse_form("x*y*z + (x+y)*(x+z)", GF)  # 1 + 1, then 4 pairs
+    assert info.value.pos == 13
 
 
 def test_parse_rejects_mixed_degrees():
