@@ -22,7 +22,8 @@ degree-28 ladder curves under `--max-degree-cap` 24 and 28 (degree 28
 is ROADMAP aim 1's target curve), the arrangement of the 20 lines
 x + i*y + i^2*z, i = 1..20 (dense, nodal, rational components) with its
 nodal data, three small curves under the small
-primes 13 and 17, and five formula-only (`--skip-oracle`) runs: two
+primes 13 and 17, three pool curves under a small prime that changes
+their integers, and five formula-only (`--skip-oracle`) runs: two
 free curves, the plus-one quintic, a three-syzygy septic and a maximal
 Tjurina quintic, each with the exponents (and tau) the oracle finds,
 and two formula-only refusals: plus-one exponents whose second degree
@@ -39,6 +40,10 @@ Under `--seed 0`, x^3/1277389331 + y^3 + z^3 draws the pair
 denominator, so the pair is discarded and the report names the second
 pair (1363160893, 1379963327): the re-draw and the comparison of two
 primes' runs.
+An explicit prime reports the invariants of f mod p: mod 139 pool
+position 13 has tau 5 where Q gives 4, and exits 0; mod 241 the pencil
+of five lines at position 211 is refused as not reduced (exit 2); mod
+101 the smooth quintic at position 30 has tau 1.
 """
 
 from __future__ import annotations
@@ -94,6 +99,7 @@ ACCEPTANCE = (
 
 SMALL_PRIME_CURVES = (CONIC_PAIR, "x*y*z*(x+y+z)", "y^4 + x*z^3")
 SMALL_PRIMES = (13, 17)
+UNLUCKY_PRIMES = ((13, 139), (211, 241), (30, 101))  # (position in the survey pool, prime)
 
 # its components are the lines x of the first six candidate coordinates
 SIX_CANDIDATE_LINES = "x*y*z*(2*x+y)*(2*x+z)*(4*x+2*y+z)"
@@ -132,6 +138,7 @@ def inputs() -> list[list[str]]:
     out += [[ladder_curve(d), "--max-degree-cap", str(d)] for d in (24, 28)]
     out.append(LINES)
     out += [[curve, "--field", f"gfp:{p}"] for curve in SMALL_PRIME_CURVES for p in SMALL_PRIMES]
+    out += [[pool[i][1], "--field", f"gfp:{p}"] for i, p in UNLUCKY_PRIMES]
     out += [[SIX_CANDIDATE_LINES], [SIX_CANDIDATE_LINES, "--field", "rational"]]
     out.append(REDRAW)
     out += [[args[0], "--skip-oracle", *args[1:]] for args in FORMULA + REFUSED]

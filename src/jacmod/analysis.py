@@ -32,8 +32,7 @@ from .curves import (
     MetadataError,
     PENCIL,
     bundle_invariants,
-    central_value,
-    central_window,
+    central_values,
     classify,
     defect_stable_degree,
     hartshorne_bound,
@@ -73,6 +72,9 @@ SCHEMA = "jacmod-report/1"
 # the largest degree formula-only mode evaluates: its vectors have
 # 3(d-2)+1 entries, built as lists
 FORMULA_MAX_DEGREE = 10_000
+
+# the largest degree the oracle runs at unless a caller sets another
+DEFAULT_MAX_DEGREE_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -173,7 +175,7 @@ class CurveReport:
 class AnalysisOptions:
     field: str = "gfp"  # gfp | gfp:<prime> | rational
     seed: int = 0
-    max_degree_cap: int = 20
+    max_degree_cap: int = DEFAULT_MAX_DEGREE_CAP
     skip_oracle: bool = False
     exponents: tuple[int, ...] | None = None
     tau: int | None = None
@@ -266,10 +268,7 @@ def cross_check(
         ), ""
 
     def parabola() -> tuple[bool, str]:
-        lo, hi = central_window(d, r)
-        window = range(max(lo, 0), min(hi, T) + 1)
-        bad = next((j for j in window if n[j] != central_value(d, tau, j)), None)
-        return bad is None, "" if bad is None else f"first mismatch at degree {bad}"
+        return _matches(n, central_values(d, r, tau).items())
 
     def plateau() -> tuple[bool, str]:
         """n is nu on the window and nu - 1 just outside it."""

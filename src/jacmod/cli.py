@@ -23,6 +23,7 @@ import sys
 from collections.abc import Sequence
 
 from .analysis import (
+    DEFAULT_MAX_DEGREE_CAP,
     FAIL,
     AnalysisError,
     AnalysisOptions,
@@ -79,10 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--max-degree-cap",
         type=int,
-        default=20,
+        default=DEFAULT_MAX_DEGREE_CAP,
         metavar="D",
-        help="largest degree the linear-algebra oracle runs at (default 20); "
-        "above it the formula evaluators take over",
+        help="largest degree the linear-algebra oracle runs at "
+        f"(default {DEFAULT_MAX_DEGREE_CAP}); above it the formula evaluators take over",
     )
     common.add_argument(
         "--skip-oracle",

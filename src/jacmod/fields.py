@@ -3,22 +3,21 @@
 Elements are kept as plain Python values (canonical int in [0, p) for
 GF(p); an int or a fractions.Fraction for the rationals); a Field object
 supplies the arithmetic.  A rational with an integer value may stay an
-int: zero(), one() and embed_integer give ints, and sums and products
-of ints are ints, so parsing a form with integer coefficients over Q
-does no Fraction arithmetic.  Field.inv is the one true division on
-elements, and it gives a Fraction, never a float.  This keeps hot loops
-cheap and lets matrix code store coefficients directly in numpy arrays:
-int64 residues for GF(p), Fraction objects only for the rationals
-(entry() and zeros() give those), so that an entry has one type
-whichever elimination step wrote it.  The Field is the only place that
-knows which; matrix code works through entry(), zeros(), reduce() and
-negate(), and through three kernels that hold the inner loops of
+int: the literals 0 and 1 and embed_integer give ints, and sums and
+products of ints are ints, so parsing a form with integer coefficients
+over Q does no Fraction arithmetic.  Field.inv is the one true division
+on elements, and it gives a Fraction, never a float.  This keeps hot
+loops cheap and lets matrix code store coefficients directly in numpy
+arrays: int64 residues for GF(p), Fraction objects only for the
+rationals (entry() and zeros() give those), so that an entry has one
+type whichever elimination step wrote it.  The Field is the only place
+that knows which; matrix code works through entry(), zeros(), reduce()
+and negate(), and through three kernels that hold the inner loops of
 exact elimination, one GF(p) path and one Q path each: sums of scaled
 slices of a table (slice_sums), the Gauss-Jordan column loop
 (gauss_jordan) and the product update A += C @ R (add_product).  Over
-GF(p) each works on int64 and proves its own bound below 2^63; over Q
-none forms a product with a zero coefficient, since arithmetic on a
-Fraction zero costs as much as on any other.
+Q no kernel forms a product with a zero coefficient, since arithmetic
+on a Fraction zero costs as much as on any other.
 """
 
 from __future__ import annotations
@@ -36,13 +35,10 @@ Element = Union[int, Fraction]
 PRIME_LOW = 2**30
 PRIME_HIGH = 2**31
 
-# products summed per chunk of Field.add_product over GF(p): seven signed
-# products below 2^60 and one canonical entry stay below 2^63
+# products summed per chunk of Field.add_product over GF(p)
 CHUNK = 7
 
-# Field.slice_sums over GF(p) gathers the slices of one chunk of terms at
-# once when each slice has at most this many entries, and adds them one
-# term at a time when they are larger
+# the most entries of a slice that Field.slice_sums over GF(p) gathers
 GATHER = 1024
 
 
@@ -57,10 +53,8 @@ class BadPrimeError(FieldError):
 @dataclass(frozen=True)
 class SliceTerms:
     """The coefficients of a family of slice sums (Field.slice_sums),
-    made once by Field.slice_terms: coeffs holds one row per sum,
-    zero-padded to a common length, in the field's dtype, signed
-    representatives over GF(p); chunks are the runs of terms in which
-    every row's total of |c| is at most room."""
+    made once by Field.slice_terms: coeffs holds one row per sum, and
+    chunks are runs of its columns."""
 
     coeffs: np.ndarray
     chunks: tuple[slice, ...]
@@ -79,7 +73,6 @@ class Field:
         if p is not None and p < 2:
             raise FieldError("a prime field needs a modulus p >= 2")
         self.p = p
-        self.kind = "rational" if p is None else "gfp"
         self.label = "rational" if p is None else f"gfp:{p}"
         self.dtype = object if p is None else np.int64
 
@@ -91,62 +84,48 @@ class Field:
     def __hash__(self) -> int:
         return hash(self.p)
 
-    # -- constants ---------------------------------------------------
-
-    def zero(self) -> Element:
-        return 0
-
-    def one(self) -> Element:
-        return 1
-
     # -- ring operations ---------------------------------------------
 
     def add(self, a: Element, b: Element) -> Element:
-        if self.kind == "gfp":
+        if self.p is not None:
             return (a + b) % self.p
         return a + b
 
     def mul(self, a: Element, b: Element) -> Element:
-        if self.kind == "gfp":
+        if self.p is not None:
             return (a * b) % self.p
         return a * b
 
     def neg(self, a: Element) -> Element:
-        if self.kind == "gfp":
+        if self.p is not None:
             return (-a) % self.p
         return -a
 
     def inv(self, a: Element) -> Element:
         """Multiplicative inverse; raises FieldError on zero."""
-        if self.is_zero(a):
+        if a == 0:
             raise FieldError("inverse of zero")
-        if self.kind == "gfp":
+        if self.p is not None:
             return pow(int(a), -1, self.p)
         return Fraction(1, a)  # 1 / a is a float for an int a
 
     def inverses(self, values: np.ndarray) -> np.ndarray:
         """The inverses of a vector of nonzero matrix entries, as a
         vector of entries."""
-        if self.kind == "gfp":
-            p = self.p
-            return np.array([pow(a, -1, p) for a in values.tolist()], dtype=np.int64)
-        return np.array([self.inv(a) for a in values], dtype=object)
-
-    def is_zero(self, a: Element) -> bool:
-        return a == 0
+        return np.array([self.inv(a) for a in values.tolist()], dtype=self.dtype)
 
     # -- arrays -------------------------------------------------------
 
     def entry(self, n: int) -> Element:
         """The integer n as a matrix entry: an int64 residue for GF(p), a
         Fraction for the rationals."""
-        if self.kind == "gfp":
+        if self.p is not None:
             return n % self.p
         return Fraction(n)
 
     def zeros(self, shape: tuple[int, int]) -> np.ndarray:
         """A zero matrix in self.dtype."""
-        if self.kind == "gfp":
+        if self.p is not None:
             return np.zeros(shape, dtype=np.int64)
         return np.full(shape, Fraction(0), dtype=object)
 
@@ -155,16 +134,15 @@ class Field:
         back to canonical form.  Over GF(p) the int64 entries stay
         exact when every operand is below p < 2^31: one product plus
         one difference is below 2^63."""
-        if self.kind == "gfp":
+        if self.p is not None:
             return A % self.p
         return A  # Fractions are always in lowest terms
 
     def negate(self, A: np.ndarray) -> np.ndarray:
         """-A as a new matrix, for canonical A, with no division: p - A
         over GF(p), times A != 0 so that zeros stay zero (p - 0 = p is
-        not canonical); over Q simply -A.  A subtraction and a
-        multiplication by a mask need no division."""
-        if self.kind == "gfp":
+        not canonical); over Q simply -A."""
+        if self.p is not None:
             out = self.p - A
             out *= A != 0
             return out
@@ -181,7 +159,7 @@ class Field:
         coeffs = np.zeros((len(rows), width), dtype=self.dtype)
         for i, row in enumerate(rows):
             coeffs[i, : len(row)] = row
-        if self.kind != "gfp":
+        if self.p is None:
             return SliceTerms(coeffs, (slice(0, width),))
         p = self.p
         room = (2**63 - p) // (p - 1)
@@ -217,10 +195,9 @@ class Field:
         numpy divides int64 by a scalar with a multiply and a shift but
         computes % with a hardware division.  A padding term adds zero.
         Over Q only the nonzero entries of a slice are scaled and added,
-        and no padding term is, since arithmetic on a Fraction zero
-        costs as much as on any other."""
+        and no padding term is."""
         sums, width, coeffs = len(starts), table.shape[1], terms.coeffs
-        if self.kind == "gfp" and n * width <= GATHER:
+        if self.p is not None and n * width <= GATHER:
             p, index = self.p, starts[:, :, None] + np.arange(n)
             out = None
             for chunk in terms.chunks:
@@ -230,7 +207,7 @@ class Field:
                 out = total if out is None else np.add(out, total, out=out)
                 out %= p
             return out.reshape(sums * n, width)
-        gfp, out = self.kind == "gfp", self.zeros((sums * n, width))
+        gfp, out = self.p is not None, self.zeros((sums * n, width))
         product = np.empty((n, width), dtype=np.int64)
         for i, (row_starts, row_coeffs) in enumerate(zip(starts.tolist(), coeffs.tolist())):
             block = out[i * n : (i + 1) * n]
@@ -255,8 +232,9 @@ class Field:
         Pivots are taken left to right, each on the lowest row left with
         a nonzero in its column.  When M[r, c] is zero, one scan of
         M[r:, c:] in column order finds the next pivot, crossing any run
-        of columns zero below row r; rows r on are zero left of column
-        c, so the swap moves only the columns from c on.  Each pivot row
+        of columns zero below row r, which no later row operation makes
+        nonzero there; rows r on are zero left of column c, so the swap
+        moves only the columns from c on.  Each pivot row
         is scaled to a unit and clears its column from every other row,
         above and below.  Over GF(p) both are one update of the slice
         M[:, c:]: M[:, c:] -= g * M[r, c:], g being column c times the
@@ -265,8 +243,7 @@ class Field:
         so each product is below 2^62 and the int64 difference exact
         before the one % p; rows with g = 0 come out unchanged.  Over Q
         only the rows where column c is nonzero and the columns where
-        the pivot row is are scaled or updated, since a Fraction
-        product of a zero costs as much as any other."""
+        the pivot row is are scaled or updated."""
         rows, cols = M.shape
         p = self.p
         pivots: list[int] = []
@@ -281,7 +258,7 @@ class Field:
                     row = M[r + i, c:].copy()
                     M[r + i, c:] = M[r, c:]
                     M[r, c:] = row
-            if self.kind == "gfp":
+            if p is not None:
                 inverse = pow(int(M[r, c]), -1, p)
                 g = M[:, c] * inverse
                 g %= p
@@ -314,7 +291,7 @@ class Field:
         costs one scan of its columns of C.  Over Q each nonzero
         C[i, t] adds C[i, t] * R[t] to row i, summed per row, and no
         product with a zero coefficient is formed."""
-        if self.kind == "gfp":
+        if self.p is not None:
             p, half = self.p, self.p // 2
             nonzero = C != 0
             for start in range(0, C.shape[1], CHUNK):
@@ -342,7 +319,7 @@ class Field:
     # -- embeddings ---------------------------------------------------
 
     def embed_integer(self, n: int) -> Element:
-        if self.kind == "gfp":
+        if self.p is not None:
             return n % self.p
         return n
 

@@ -212,19 +212,19 @@ SlicePlan = tuple[np.ndarray, np.ndarray, SliceTerms]
 def _change(field: Field, n: int) -> Change:
     """The n-th change tried (module docstring) as (order, b, c): f goes to
     f(u[order[0]], u[order[1]], u[order[2]]), u = (x + b y + c z, y, z)."""
-    zero, half = field.zero(), field.neg(field.inv(field.embed_integer(2)))
+    half = field.neg(field.inv(field.embed_integer(2)))
     if n >= 5:
         a = field.neg(field.inv(field.embed_integer(n - 3)))  # -a, a = 1/(n - 3)
         return (0, 1, 2), a, field.neg(field.mul(a, a))
     orders = ((0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 1, 2), (0, 1, 2))
-    return orders[n], half if n == 3 else zero, half if n == 4 else zero
+    return orders[n], half if n == 3 else 0, half if n == 4 else 0
 
 
 def _substitute(field: Field, terms: Terms, change: Change) -> Terms:
     """A form's terms after the change: grouped by the exponent of the
     variable sent to x + b y + c z, by Horner's rule in that form."""
     order, b, c = change
-    shear = {m: e for m, e in (((1, 0, 0), field.one()), ((0, 1, 0), b), ((0, 0, 1), c)) if e}
+    shear = {m: e for m, e in (((1, 0, 0), 1), ((0, 1, 0), b), ((0, 0, 1), c)) if e}
     groups: dict[int, Terms] = {}
     for m, coeff in terms.items():
         image = [0, 0, 0]
@@ -239,13 +239,13 @@ def _substitute(field: Field, terms: Terms, change: Change) -> Terms:
 
 def _remainder(field: Field, a: list, b: list) -> list:
     """a mod b; coefficient lists, constant term first, b's last nonzero."""
-    add, mul, is_zero = field.add, field.mul, field.is_zero
+    add, mul = field.add, field.mul
     a, lead = list(a), field.neg(field.inv(b[-1]))
     while len(a) >= len(b):
         q = mul(a.pop(), lead)
         for i, c in enumerate(b[:-1], start=len(a) + 1 - len(b)):
             a[i] = add(a[i], mul(q, c))
-        while a and is_zero(a[-1]):
+        while a and a[-1] == 0:
             a.pop()
     return a
 
@@ -254,22 +254,22 @@ def _misses_sigma(field: Field, partials, change: Change) -> bool:
     """Whether the change's line x misses Sigma: f's partials on it (the
     variables sent to x + b y + c z, y and z at b s + c, s and 1) have
     gcd 1 in s, and one keeps the degree d-1, so (1 : 0) is no zero."""
-    (order, b, c), zero = change, field.zero()
-    add, mul, is_zero = field.add, field.mul, field.is_zero
+    order, b, c = change
+    add, mul = field.add, field.mul
     moved, along = order.index(0), order.index(1)
-    powers, gcd, finite = [[field.one()]], [], False  # powers of b s + c
+    powers, gcd, finite = [[1]], [], False  # powers of b s + c
     for partial in partials:
-        poly = [zero] * (partial.degree + 1)
+        poly = [0] * (partial.degree + 1)
         for m, coeff in partial.terms.items():
             if m[moved] and not (b or c):  # (b s + c)^e = 0
                 continue
             while len(powers) <= m[moved]:
                 last = powers[-1]
-                powers.append([add(mul(c, u), mul(b, v)) for u, v in zip(last + [zero], [zero] + last)])
+                powers.append([add(mul(c, u), mul(b, v)) for u, v in zip(last + [0], [0] + last)])
             for i, q in enumerate(powers[m[moved]], start=m[along]):
                 poly[i] = add(poly[i], mul(coeff, q))
-        finite = finite or not is_zero(poly[-1])
-        while poly and is_zero(poly[-1]):
+        finite = finite or poly[-1] != 0
+        while poly and poly[-1] == 0:
             poly.pop()
         while poly and len(gcd) != 1:
             gcd, poly = poly, _remainder(field, gcd, poly)

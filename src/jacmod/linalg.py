@@ -1,106 +1,14 @@
 """Exact dense linear algebra over GF(p) and the rationals.
 
-Matrices are numpy arrays in the field's dtype: int64 with canonical
-entries in [0, p) for GF(p), dtype object holding Fractions for the
-rationals.  One code path serves both fields: every row operation is a
-whole-array numpy expression, Field.reduce brings its result back to
-canonical form (mod p over GF(p), nothing to do over Q), and the two
-inner loops, the column loop and the table update, are Field kernels
-(Field.gauss_jordan, Field.add_product), so nothing here branches on
-the field.  GF(p) needs p < 2^31 so that one multiply-subtract on
-reduced entries stays below 2^63.  rref, row_rank and kernel_basis
-take their input in that form, as every caller builds it, so they
-work on a plain copy: reducing it again would spend one hardware
-division per entry on data already canonical.  A negation is
-Field.negate, p - A with zeros kept, again with no division.
-
-Elimination is dense row-major, one Gauss-Jordan pass
-(Field.gauss_jordan): pivots by column order, ties broken by lowest
-row index, each pivot row scaled to a unit and clearing its column
-from every other row at once, so every result (and in particular
-every kernel basis) is reproducible bit for bit.  A run of columns
-that are zero below the current row is crossed with one scan: a row
-operation never makes such a column nonzero again.  row_rank runs
-the same pass.
-
-rref and row_rank first peel the rows with one nonzero, in whole-array
-passes (the singleton step of structured Gaussian elimination).  A row
-whose one nonzero is at column c spans e_c, so e_c is a row of the
-reduced form; clearing c from the other rows only zeroes their entry
-there, which may leave more rows with one nonzero for the next pass.
-The row space is then the span of the unit rows plus that of the rows
-left, which are zero on the peeled columns, and so is their reduced
-form: the unit rows and the reduced rows left, merged by pivot column.
-The reduced form of a row space is unique, so the result is the one
-the column loop alone would give, entry for entry.
-
-Then the rows whose lead (first nonzero) column holds no other row's
-nonzero are set aside, in one whole-array pass (the matching
-column-singleton step of structured Gaussian elimination; LaMacchia
-and Odlyzko, "Solving large sparse linear systems over finite fields",
-CRYPTO '90).  Only the rows left go through the column loop.  A
-set-aside row r with lead column c keeps c as a pivot of the reduced
-form, and no other row needs clearing there: every other row is zero
-at c, and row operations among them keep it so.  After the loop the
-set-aside rows are cleared at the loop's pivot columns in one product,
-A - A[:, found] @ loop rows (Field.add_product; each loop row is zero
-at c and left of its own pivot, so this leaves r's lead and the
-columns left of it alone, and r is zero at the other set-aside rows'
-leads), then each is divided by its lead.  The
-unit rows, the set-aside rows and the loop's rows, merged by pivot
-column, are then in reduced form, so again the result is the one the
-column loop alone gives.  Sparse blocks (the sweep's remainders, the
-syzygy kernels) get most or all of their pivots from these two steps:
-on the sweep of a ladder curve no row reaches the column loop at all.
-
-GrowingRref keeps a reduced form of a row space that grows by rows
-and by columns (the graded pieces of an ideal, degree after degree)
-without eliminating the whole matrix again.  Its state is one
-normal-form table Q, one row per column: e_c modulo the row space, on
-the free columns.  A free column's row is a unit row and a pivot
-column's row is minus the tail of the kept row pivoting there; Q is
-also the projection onto the quotient.  A batch of new rows N reduces
-to N @ Q; the caller (the Jacobian sweep, whose rows are sums of
-shifted monomials) computes that as sums of scaled contiguous slices
-of Q with Field.slice_sums and hands the result to add_reduced.  The
-remainder goes through rref with its columns reversed; each new pivot
-turns its unit row into minus its reduced row, updates the other pivot
-rows as Q - Q[:, cols] @ rows and drops its column.  Pivoting on the
-newest column first pays when the kept rows are zero on the columns
-just added (x-multiples of a lower degree on the x-free monomials).  A
-column added since the last new pivot is still a unit column of Q: zero
-on every row but its own unit row, which its pivot overwrites.  So a
-pivot there has no update term at all; the update gathers only the
-pivots on older columns and is skipped when there are none.  Such a
-column is also a trailing one, dropped without moving the others.  Q
-lives in a buffer with room to grow, so adding columns copies nothing
-either.
-
-Row t of Q is nonzero only on free columns c <= t: a free column's row
-is its unit row, and a pivot column's row is nonzero only left of its
-pivot.  add_reduced keeps this: a new pivot's row becomes minus a
-reduced row that is nonzero only left of its pivot, and the update adds
-to row t multiples of such rows only for pivots u <= t where row t is
-nonzero.  So the rows above the lowest new pivot column u are zero on
-u and on every free column right of it: the update gathers and adds
-only from row u down, and dropping the pivot columns moves entries only
-on those rows.
-
-A finished GrowingRref hands its buffer back as the spare of its dtype,
-one per process, and the next one takes it when it has room for the
-first table; the buffer keeps its shape.  A sweep in a warm process then
-writes into pages it has written before and grows only past the largest
-table the process has held, where it copies into a new buffer as
-before.  Nothing reads the buffer outside the table: __init__ zeroes
-the first table and add_columns every stripe and row it adds, so what a
-previous sweep left there is never seen.  The spare is taken with
-dict.pop and put back with one assignment, so no two threads hold one
-buffer; a forked process inherits it copy-on-write.
-
-Every sum stays exact in int64 over GF(p): the column loop
-(Field.gauss_jordan), the table update (Field.add_product, also the
-clearing of the set-aside rows) and the slice sums (Field.slice_sums)
-each prove their bound below 2^63 where they are defined.
+Matrices are numpy arrays in the field's dtype (Field.zeros) with
+canonical entries.  One code path serves both fields: every row
+operation is a whole-array numpy expression brought back to canonical
+form by Field.reduce, and the inner loops are Field kernels, so nothing
+here branches on the field.  rref, row_rank and kernel_basis eliminate
+in one Gauss-Jordan pass (Field.gauss_jordan), after two whole-array
+steps of structured Gaussian elimination (_split) that give sparse
+blocks most or all of their pivots.  GrowingRref keeps the reduced form
+of a row space that grows by rows and by columns, degree after degree.
 """
 
 from __future__ import annotations
@@ -115,7 +23,7 @@ from .fields import Field
 Matrix = np.ndarray
 
 # dtype -> the table buffer a finished GrowingRref handed back, for the
-# next one in this process to take (module docstring)
+# next one in this process to take (GrowingRref)
 _spare: dict[np.dtype, Matrix] = {}
 
 
@@ -168,11 +76,15 @@ def _peel(W: Matrix, field: Field) -> tuple[np.ndarray, Matrix, np.ndarray]:
 
 
 def _split(M: Matrix, field: Field) -> tuple[np.ndarray, Matrix, np.ndarray, Matrix]:
-    """A plain copy of M, canonical already, in three parts: the columns
-    of its unit rows (peeled), the rows whose lead column no other row
-    touches, with their lead columns (set aside), and the rows left for
-    the column loop.  None of the rows is zero, and every one is zero on
-    the peeled columns."""
+    """A plain copy of M in three parts: the columns of its unit rows
+    (peeled), the rows whose lead column no other row touches, with
+    their lead columns (set aside), and the rows left for the column
+    loop.  None of the rows is zero, and every one is zero on the peeled
+    columns.  M is canonical already, as every caller builds it, so the
+    copy is not reduced: that would spend one hardware division per
+    entry.  The two steps are the singleton and column-singleton steps
+    of structured Gaussian elimination (LaMacchia and Odlyzko, "Solving
+    large sparse linear systems over finite fields", CRYPTO '90)."""
     units, W, nonzero = _peel(M.copy(), field)
     if not W.size:
         return units, W, np.zeros(0, dtype=np.intp), W
@@ -186,9 +98,24 @@ def _split(M: Matrix, field: Field) -> tuple[np.ndarray, Matrix, np.ndarray, Mat
 def rref(M: Matrix, field: Field) -> RrefResult:
     """Reduced row echelon form of a copy of M, whose entries must be
     canonical in the field's dtype: the unit rows peeled and the
-    lone-lead rows set aside first, the rows left eliminated, the
-    set-aside rows cleared at their pivots and scaled, and the three
-    merged by pivot column."""
+    lone-lead rows set aside first (_split), the rows left eliminated,
+    the set-aside rows cleared at their pivots and scaled, and the three
+    merged by pivot column.
+
+    The rows left after the peel are zero on the peeled columns, so the
+    row space is the span of the unit rows plus theirs.  A set-aside row
+    r with lead column c keeps c as a pivot, and no other row needs
+    clearing there: every other row is zero at c, and row operations
+    among them keep it so.  After the loop the set-aside rows are
+    cleared at the loop's pivot columns in one product, A - A[:, found]
+    @ loop rows: each loop row is zero at c and left of its own pivot,
+    so this leaves r's lead and the columns left of it alone, and r is
+    zero at the other set-aside rows' leads.  Divided by their leads,
+    the set-aside rows, the unit rows and the loop's rows, merged by
+    pivot column, are in reduced form.  The reduced form of a row space
+    is unique, so the result is the one the column loop alone would
+    give, entry for entry.  On the sweep of a ladder curve no row
+    reaches the column loop at all."""
     ncols = M.shape[1]
     units, A, leads, W = _split(M, field)
     found = field.gauss_jordan(W)
@@ -240,27 +167,38 @@ def kernel_basis(M: Matrix, field: Field) -> Matrix:
 
 class GrowingRref:
     """Reduced echelon form of a row space that grows by rows and by
-    columns, pivoting on the newest column first.
+    columns (the graded pieces of an ideal, degree after degree),
+    without eliminating the whole matrix again.
 
     The state is the normal-form table: row c is e_c modulo the row
     space, on the free columns (increasing).  A free column's row is a
     unit row; a pivot column's row is minus the tail of the kept row
-    pivoting there, which has a 1 in that column, zeros on the other
-    pivot columns and is nonzero only left of its pivot.  That is the
-    rref of the row space with its columns in reverse order, mapped
-    back, whatever the order the rows came in; pivots lists the pivot
-    columns in the order they were found.  The table is also the
-    projection onto the quotient: kernel_basis(form).T.
+    pivoting there, which has a 1 in that column and zeros on the other
+    pivot columns.  That is the rref of the row space with its columns
+    in reverse order, mapped back, whatever the order the rows came in;
+    pivots lists the pivot columns in the order they were found.  The
+    table is also the projection onto the quotient:
+    kernel_basis(form).T.  A batch of rows N reduces to N @ table; the
+    caller (the Jacobian sweep, whose rows are sums of shifted
+    monomials) computes that as sums of scaled contiguous slices of the
+    table with Field.slice_sums and hands the result to add_reduced.
+    Pivoting on the newest column first pays when the kept rows are
+    zero on the columns just added (x-multiples of a lower degree on the
+    x-free monomials).
 
     _fresh counts the trailing free columns added since the last new
-    pivot: those are still unit columns of the table, so add_reduced
-    needs no update term for a pivot on one of them.
+    pivot: those are still unit columns of the table, zero on every row
+    but their own unit row.
 
-    The table is the top-left corner of a buffer, the process's spare
-    one when it has room for the first table (module docstring).
-    Correctness needs no zeros outside the table: __init__ zeroes its
-    first table, add_columns zeroes every stripe and row it adds, and
-    nothing reads the rest.  release() hands the buffer back.
+    The table is the top-left corner of a buffer with room to grow, so
+    adding columns copies nothing.  A finished form hands its
+    buffer back (release) as the spare of its dtype, one per process,
+    and the next form takes it when it has room for the first table; the
+    buffer keeps its shape, so a sweep in a warm process writes into
+    pages it has written before.  Nothing reads the buffer outside the
+    table: __init__ zeroes its first table and add_columns every stripe
+    and row it adds, so what a previous sweep left there is never seen.
+    A forked process inherits the spare copy-on-write.
     """
 
     def __init__(self, field: Field, ncols: int):
@@ -293,8 +231,9 @@ class GrowingRref:
     def release(self) -> None:
         """Hand the buffer back as the process's spare for its dtype,
         unless the spare there is larger; the form is unusable after.
-        Two threads releasing at once may keep the smaller buffer, but
-        never hand one buffer to two sweeps."""
+        The spare is taken with dict.pop and put back with one
+        assignment, so two threads releasing at once may keep the
+        smaller buffer, but never hand one buffer to two sweeps."""
         buffer, self._buffer = self._buffer, None
         spare = _spare.get(buffer.dtype)
         if spare is None or spare.size < buffer.size:
@@ -343,7 +282,19 @@ class GrowingRref:
         _fresh ones is zero on every row but its own unit row, which is
         overwritten, so its term of the update is zero: only the pivots
         on older columns, the last ones of cols (which decrease), enter
-        the update, and none may."""
+        the update, and none may.  A fresh column is also a trailing
+        one, dropped without moving the others.
+
+        Row t of the table is nonzero only on free columns c <= t: a
+        free column's row is its unit row, and a pivot column's row is
+        nonzero only left of its pivot.  This keeps it: a new pivot's
+        row becomes minus a reduced row that is nonzero only left of its
+        pivot, and the update adds to row t multiples of such rows only
+        for pivots u <= t where row t is nonzero.  So the rows above the
+        lowest new pivot column u are zero on u and on every free column
+        right of it: the update gathers and adds only from row u down,
+        and dropping the pivot columns moves entries only on those
+        rows."""
         if not block.size:  # no row, or no free column left
             return
         field = self.field
@@ -358,7 +309,7 @@ class GrowingRref:
         # the reversed block's first _fresh columns are the fresh ones
         old = bisect_left(new.pivots, self._fresh)
         # rows above the lowest new pivot column are zero from its
-        # position on (module docstring): units decrease
+        # position on (above): units decrease
         low, first = units[-1], cols[-1]
         if old < new.rank:  # some pivot is on an older column
             C = table[low:, cols[old:]]

@@ -10,6 +10,7 @@ across runs.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 from typing import Iterator
 
 from .fields import Element, Field
@@ -100,8 +101,8 @@ def basis_dimension(k: int) -> int:
 def _add_terms(f: Field, a: Terms, b: Terms) -> Terms:
     terms = dict(a)
     for m, c in b.items():
-        s = f.add(terms.get(m, f.zero()), c)
-        if f.is_zero(s):
+        s = f.add(terms.get(m, 0), c)
+        if s == 0:
             terms.pop(m, None)
         else:
             terms[m] = s
@@ -117,8 +118,8 @@ def _mul_terms(f: Field, a: Terms, b: Terms) -> Terms:
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-            s = f.add(out.get(m, f.zero()), f.mul(c1, c2))
-            if f.is_zero(s):
+            s = f.add(out.get(m, 0), f.mul(c1, c2))
+            if s == 0:
                 out.pop(m, None)
             else:
                 out[m] = s
@@ -140,7 +141,7 @@ class TernaryForm:
         for m, c in terms.items():
             if monomial_degree(m) != degree:
                 raise NonHomogeneousError(degree, monomial_degree(m))
-            if field.is_zero(c):
+            if c == 0:
                 raise PolynomialError("terms must carry nonzero coefficients")
         self.field = field
         self.degree = degree
@@ -185,7 +186,7 @@ class TernaryForm:
             lowered = list(m)
             lowered[var] = e - 1
             coeff = f.mul(f.embed_integer(e), c)
-            if not f.is_zero(coeff):
+            if coeff != 0:
                 out[tuple(lowered)] = coeff
         return TernaryForm(f, self.degree - 1, out)
 
@@ -238,7 +239,9 @@ def format_form(f: TernaryForm) -> str:
 # MAX_DIGITS of them), + - * / ^ ( ).  '^' binds tightest and takes a
 # literal nonnegative integer exponent; there is no implicit
 # multiplication; '/' requires a constant divisor.  Whitespace is ignored.
-# A parse multiplies at most MAX_TERM_PAIRS pairs of terms in all.
+# A parse multiplies at most MAX_TERM_PAIRS pairs of terms in all, and a
+# power is refused before its first product when its products could pass
+# that budget.
 # ---------------------------------------------------------------------------
 
 
@@ -357,10 +360,10 @@ class _Parser:
         f = self.field
         if tok.kind == "int":
             c = f.embed_integer(tok.value)
-            return {} if f.is_zero(c) else {(0, 0, 0): c}
+            return {} if c == 0 else {(0, 0, 0): c}
         if tok.kind == "var":
             mono = tuple(1 if v == tok.value else 0 for v in VARS)
-            return {mono: f.one()}
+            return {mono: 1}
         if tok.kind == "(":
             inner = self.expression()
             self.expect(")")
@@ -376,14 +379,19 @@ class _Parser:
         if self.max_degree is not None and degree > self.max_degree:
             raise DegreeLimitError(degree, self.max_degree, pos)
 
-    def _mul(self, a: Terms, b: Terms, pos: int) -> Terms:
-        """a * b, refused before it is expanded when it would take the
-        parse past MAX_TERM_PAIRS term pairs."""
-        self.pairs += len(a) * len(b)
-        if self.pairs > MAX_TERM_PAIRS:
+    def _budget(self, pairs: int, pos: int) -> None:
+        """Refuse when pairs more term pairs would take the parse past
+        MAX_TERM_PAIRS."""
+        if self.pairs + pairs > MAX_TERM_PAIRS:
             raise ParseError(
                 f"the expansion would multiply more than {MAX_TERM_PAIRS:,} pairs of terms", pos
             )
+
+    def _mul(self, a: Terms, b: Terms, pos: int) -> Terms:
+        """a * b, refused before it is expanded (_budget)."""
+        pairs = len(a) * len(b)
+        self._budget(pairs, pos)
+        self.pairs += pairs
         return _mul_terms(self.field, a, b)
 
     def _divide(self, a: Terms, b: Terms, pos: int) -> Terms:
@@ -394,8 +402,12 @@ class _Parser:
         return self._mul(a, {(0, 0, 0): self.field.inv(b[(0, 0, 0)])}, pos)
 
     def _power(self, a: Terms, e: int, pos: int) -> Terms:
-        """a^e by squaring, with no square past the exponent's top bit."""
-        result = {(0, 0, 0): self.field.one()}
+        """a^e by squaring, with no square past the exponent's top bit,
+        refused before the first product when the bound of _power_pairs
+        would take the parse past MAX_TERM_PAIRS term pairs."""
+        if len(a) > 1:  # one term: one pair a product, counted by _mul
+            self._budget(_power_pairs(a, e), pos)
+        result = {(0, 0, 0): 1}
         base = a
         while e:
             if e & 1:
@@ -404,6 +416,31 @@ class _Parser:
             if e:
                 base = self._mul(base, base, pos)
         return result
+
+
+def _power_pairs(a: Terms, e: int) -> int:
+    """A bound on the term pairs _power multiplies for a^e.  a^j has at
+    most C(t+j-1, t-1) terms for t terms in a, one per multiset of j of
+    them, and at most as many as there are monomials of its degrees:
+    dim S_(j deg a) when a is homogeneous, else the C(j deg a + 3, 3)
+    monomials of degree at most j deg a."""
+    t, degree = len(a), _degree(a)
+    homogeneous = len({monomial_degree(m) for m in a}) == 1
+
+    def terms(j: int) -> int:
+        k = j * degree
+        return min(comb(t + j - 1, t - 1), basis_dimension(k) if homogeneous else comb(k + 3, 3))
+
+    pairs, done, base = 0, 0, 1  # result = a^done, base = a^base
+    while e:
+        if e & 1:
+            pairs += terms(done) * terms(base)
+            done += base
+        e >>= 1
+        if e:
+            pairs += terms(base) ** 2
+            base *= 2
+    return pairs
 
 
 def _degree(terms: Terms) -> int:
@@ -417,7 +454,8 @@ def parse_form(text: str, field: Field, max_degree: int | None = None) -> Ternar
     at the token reached.  With max_degree, a product or power whose
     degree would pass it raises DegreeLimitError before it is expanded,
     even if a later term would cancel it.  A product that would take the
-    parse past MAX_TERM_PAIRS pairs of terms is a ParseError."""
+    parse past MAX_TERM_PAIRS pairs of terms is a ParseError, and so is a
+    power whose products could, before its first product."""
     parser = _Parser(text, field, max_degree)
     try:
         terms = parser.expression()

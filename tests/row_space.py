@@ -17,7 +17,7 @@ _to_fraction = np.frompyfunc(Fraction, 1, 1)
 
 def canonical(M, field: Field) -> Matrix:
     """Copy of the matrix M with canonical entries in field.dtype."""
-    if field.kind == "gfp":
+    if field.p is not None:
         return np.asarray(M, dtype=np.int64) % field.p
     # Macaulay matrices are mostly zero: convert only the nonzeros
     M = np.asarray(M)

@@ -410,6 +410,11 @@ class TestReportSerialization:
 # ---------------------------------------------------------------------------
 
 FERMAT_CUBIC = "x^3 + y^3 + z^3"
+# curves of perfbench/reference.json's survey_pool whose integers mod a
+# small prime differ from those over Q, with no check failing
+POOL_13 = "-4*x^2*y^3 + 4*x^2*y*z^2 + 3*x^2*z^3 + 5*x*y^4 - 5*x*z^4 - 3*y^2*z^3"
+POOL_211 = "y^5 - 4*y^3*z^2 + 8*y*z^4 - 2*z^5"  # a pencil of five lines
+POOL_30 = "5*x^4*z + 8*x*y^3*z + 7*y^5 - y^4*z - 4*y^2*z^3 - 3*y*z^4 - 7*z^5"  # smooth
 
 
 class _ArgsMismatchError(Exception):
@@ -559,7 +564,7 @@ class TestPrimePair:
         parse = analysis.parse_form
 
         def rational_only(text, over, **limit):
-            assert over.kind == "rational", "parsed over GF(p)"
+            assert over.p is None, "parsed over GF(p)"
             parsed.append(text)
             return parse(text, over, **limit)
 
@@ -578,6 +583,39 @@ class TestPrimePair:
         assert report.field_labels == (f"gfp:{q1}", f"gfp:{q2}")
         assert report.passed
         assert forks == [1]  # the re-drawn pair reuses the helper
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "curve, prime, position",
+        [(POOL_13, 139, 0), (POOL_13, 139, 1), (POOL_211, 241, 0), (POOL_30, 101, 0)],
+        ids=["tau-5-first", "tau-5-second", "not-reduced", "smooth-gains-a-point"],
+    )
+    def test_real_unlucky_prime_redraws(self, monkeypatch, curve, prime, position):
+        # mod 139 pool curve 13 has tau 5 and exponents (4, 4, 4, 4, 4)
+        # against 4 and (4, 4, 4, 4), and passes every check; mod 241 the
+        # pencil of five lines raises NotReducedError; mod 101 the smooth
+        # quintic has tau 1.  The first pair, holding that prime, is
+        # re-drawn, and the report is the one over a 31-bit prime
+        exact = analyze_text(curve, AnalysisOptions(field="gfp:2147483647"))
+        try:
+            unlucky = _comparable(analyze_text(curve, AnalysisOptions(field=f"gfp:{prime}")))
+        except NotReducedError:
+            unlucky = None
+        assert unlucky != _comparable(exact)
+        drawn = []
+
+        def unlucky_first(seed, max_degree):
+            pair = list(prime_pair(seed, max_degree))
+            if not drawn:
+                pair[position] = prime
+            drawn.append(tuple(pair))
+            return drawn[-1]
+
+        monkeypatch.setattr(analysis, "prime_pair", unlucky_first)
+        report = analyze_text(curve)
+        assert len(drawn) == 2
+        assert report.field_labels == tuple(f"gfp:{p}" for p in drawn[1])
+        assert _comparable(report) == _comparable(exact)
         assert_no_child_left()
 
     def test_two_analyses_fork_once(self, monkeypatch):

@@ -345,7 +345,7 @@ class TestAnalyze:
 
     def test_formula_mode_parse_budget(self, capsys):
         # (x+y+z)^300 would multiply about 110 M pairs of terms; the
-        # parse stops before the squaring that takes it past 10 M
+        # parse refuses the power before its first product
         start = time.perf_counter()
         code, out, err = run(
             capsys, "analyze", "--skip-oracle", "--exponents", "1,298", "(x+y+z)^300"

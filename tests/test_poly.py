@@ -122,8 +122,9 @@ def test_power_squares_no_further_than_its_top_bit(monkeypatch):
 
 
 def test_parse_refuses_past_its_term_pair_budget(monkeypatch):
-    # a product or a power's step that would take the parse's running
-    # total past the budget is refused before it is expanded
+    # a product that would take the parse's running total past the
+    # budget is refused before it is expanded, and a power before its
+    # first product when its products could
     monkeypatch.setattr(poly, "MAX_TERM_PAIRS", 4605)
     assert parse_form("(x+y+z)^20", QQ).degree == 20  # exactly 4,605 pairs
     monkeypatch.setattr(poly, "MAX_TERM_PAIRS", 4604)
@@ -131,11 +132,41 @@ def test_parse_refuses_past_its_term_pair_budget(monkeypatch):
     with pytest.raises(ParseError, match="more than 4,604 pairs of terms") as info:
         parse_form("(x+y+z)^20", QQ)
     assert info.value.pos == 8
-    assert pairs == [9, 36, 15, 225, 2025]
+    assert pairs == []
     monkeypatch.setattr(poly, "MAX_TERM_PAIRS", 3)
     with pytest.raises(ParseError, match="more than 3 pairs") as info:
         parse_form("x*y*z + (x+y)*(x+z)", GF)  # 1 + 1, then 4 pairs
     assert info.value.pos == 13
+
+
+def test_power_past_the_budget_is_refused_before_its_first_product(monkeypatch):
+    # (x+y+z)^300 would multiply about 110 M pairs of terms
+    pairs = _count_term_pairs(monkeypatch)
+    with pytest.raises(ParseError, match="more than 10,000,000 pairs of terms") as info:
+        parse_form("(x+y+z)^300", QQ)
+    assert info.value.pos == 8
+    assert pairs == []
+
+
+@pytest.mark.parametrize(
+    "base, e, p",
+    [
+        ("x+y+z", 20, None),  # every monomial of each degree: the bound is exact
+        ("x^2+y^2", 9, None),
+        ("x+y+1", 7, None),
+        ("x*y+z^2+x*z", 6, 2**31 - 1),
+        ("x+y", 7, 7),  # (x+y)^7 = x^7 + y^7 mod 7
+    ],
+)
+def test_power_bound_covers_the_products(monkeypatch, base, e, p):
+    # the bound is at least the pairs _power multiplies
+    field = QQ if p is None else prime_field(p)
+    terms = poly._Parser(base, field, None).expression()
+    pairs = _count_term_pairs(monkeypatch)
+    poly._Parser("", field, None)._power(terms, e, 0)
+    bound = poly._power_pairs(terms, e)
+    assert bound >= sum(pairs)
+    assert bound == sum(pairs) or base != "x+y+z"
 
 
 def test_parse_rejects_mixed_degrees():
@@ -246,7 +277,7 @@ def test_partial_of_mixed_term():
 
 def test_monomial_shift():
     f = parse_form("x+y", GF)
-    z_squared = TernaryForm(GF, 2, {(0, 0, 2): GF.one()})
+    z_squared = TernaryForm(GF, 2, {(0, 0, 2): 1})
     assert parse_form(f"({f})*({z_squared})", GF) == parse_form("x*z^2+y*z^2", GF)
 
 

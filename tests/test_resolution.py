@@ -75,7 +75,7 @@ def syzygy_triples(j: CurveJacobian, k: int) -> list[tuple[TernaryForm, ...]]:
             terms = {
                 mono: row[block * n + t]
                 for t, mono in enumerate(basis_k)
-                if not j.field.is_zero(row[block * n + t])
+                if row[block * n + t] != 0
             }
             triple.append(TernaryForm(j.field, k, terms))
         out.append(tuple(triple))
