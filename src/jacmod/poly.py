@@ -10,7 +10,7 @@ across runs.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 from typing import Iterator
 
 from .fields import Element, Field
@@ -405,8 +405,7 @@ class _Parser:
         """a^e by squaring, with no square past the exponent's top bit,
         refused before the first product when the bound of _power_pairs
         would take the parse past MAX_TERM_PAIRS term pairs."""
-        if len(a) > 1:  # one term: one pair a product, counted by _mul
-            self._budget(_power_pairs(a, e), pos)
+        self._budget(_power_pairs(a, e, MAX_TERM_PAIRS - self.pairs), pos)
         result = {(0, 0, 0): 1}
         base = a
         while e:
@@ -418,21 +417,36 @@ class _Parser:
         return result
 
 
-def _power_pairs(a: Terms, e: int) -> int:
-    """A bound on the term pairs _power multiplies for a^e.  a^j has at
-    most C(t+j-1, t-1) terms for t terms in a, one per multiset of j of
-    them, and at most as many as there are monomials of its degrees:
-    dim S_(j deg a) when a is homogeneous, else the C(j deg a + 3, 3)
-    monomials of degree at most j deg a."""
-    t, degree = len(a), _degree(a)
-    homogeneous = len({monomial_degree(m) for m in a}) == 1
+def _power_pairs(a: Terms, e: int, budget: int) -> int:
+    """A bound on the term pairs _power multiplies for a^e, returned as
+    soon as it passes budget.  A base of one term multiplies one pair a
+    product, at most two products a bit of e.  Otherwise a is
+    m b(x^g, y^g, z^g), m the monomial of a's least exponents and g the
+    gcd of what is left, and a^j has as many terms as b^j: at most
+    - C(t+j-1, t-1) for the t terms of a, one per multiset of j of them;
+    - the product of the j s + 1 values of each exponent, s its span in
+      b, or of the least two when a is homogeneous, as two fix the third;
+    - dim S_(j deg b) when a is homogeneous, else the C(j deg b + 3, 3)
+      monomials of degree at most j deg b."""
+    if len(a) < 2:
+        return len(a) * 2 * e.bit_length()
+    columns = list(zip(*a))  # the exponents of x, y and z
+    lo = [min(c) for c in columns]
+    g = gcd(*(k - low for c, low in zip(columns, lo) for k in c))
+    sx, sy, sz = ((max(c) - low) // g for c, low in zip(columns, lo))
+    degrees = set(map(sum, a))
+    t, degree, homogeneous = len(a), (max(degrees) - sum(lo)) // g, len(degrees) == 1
 
     def terms(j: int) -> int:
-        k = j * degree
-        return min(comb(t + j - 1, t - 1), basis_dimension(k) if homogeneous else comb(k + 3, 3))
+        x, y, z, k = j * sx + 1, j * sy + 1, j * sz + 1, j * degree
+        if homogeneous:
+            bound = min(x * y, x * z, y * z, basis_dimension(k))
+        else:
+            bound = min(x * y * z, comb(k + 3, 3))
+        return min(bound, comb(t + j - 1, t - 1))
 
     pairs, done, base = 0, 0, 1  # result = a^done, base = a^base
-    while e:
+    while e and pairs <= budget:
         if e & 1:
             pairs += terms(done) * terms(base)
             done += base

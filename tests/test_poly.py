@@ -95,6 +95,9 @@ def test_parse_takes_forms_up_to_the_degree_limit():
     assert parse_form("(x^9+y^4*z^5)^7+x*z^62", QQ, max_degree=63).degree == 63
     assert parse_form("(x+y+z)^30", QQ).degree == 30  # no limit
     assert parse_form("(x+y+z)^100", GF).degree == 100  # 1,856,790 of 10^7 term pairs
+    # a^j in x and y has deg(a) j + 1 terms, far below dim S_(deg(a) j)
+    assert len(parse_form("(x^2+x*y+y^2)^200", QQ).terms) == 401
+    assert len(parse_form("(x^3+x^2*y+x*y^2+y^3)^64", QQ).terms) == 193
 
 
 def _count_term_pairs(monkeypatch) -> list[int]:
@@ -149,24 +152,43 @@ def test_power_past_the_budget_is_refused_before_its_first_product(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "base, e, p",
+    "base, e, p, exact",
     [
-        ("x+y+z", 20, None),  # every monomial of each degree: the bound is exact
-        ("x^2+y^2", 9, None),
-        ("x+y+1", 7, None),
-        ("x*y+z^2+x*z", 6, 2**31 - 1),
-        ("x+y", 7, 7),  # (x+y)^7 = x^7 + y^7 mod 7
+        ("x+y+z", 20, None, True),  # every monomial of each degree
+        ("x^2+y^2+z^2", 20, None, True),  # (x+y+z)^20 in x^2, y^2, z^2
+        ("x^2+x*y+x*z", 9, None, True),  # x^9 (x+y+z)^9
+        ("x^2+x*y+y^2", 200, None, True),  # every monomial in x and y
+        ("x^3+x^2*y+x*y^2+y^3", 64, None, True),
+        ("x^2+y^2", 9, None, True),
+        ("x+y+1", 7, None, True),
+        ("x*y+z^2+x*z", 6, 2**31 - 1, True),
+        ("x^3+y^3+z^3+x*y*z", 10, None, False),  # x^3 y^3 z^3 = (x y z)^3
+        ("x+y", 14, 7, False),  # (x+y)^8 = x^8 + x^7 y + x y^7 + y^8 mod 7
+        ("2*x*y^2", 13, None, False),  # six products of one pair, bounded by two a bit
+        ("x-x", 5, None, True),
     ],
 )
-def test_power_bound_covers_the_products(monkeypatch, base, e, p):
-    # the bound is at least the pairs _power multiplies
+def test_power_bound_covers_the_products(monkeypatch, base, e, p, exact):
+    # the bound is at least the pairs _power multiplies, and equal to
+    # them when each power has as many terms as the bound allows
     field = QQ if p is None else prime_field(p)
     terms = poly._Parser(base, field, None).expression()
     pairs = _count_term_pairs(monkeypatch)
     poly._Parser("", field, None)._power(terms, e, 0)
-    bound = poly._power_pairs(terms, e)
+    bound = poly._power_pairs(terms, e, poly.MAX_TERM_PAIRS)
     assert bound >= sum(pairs)
-    assert bound == sum(pairs) or base != "x+y+z"
+    assert (bound == sum(pairs)) == exact
+
+
+def test_power_bound_stops_once_past_the_budget(monkeypatch):
+    # an exponent of 4,000 digits has about 13,000 squarings; the bound
+    # gives up at the first that passes the budget
+    calls = []
+    comb = poly.comb
+    monkeypatch.setattr(poly, "comb", lambda n, k: calls.append(n) or comb(n, k))
+    terms = poly._Parser("x+y+z", QQ, None).expression()
+    assert poly._power_pairs(terms, 10**4000, poly.MAX_TERM_PAIRS) > poly.MAX_TERM_PAIRS
+    assert len(calls) < 30
 
 
 def test_parse_rejects_mixed_degrees():
