@@ -1,30 +1,15 @@
-"""End-to-end curve analysis: oracle runs, formula cross-checks, and
-the report structure consumed by the command line front end.
-
-An analysis runs the linear-algebra oracle (Milnor series, syzygy
-resolution, Hilbert vector of N(f)), classifies the curve, evaluates
-every closed-form prediction that applies, and records each comparison
-as pass / fail / n-a.  Over a random prime field the oracle runs under
-two independent primes whose integers must agree, which makes an
-unlucky prime detectable, and the report is made once, from the first.
-The two runs go at the same time: the second prime's in a helper
-process (POSIX), forked at the first two-prime analysis of a process
-and reused by every later one, since a fork per analysis costs more
-than a small analysis.
+"""End-to-end curve analysis and the report the command line front end
+renders: the oracle's run (oracle.py) classified, every closed-form
+prediction that applies evaluated against it, and each comparison
+recorded as pass / fail / n-a; or, in formula-only mode, the formulas
+evaluated from declared exponents alone.
 """
 
 from __future__ import annotations
 
-import atexit
-import os
-import pickle
-import signal
-import struct
-import threading
 import time
-import traceback
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .curves import (
     BundleInvariants,
@@ -43,25 +28,18 @@ from .curves import (
     plus_one_vector,
     three_syzygy_vector,
 )
-from .fields import prime_field, prime_pair, rational_field, validate_prime_for_degree
+from .fields import Field, rational_field, validate_prime_for_degree
 from .jacobian import (
     AnalysisError,
     CoincidenceThreshold,
-    CurveJacobian,
     InternalConsistencyError,
     MilnorProfile,
     ModuleVector,
     smooth_reference,
 )
-from .poly import (
-    DegreeLimitError,
-    PolynomialError,
-    TernaryForm,
-    basis_dimension,
-    parse_form,
-    reduce_form,
-)
-from .resolution import IncompleteResolutionError, PencilOfLinesError, ResolutionProfile, resolve
+from .oracle import OracleRun, _analyze_over_field, agreeing_run
+from .poly import DegreeLimitError, basis_dimension, parse_form, reduce_form
+from .resolution import ResolutionProfile
 
 PASS = "pass"
 FAIL = "fail"
@@ -290,21 +268,13 @@ def cross_check(
         return _matches(n, sorted(nodal_values(d, smooth_reference(d), *counts).items()))
 
     symmetry, unimodality, sigma = _shared_checks(vec, prof)
-    if free:
-        central = [
-            ("central-window", "free curve", parabola),
-            ("central-plateau", "free curve", plateau),
-        ]
-    elif cls.stable:  # 2 mdr >= d
-        central = [
-            ("central-window", None, parabola),
-            ("central-plateau", "2 mdr >= d", plateau),
-        ]
-    else:  # the plateau, which applies, comes first
-        central = [
-            ("central-plateau", None, plateau),
-            ("central-window", "2 mdr < d", parabola),
-        ]
+    # the window applies where 2 mdr >= d (stable), the plateau below it
+    # and then comes first; a free curve has neither
+    window_na = "free curve" if free else None if cls.stable else "2 mdr < d"
+    plateau_na = "free curve" if free else "2 mdr >= d" if cls.stable else None
+    window = ("central-window", window_na, parabola)
+    flat = ("central-plateau", plateau_na, plateau)
+    central = [window, flat] if plateau_na is not None else [flat, window]
     table: list[Check] = [
         symmetry,
         unimodality,
@@ -425,51 +395,6 @@ def _report(
         checks=tuple(checks),
         timings=tuple(timings),
     )
-
-
-# ---------------------------------------------------------------------------
-# oracle pipeline (one field)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OracleRun:
-    """What the oracle computes for a curve over one field: a line has
-    only its degree, a pencil of lines no resolution or vector.  The
-    timings (each layer's seconds, then the total) are not compared."""
-
-    degree: int
-    milnor: MilnorProfile | None = None
-    prof: ResolutionProfile | None = None
-    vec: ModuleVector | None = None
-    timings: tuple[tuple[str, float], ...] = field(default=(), compare=False)
-
-
-def _analyze_over_field(f: TernaryForm) -> OracleRun:
-    """The oracle's run on the curve f over its field."""
-    t0 = time.perf_counter()
-    jac = CurveJacobian(f)
-    d = jac.degree
-    if d == 1:
-        return OracleRun(1, timings=(("total", time.perf_counter() - t0),))
-
-    t = time.perf_counter()
-    milnor = jac.milnor_hilbert()
-    timings = [("milnor", time.perf_counter() - t)]
-
-    t = time.perf_counter()
-    try:
-        prof = resolve(jac)
-    except PencilOfLinesError:
-        timings.append(("total", time.perf_counter() - t0))
-        return OracleRun(d, milnor, timings=tuple(timings))
-    timings.append(("resolution", time.perf_counter() - t))
-
-    t = time.perf_counter()
-    vec = jac.module_vector()
-    timings.append(("saturation", time.perf_counter() - t))
-    timings.append(("total", time.perf_counter() - t0))
-    return OracleRun(d, milnor, prof, vec, tuple(timings))
 
 
 def _oracle_report(
@@ -593,22 +518,34 @@ def _formula_data(
 # ---------------------------------------------------------------------------
 
 
+def _field(option: str) -> Field | None:
+    """The one field the option names, or None for the default prime
+    pair.  A modulus must be a prime below 2^31; p > 3d, which needs
+    the degree, is checked after the parse."""
+    if option == "gfp":
+        return None
+    if option == "rational":
+        return Field()
+    if not option.startswith("gfp:"):
+        raise AnalysisError(f"unknown field {option!r}")
+    try:
+        p = int(option.split(":", 1)[1])
+    except ValueError:
+        raise AnalysisError(f"{option!r}: the prime must be an integer") from None
+    validate_prime_for_degree(p, 0)
+    return Field(p)
+
+
 def analyze_text(text: str, options: AnalysisOptions = AnalysisOptions()) -> CurveReport:
     """Full analysis honoring the field/seed/oracle options.
 
-    Over `gfp` (no explicit prime) the oracle runs twice, at the same
-    time, under independently chosen primes and its integers must
-    agree; the report is made once, from the first prime's run.
-    Disagreeing integers, an error only a prime can cause, or an error
-    under one prime only trigger a deterministic re-draw, so a
-    structurally unlucky prime cannot silently corrupt a report.  When
-    both runs raise the same error class, the first prime's error is
-    raised.  The text is parsed once, over Q (exact, and independent of
-    any prime choice); each prime's run reduces that form mod p.
+    The text is parsed once, over Q (exact, and independent of any
+    prime choice); over `gfp` the report is made from agreeing_run's.
     The parse refuses a product or power past the largest degree the
     run could take, the oracle's cap or, with the oracle skipped or
     exponents given, FORMULA_MAX_DEGREE, before expanding it.
     """
+    field = _field(options.field)
     formula = options.skip_oracle or options.exponents is not None
     limit = FORMULA_MAX_DEGREE if formula else options.max_degree_cap
     try:
@@ -624,8 +561,7 @@ def analyze_text(text: str, options: AnalysisOptions = AnalysisOptions()) -> Cur
         ) from None
     d = form.degree
 
-    oracle = not options.skip_oracle and d <= options.max_degree_cap
-    if not oracle:
+    if options.skip_oracle or d > options.max_degree_cap:
         if d == 1:
             raise AnalysisError("degree-1 input is a single line; nothing to skip")
         if options.exponents is None:
@@ -643,213 +579,10 @@ def analyze_text(text: str, options: AnalysisOptions = AnalysisOptions()) -> Cur
             "the oracle computes them"
         )
 
-    if options.field == "gfp":
-        for attempt in range(3):
-            p1, p2 = prime_pair(options.seed + attempt * 7919, max_degree=d)
-            first, second = _run_pair(form, p1, p2)
-            if type(first) is not type(second) or isinstance(first, _PRIME_ERRORS):
-                # the form is fine over the rationals, so this pair is unlucky
-                # (only one prime saw a failure, a divisor vanished or an
-                # identity broke): draw again
-                continue
-            if isinstance(first, Exception):
-                raise first  # both primes agree that the input is at fault
-            if first == second:
-                return _oracle_report(text, first, options.nodal, (f"gfp:{p1}", f"gfp:{p2}"))
-        raise AnalysisError(
-            f"no agreeing runs under 3 prime pairs (last {(p1, p2)}); "
-            "the input may be numerically degenerate"
-        )
-    if options.field.startswith("gfp:"):
-        try:
-            p = int(options.field.split(":", 1)[1])
-        except ValueError:
-            raise AnalysisError(f"{options.field!r}: the prime must be an integer") from None
-        validate_prime_for_degree(p, d)
-        form = reduce_form(form, prime_field(p))
-    elif options.field != "rational":
-        raise AnalysisError(f"unknown field {options.field!r}")
-    return _oracle_report(text, _analyze_over_field(form), options.nodal, (form.field.label,))
-
-
-# errors that only an unlucky prime can cause once the text parses over Q
-_PRIME_ERRORS = (PolynomialError, InternalConsistencyError, IncompleteResolutionError)
-
-
-def _outcome(form: TernaryForm, p: int) -> OracleRun | Exception:
-    """The oracle's run on the form over Q reduced mod p, or its error."""
-    try:
-        return _analyze_over_field(reduce_form(form, prime_field(p)))
-    except Exception as exc:
-        # the caller keeps exc; without their locals, the frames it
-        # references do not keep this run's matrices alive
-        traceback.clear_frames(exc.__traceback__)
-        return exc
-
-
-def _run_pair(
-    form: TernaryForm, p1: int, p2: int
-) -> tuple[OracleRun | Exception, OracleRun | Exception]:
-    """The oracle's runs under p1 (here) and p2 (in this process's
-    helper, sent the form over Q and p2) at the same time.  The first
-    pair forks the helper; later pairs reuse it.
-    A pipe or a fork that fails (say EMFILE or EAGAIN) closes whatever
-    it opened and raises AnalysisError.  Any exception here, or a helper
-    that ends without sending a result, kills and reaps the helper, so
-    the next pair forks a fresh one.  Threads take turns: a reply is
-    read by the thread that sent its request."""
-    global _helper
-    request = pickle.dumps((form, p2))
-    with _lock:
-        if _helper is None:
-            try:
-                _helper = _Helper.fork()
-            except OSError as exc:
-                raise AnalysisError(f"cannot start the gfp:{p2} run: {exc}") from exc
-        try:
-            try:
-                _send(_helper.requests, request)
-            except BrokenPipeError:  # the helper has died since the last pair
-                reply = None
-            else:
-                first = _outcome(form, p1)
-                reply = _receive(_helper.replies)
-        except BaseException:
-            _retire_helper()
-            raise
-        if reply is None:
-            raise InternalConsistencyError(
-                f"the gfp:{p2} run ended without sending a result "
-                f"(exit status {_retire_helper()})"
-            )
-    second = pickle.loads(reply)
-    if isinstance(second, str):
-        raise InternalConsistencyError(second)
-    return first, second
-
-
-# ---------------------------------------------------------------------------
-# the second prime's helper process
-# ---------------------------------------------------------------------------
-
-# messages on the helper's pipes: a little-endian length, then a pickle
-_LENGTH = struct.Struct("<Q")
-
-
-def _send(fd: int, data: bytes) -> None:
-    view = memoryview(_LENGTH.pack(len(data)) + data)
-    while view:
-        view = view[os.write(fd, view) :]
-
-
-def _read(fd: int, size: int) -> bytes | None:
-    """size bytes from fd, or None at EOF."""
-    data = bytearray()
-    while len(data) < size:
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
-            return None
-        data += chunk
-    return bytes(data)
-
-
-def _receive(fd: int) -> bytes | None:
-    """The next message on fd, or None once its writer has gone."""
-    header = _read(fd, _LENGTH.size)
-    return None if header is None else _read(fd, _LENGTH.unpack(header)[0])
-
-
-def _serve(requests: int, replies: int) -> None:
-    """The helper's loop: one oracle run per (form over Q, prime)
-    request, each answered with the pickled run or exception, until
-    EOF."""
-    while (request := _receive(requests)) is not None:
-        form, p = pickle.loads(request)
-        outcome = _outcome(form, p)
-        try:
-            data = pickle.dumps(outcome)
-            pickle.loads(data)
-        except Exception as exc:
-            data = pickle.dumps(
-                f"the gfp:{p} run ended in {outcome!r}, which cannot be sent back: {exc}"
-            )
-        _send(replies, data)
-
-
-@dataclass(frozen=True)
-class _Helper:
-    """A forked child that makes second-prime oracle runs for its parent:
-    the parent writes requests and reads replies."""
-
-    pid: int
-    requests: int
-    replies: int
-
-    @classmethod
-    def fork(cls) -> _Helper:
-        """The child leaves by os._exit, so it never flushes the stdio
-        buffers it inherits.  It exits at EOF of its requests, which
-        also covers a parent that was killed."""
-        fds: list[int] = []
-        try:
-            fds.extend(os.pipe())
-            fds.extend(os.pipe())
-            pid = os.fork()
-        except OSError:
-            for fd in fds:
-                os.close(fd)
-            raise
-        requests_in, requests_out, replies_in, replies_out = fds
-        if pid == 0:
-            try:
-                os.close(requests_out)
-                os.close(replies_in)
-                # Ctrl-C reaches the whole process group; the parent
-                # decides whether the helper goes
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                _serve(requests_in, replies_out)
-            finally:
-                os._exit(0)
-        os.close(requests_in)
-        os.close(replies_out)
-        return cls(pid, requests_out, replies_in)
-
-    def close_pipes(self) -> None:
-        os.close(self.requests)
-        os.close(self.replies)
-
-    def kill(self) -> int:
-        """Kill and reap the helper; its exit status."""
-        os.kill(self.pid, signal.SIGKILL)  # a no-op once the helper has exited
-        _, status = os.waitpid(self.pid, 0)
-        self.close_pipes()
-        return os.waitstatus_to_exitcode(status)
-
-
-_helper: _Helper | None = None
-_lock = threading.Lock()  # one pair at a time per helper
-
-
-def _retire_helper() -> int | None:
-    """Kill and reap this process's helper, if it has one; its exit
-    status.  Runs at interpreter exit."""
-    global _helper
-    helper, _helper = _helper, None
-    return None if helper is None else helper.kill()
-
-
-def _drop_inherited_helper() -> None:
-    """In a forked child: the parent's helper is not this process's
-    child.  Closing its pipes keeps this process from writing into it
-    or holding off its EOF; the child forks a helper of its own.  The
-    lock is new, since one held by another thread at the fork would
-    stay held here."""
-    global _helper, _lock
-    _lock = threading.Lock()
-    helper, _helper = _helper, None
-    if helper is not None:
-        helper.close_pipes()
-
-
-atexit.register(_retire_helper)
-os.register_at_fork(after_in_child=_drop_inherited_helper)
+    if field is None:
+        run, (p1, p2) = agreeing_run(form, options.seed)
+        return _oracle_report(text, run, options.nodal, (f"gfp:{p1}", f"gfp:{p2}"))
+    if field.p is not None:
+        validate_prime_for_degree(field.p, d)
+        form = reduce_form(form, field)
+    return _oracle_report(text, _analyze_over_field(form), options.nodal, (field.label,))

@@ -45,8 +45,6 @@ def _exponent_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             "expected comma-separated integers, e.g. 9,56,62"
         ) from None
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one exponent")
     return values
 
 

@@ -378,15 +378,15 @@ def random_prime(rng: random.Random, low: int = PRIME_LOW, high: int = PRIME_HIG
 
 @lru_cache(maxsize=256)
 def prime_pair(seed: int, max_degree: int = 256) -> tuple[int, int]:
-    """Two distinct random primes for independent verification runs.
+    """Two distinct random 31-bit primes, from [PRIME_LOW, PRIME_HIGH),
+    for independent verification runs.
 
-    Both exceed 3*max_degree so that no derivative coefficient k <= d
-    or classification constant 3(d-1) can vanish spuriously mod p.
-    The default 30-bit range satisfies this for any realistic degree;
-    the bound is still checked so explicit small primes cannot sneak
-    past validation elsewhere.  The pair depends only on the arguments,
-    so it is drawn once per process for each; a FieldError is raised
-    again on every call, since lru_cache keeps no exception.
+    Both must exceed 3*max_degree so that no derivative coefficient
+    k <= d or classification constant 3(d-1) can vanish spuriously mod
+    p; a FieldError says when one does not, which no degree below 2^30/3
+    causes.  The pair depends only on the arguments, so it is drawn once
+    per process for each; the FieldError is raised again on every call,
+    since lru_cache keeps no exception.
     """
     rng = random.Random(seed)
     p1 = random_prime(rng)

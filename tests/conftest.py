@@ -6,8 +6,7 @@ import contextlib
 
 import pytest
 
-from jacmod import linalg
-from jacmod.analysis import _retire_helper
+from jacmod import linalg, oracle
 from jacmod.fields import prime_field, rational_field
 
 # criterion number -> (label, status); filled by the acceptance fixture
@@ -20,7 +19,7 @@ def fresh_helper():
     exit does, so that the next test's patches reach the helper it
     forks."""
     yield
-    _retire_helper()
+    oracle._retire_helper()
 
 
 @pytest.fixture(autouse=True)

@@ -36,11 +36,17 @@ def run(capsys, *argv):
 def jacmod(*argv: str, stdout=subprocess.PIPE, timeout=120) -> subprocess.CompletedProcess:
     """`python -m jacmod ARGV` in a process of its own, with the
     package from this checkout."""
+    return python("-m", "jacmod", *argv, stdout=stdout, timeout=timeout)
+
+
+def python(*args: str, stdout=subprocess.PIPE, timeout=120) -> subprocess.CompletedProcess:
+    """`python ARGS` in a process of its own, with the package from
+    this checkout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
     return subprocess.run(
-        [sys.executable, "-m", "jacmod", *argv],
+        [sys.executable, *args],
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
@@ -218,6 +224,14 @@ class TestAnalyze:
             code, out, err = run(capsys, "analyze", "--field", field, "x*y*z*(x+y+z)")
             assert code == 2, field
             assert err.startswith("error: "), field
+
+    @pytest.mark.parametrize("field", ["bogus", "gfp:4"])
+    def test_field_checked_in_formula_mode(self, capsys, field):
+        argv = ("--field", field, "--skip-oracle", "--exponents", "1,1", "x^3+y^3+z^3")
+        code, out, err = run(capsys, "analyze", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_internal_consistency_error_exit_two(self, capsys, monkeypatch):
         def fail(text, options):
@@ -449,6 +463,15 @@ class TestProcess:
         assert proc.stderr == (
             "error: cannot write the output: [Errno 28] No space left on device\n"
         )
+
+    def test_import_loads_no_process_network_or_algebra_package(self):
+        # `import jacmod.cli` is what perfbench's setup_s times first; the
+        # helper needs only os.fork and pipes
+        heavy = ("multiprocessing", "concurrent", "subprocess", "socket", "sympy")
+        script = "import sys, jacmod.cli; print(' '.join({m.split('.')[0] for m in sys.modules}))"
+        proc = python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert set(proc.stdout.split()) & set(heavy) == set()
 
 
 class TestPlotData:
